@@ -51,7 +51,7 @@ from .modules import (
     submodule,
 )
 from .rings import Ring
-from .smith import snf
+from .smith import inverse, snf
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,7 @@ def _saturation_witness(F: FpModule, cls: ObjectClass, seed: Matrix) -> Witness:
     rank = form.rank
     # saturation basis: the first `rank` columns of (seed * V) scaled down
     # to primitive vectors, i.e. U^{-1} restricted to the pivot rows
-    from .modules import _integer_inverse
-
-    uinv = _integer_inverse(form.U)
+    uinv = inverse(form.U)
     sat_cols = [uinv.col(i) for i in range(rank)]
     sat = (Matrix(ring, canon.gens, rank, [list(r) for r in zip(*sat_cols)])
            if sat_cols else Matrix.zero(ring, canon.gens, 0))

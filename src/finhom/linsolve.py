@@ -76,11 +76,6 @@ class MatrixEquationSolver:
             raise TypeError("exactly one factor must be an unknown handle")
         self.add_equation(terms, result.matrix, mod_relations=result.target.relations)
 
-    def require_equals(self, h: Handle, result):
-        """U_h = result as a morphism into result's target."""
-        self.add_equation([(1, None, h, None)], result.matrix,
-                          mod_relations=result.target.relations)
-
     # -- assembly -----------------------------------------------------------------
 
     def _offsets(self):

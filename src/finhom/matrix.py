@@ -89,10 +89,6 @@ class Matrix:
 
     # -- shape helpers ----------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return self.rows == 0 or self.cols == 0
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -101,9 +97,6 @@ class Matrix:
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
-
-    def column_matrix(self, j: int) -> "Matrix":
-        return Matrix.column(self.ring, self.col(j))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, self.cols, self.rows,
@@ -161,9 +154,6 @@ class Matrix:
         rng = self.ring
         return tuple(rng.normalize(sum(a * v for a, v in zip(row, vector)))
                      for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     # -- block operations ----------------------------------------------------
 

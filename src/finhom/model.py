@@ -95,11 +95,6 @@ class ModelStructureSpec:
     def generating_cofibrations(self, window) -> List[ChainMap]:
         return induced_generating_monos(self.pair, window)
 
-    def generating_trivial_cofibrations(self, window) -> List[ChainMap]:
-        R1 = FpModule.free(self.ring, 1)
-        return [ChainMap.zero_map(ChainComplex.zero(self.ring), disk(n, R1))
-                for n in window]
-
 
 def model_structure(structure_id: str, ring: Ring,
                     cfg: KaplanskyConfig = KaplanskyConfig()) -> ModelStructureSpec:

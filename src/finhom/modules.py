@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatchError, UnsupportedRingError, ValidationError
 from .matrix import Matrix
 from .rings import Ring
-from .smith import _snf_integer, _snf_modular, invariant_factors_of, kernel_basis, solve_linear
+from .smith import invariant_factors_of, inverse, kernel_basis, snf, solve_linear
 
 
 class FpModule:
@@ -107,9 +107,7 @@ class FpModule:
         additive maps between Z/n-modules are automatically Z/n-linear).
         """
         if "invfac" not in self._cache:
-            self._cache["invfac"] = invariant_factors_of(
-                self.relations, extra_torsion=self.ring.modulus
-            )
+            self._cache["invfac"] = invariant_factors_of(self.relations)
         return self._cache["invfac"]
 
     def is_zero_module(self) -> bool:
@@ -127,34 +125,16 @@ class FpModule:
             out *= d
         return out
 
-    def min_generators(self) -> int:
-        return len(self.invariant_factors())
-
     # -- coset arithmetic ---------------------------------------------------
 
     def _smith_data(self):
         """(U, U^{-1}, diag) describing the relation lattice in Smith
-        coordinates; diag entries are 0 for free directions over Z and
-        divisors of n (with n itself for unconstrained generators) over
-        residue rings."""
+        coordinates; diag holds the pivots of the relations, one per
+        generator: 0 for free directions over Z, divisors of n (n itself
+        for unconstrained generators) over residue rings."""
         if "smith" not in self._cache:
-            import math
-
-            if self.ring.modulus is not None:
-                n = self.ring.modulus
-                form = _snf_modular(self.relations)
-                nm = min(self.relations.rows, self.relations.cols)
-                diag = [math.gcd(form.D.entries[i][i], n) for i in range(nm)]
-                diag += [n] * (self.gens - nm)
-                uinv = _modular_inverse(form.U)
-                self._cache["smith"] = (form.U, uinv, tuple(diag))
-            else:
-                form = _snf_integer(self.relations)
-                nm = min(self.relations.rows, self.relations.cols)
-                diag = [form.D.entries[i][i] for i in range(nm)]
-                diag += [0] * (self.gens - nm)
-                uinv = _integer_inverse(form.U)
-                self._cache["smith"] = (form.U, uinv, tuple(diag))
+            form = snf(self.relations)
+            self._cache["smith"] = (form.U, inverse(form.U), form.pivots(self.gens))
         return self._cache["smith"]
 
     def canonical_element(self, v: Sequence[int]) -> tuple:
@@ -166,9 +146,6 @@ class FpModule:
         red = [ui % d if d != 0 else ui for ui, d in zip(u, diag)]
         out = Uinv.apply(red)
         return tuple(self.ring.normalize(x) for x in out)
-
-    def elements_are_equal(self, v, w) -> bool:
-        return self.canonical_element(v) == self.canonical_element(w)
 
     def element_is_zero(self, v) -> bool:
         return all(x == 0 for x in self.canonical_element(v))
@@ -200,37 +177,13 @@ class FpModule:
             len(survive),
             Matrix.diagonal(self.ring, len(survive), len(survive), facs),
         )
-        to_m = U.change_ring(self.ring).submatrix(survive, range(self.gens))
-        fro_m = Uinv.change_ring(self.ring).submatrix(range(self.gens), survive)
+        to_m = U.submatrix(survive, range(self.gens))
+        fro_m = Uinv.submatrix(range(self.gens), survive)
         to = ModuleMap(self, canon, to_m)
         fro = ModuleMap(canon, self, fro_m)
         assert to.compose(fro).is_identity() and fro.compose(to).is_identity()
         self._cache["canon"] = (canon, to, fro)
         return self._cache["canon"]
-
-
-def _integer_inverse(U: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, column by column."""
-    n = U.rows
-    cols = []
-    for j in range(n):
-        e = Matrix.column(U.ring, [1 if i == j else 0 for i in range(n)])
-        x = solve_linear(U, e)
-        assert x is not None, "matrix not invertible"
-        cols.append(x.col(0))
-    return Matrix(U.ring, n, n, [list(r) for r in zip(*cols)])
-
-
-def _modular_inverse(U: Matrix) -> Matrix:
-    """Inverse of a matrix invertible over Z/n, column by column."""
-    n = U.rows
-    cols = []
-    for j in range(n):
-        e = Matrix.column(U.ring, [1 if i == j else 0 for i in range(n)])
-        x = solve_linear(U, e)
-        assert x is not None, "matrix not invertible over the residue ring"
-        cols.append(x.col(0))
-    return Matrix(U.ring, n, n, [list(r) for r in zip(*cols)])
 
 
 def element_in_colspan(A: Matrix, v: Sequence[int]) -> Optional[Matrix]:
@@ -437,10 +390,6 @@ def intersection_gens(M: FpModule, A: Matrix, B: Matrix) -> Matrix:
     K = kernel_basis(sys)
     alphas = K.submatrix(range(A.cols), range(K.cols))
     return A * alphas
-
-
-def sum_gens(A: Matrix, B: Matrix) -> Matrix:
-    return A.hstack(B)
 
 
 def preimage_gens(f: ModuleMap, wgens: Matrix) -> Matrix:

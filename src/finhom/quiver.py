@@ -87,9 +87,6 @@ class QuiverRep:
         as_module = _ring_as_module_over(tgt, src)
         return is_flat(as_module)
 
-    def is_flat_representation(self) -> bool:
-        return all(self.edge_is_flat(e) for e in self.edges)
-
 
 def _ring_as_module_over(tgt: Ring, src: Ring) -> FpModule:
     """The target ring as a cyclic module over the source ring."""

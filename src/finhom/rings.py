@@ -101,22 +101,6 @@ class Ring:
         """Self-injective rings where projective = injective: Z/n and F_p."""
         return self.modulus is not None
 
-    @property
-    def is_hereditary(self) -> bool:
-        """Submodules of projectives are projective (Z and fields)."""
-        return self.kind == Ring.INTEGERS or self.is_field
-
-    @property
-    def is_semisimple(self) -> bool:
-        """Every module projective: fields and Z/n with n squarefree."""
-        if self.kind == Ring.INTEGERS:
-            return False
-        n = self.modulus
-        for p in self._prime_factors():
-            if n % (p * p) == 0:
-                return False
-        return True
-
     def _prime_factors(self):
         n = self.modulus
         out = []
@@ -155,11 +139,6 @@ class Ring:
     @property
     def one(self) -> int:
         return self.normalize(1)
-
-    def is_unit(self, a: int) -> bool:
-        if self.modulus is None:
-            return a in (1, -1)
-        return math.gcd(a, self.modulus) == 1
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a unit; raises for non-units."""

@@ -1,18 +1,20 @@
 """Smith normal form and the linear-algebra kernels built on it.
 
-Everything else in the library reduces to three operations implemented
-here: ``snf`` (diagonalization U A V = D with unimodular U, V and a
-divisibility chain on D), ``solve_linear`` (one deterministic solution of
-A x = b, or None), and ``kernel_basis`` (generators of {x : A x = 0}).
+Everything else in the library reduces to the operations implemented
+here: ``snf`` (diagonalization U A V = D with invertible U, V and a
+divisibility chain on D), ``inverse``, ``solve_linear`` (one
+deterministic solution of A x = b, or None), ``kernel_basis``
+(generators of {x : A x = 0}) and ``invariant_factors_of``.
 
-The Smith algorithm runs over the integers with arbitrary precision.
-Matrices over Z/n are lifted to Z, diagonalized there, and reduced; for
-solving and kernels the relation n = 0 is made explicit by augmenting
-with n I, so a single integer code path serves every supported ring.
+Each ring family has one Smith routine.  Over Z, ``_snf_integer`` works
+with arbitrary precision; its pivot is the entry of smallest nonzero
+absolute value, ties broken by row then column order.  Over Z/n and F_p,
+``_snf_modular`` eliminates over the local parts Z/p^k of n with all
+arithmetic reduced, so entries never grow; its pivot is the first entry,
+in row-major order, of least p-valuation.
 
-Pivot rule (fixed for reproducibility): among the not-yet-processed
-entries choose the one of smallest nonzero absolute value, ties broken by
-row then column order.
+One rule reads the diagonal everywhere (``SmithForm.pivots``): a zero or
+missing pivot counts as n over Z/n, and as 0 over Z.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, PreconditionFailedError
 from .matrix import Matrix
 from .rings import Integers, Ring
 
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U A V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U A V = D with U, V invertible over the ring and D diagonal, d_i | d_{i+1}."""
 
     U: Matrix
     D: Matrix
@@ -42,6 +44,14 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    def pivots(self, count: int) -> tuple:
+        """The first ``count`` pivots; a zero or missing one counts as n
+        over Z/n and as 0 over Z."""
+        D = self.D
+        n = D.ring.modulus or 0
+        k = min(D.rows, D.cols)
+        return tuple((D.entries[i][i] if i < k else 0) or n for i in range(count))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -162,249 +172,152 @@ def _snf_integer(A: Matrix) -> SmithForm:
 
 
 def snf(A: Matrix) -> SmithForm:
-    """Smith normal form over the matrix's own ring.
-
-    Residue rings lift to Z, reduce afterwards; U and V stay invertible
-    because their integer determinants are units.
-    """
-    ring = A.ring
-    if ring.kind == Ring.INTEGERS:
+    """Smith normal form over the matrix's own ring: ``_snf_integer``
+    over Z, ``_snf_modular`` over Z/n and F_p."""
+    if A.ring.kind == Ring.INTEGERS:
         return _snf_integer(A)
-    form = _snf_integer(A.lift_to_integers())
-    return SmithForm(
-        U=form.U.change_ring(ring),
-        D=form.D.change_ring(ring),
-        V=form.V.change_ring(ring),
-    )
+    return _snf_modular(A)
 
 
 @lru_cache(maxsize=1 << 15)
 def _snf_modular(A: Matrix) -> SmithForm:
-    """Smith form over Z/n by gcd-combination transforms, all arithmetic
-    modulo n so entries never grow.
+    """Smith form over Z/n (F_p is the case n = p) by elimination over
+    local rings.
 
-    Every diagonal entry is normalized to a divisor of n (each residue is
-    a unit times a divisor), giving the canonical chain d_1 | d_2 | ... | n.
+    n splits by CRT into parts Z/q with q = p^k.  Over Z/q every residue
+    is a unit times a power of p, so the pivot -- the first entry, in
+    row-major order, of least gcd with q -- divides its whole block.
+    Scaled by a unit to exactly p^e, it clears its column and its row in
+    one pass each.  The parts are joined by the CRT idempotents, each
+    pivot row scaled by a unit so that the diagonal holds the divisors of
+    n in a chain d_1 | d_2 | ... | n (n itself is stored as 0).
     """
     ring = A.ring
     n = ring.modulus
     rows, cols = A.rows, A.cols
-    a = [list(r) for r in A.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def gcd_n(x):
-        return math.gcd(x, n)
-
-    def row_combine(i1, i2, s, t, x, y):
-        # (row i1, row i2) <- (s row1 + t row2, x row1 + y row2), det unit
-        for m in (a, u):
-            r1, r2 = m[i1], m[i2]
-            for k in range(len(r1)):
-                p, q = r1[k], r2[k]
-                r1[k] = (s * p + t * q) % n
-                r2[k] = (x * p + y * q) % n
-
-    def col_combine(j1, j2, s, t, x, y):
-        for m in (a, v):
-            for row in m:
-                p, q = row[j1], row[j2]
-                row[j1] = (s * p + t * q) % n
-                row[j2] = (x * p + y * q) % n
-
-    def find_pivot(t0):
-        best = None
-        for i in range(t0, rows):
-            for j in range(t0, cols):
-                x = a[i][j]
-                if x == 0:
-                    continue
-                key = (gcd_n(x), x, i, j)
-                if best is None or key < best:
-                    best = key
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        found = find_pivot(t)
-        if found is None:
-            break
-        _, _, pi, pj = found
-        if pi != t:
-            row_combine(t, pi, 0, 1, 1, 0)
-        if pj != t:
-            col_combine(t, pj, 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, rows):
-                bq = a[i][t]
-                if bq:
-                    ap = a[t][t]
-                    if bq % ap == 0:
-                        # plain elimination keeps the pivot row fixed
-                        row_combine(t, i, 1, 0, -(bq // ap), 1)
-                    else:
-                        g, s, tt = _xgcd(ap, bq)
-                        row_combine(t, i, s, tt, -(bq // g), ap // g)
-            dirty = False
-            for j in range(t + 1, cols):
-                bq = a[t][j]
-                if bq:
-                    ap = a[t][t]
-                    if bq % ap == 0:
-                        col_combine(t, j, 1, 0, -(bq // ap), 1)
-                    else:
-                        g, s, tt = _xgcd(ap, bq)
-                        col_combine(t, j, s, tt, -(bq // g), ap // g)
-                        dirty = True
-            if dirty and any(a[i][t] for i in range(t + 1, rows)):
-                continue
-            # fold in any trailing entry the pivot does not divide mod n
-            p_g = gcd_n(a[t][t])
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if gcd_n(a[i][j]) % p_g != 0:
-                        offender = i
-                        break
-                if offender is not None:
+    m = min(rows, cols)
+    parts = []
+    for p in ring._prime_factors():
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        a = [[x % q for x in r] for r in A.entries]
+        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        vt = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
+        diag = [q] * m
+        for t in range(m):
+            g, pi, pj = q, -1, -1
+            for i in range(t, rows):
+                row = a[i]
+                for j in range(t, cols):
+                    x = row[j]
+                    if x % g:  # gcd(x, q) < g
+                        g, pi, pj = math.gcd(x, q), i, j
+                        if g == 1:
+                            break
+                if g == 1:
                     break
-            if offender is None:
+            if pi < 0:
                 break
-            row_combine(t, offender, 1, 1, 0, 1)
-        # normalize the pivot to the divisor gcd(pivot, n) by a unit
-        d = a[t][t]
-        g = gcd_n(d)
-        if d != g:
-            w = _unit_cofactor(d, g, n)
-            winv = pow(w, -1, n)
-            for m in (a, u):
-                m[t] = [(winv * x) % n for x in m[t]]
-        t += 1
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
+            w = pow(a[t][t] // g, -1, q)
+            if w != 1:
+                a[t] = [x * w % q for x in a[t]]
+                u[t] = [x * w % q for x in u[t]]
+            at, ut, vtt = a[t], u[t], vt[t]
+            for i in range(t + 1, rows):
+                f = a[i][t] // g
+                if f:
+                    a[i] = [(x - f * y) % q for x, y in zip(a[i], at)]
+                    u[i] = [(x - f * y) % q for x, y in zip(u[i], ut)]
+            # rows below t are now zero in column t, so a column pass
+            # changes only row t, whose entries are multiples of g
+            for j in range(t + 1, cols):
+                f = at[j] // g
+                if f:
+                    at[j] = 0
+                    vt[j] = [(x - f * y) % q for x, y in zip(vt[j], vtt)]
+            diag[t] = g
+        parts.append((q, u, vt, diag))
 
+    d = [math.prod(part[3][t] for part in parts) for t in range(m)]
+    U = [[0] * rows for _ in range(rows)]
+    Vt = [[0] * cols for _ in range(cols)]
+    for q, u, vt, diag in parts:
+        e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod the other parts
+        for t in range(rows):
+            s = e * (d[t] // diag[t]) if t < m else e
+            U[t] = [x + s * y for x, y in zip(U[t], u[t])]
+        for j in range(cols):
+            Vt[j] = [x + e * y for x, y in zip(Vt[j], vt[j])]
     return SmithForm(
-        U=Matrix(ring, rows, rows, u),
-        D=Matrix(ring, rows, cols, a),
-        V=Matrix(ring, cols, cols, v),
+        U=Matrix(ring, rows, rows, U),
+        D=Matrix.diagonal(ring, rows, cols, d),
+        V=Matrix(ring, cols, cols, zip(*Vt)),
     )
 
 
-def _xgcd(aa, bb):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while bb:
-        q = aa // bb
-        aa, bb = bb, aa - q * bb
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return aa, x0, y0
+def inverse(U: Matrix) -> Matrix:
+    """Two-sided inverse of a square matrix over its ring.
 
-
-def _unit_cofactor(d: int, g: int, n: int) -> int:
-    """The first unit w mod n with d = w g mod n (exists since every
-    residue is a unit times a divisor of n)."""
-    dprime = d // g
-    step = n // g
-    w = dprime % n
-    for _ in range(g + 1):
-        if math.gcd(w, n) == 1:
-            return w
-        w = (w + step) % n
-    raise AssertionError("no unit cofactor found")
+    If U' U V' = I is the Smith form of U, then U^{-1} = V' U'.  Raises
+    PreconditionFailedError when U is not invertible (D is not I).
+    """
+    if U.rows != U.cols:
+        raise DimensionMismatchError("inverse needs a square matrix")
+    form = snf(U)
+    if form.D != Matrix.identity(U.ring, U.rows):
+        raise PreconditionFailedError(f"matrix is not invertible over {U.ring}")
+    return form.V * form.U
 
 
 def solve_linear(A: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of A x = b, or None if there is none.
 
     Deterministic choice: in Smith coordinates, bound coordinates take
-    the canonical quotient and free coordinates are zero.  Residue rings
-    use the modular Smith form (no intermediate blow-up); the integers
-    use the exact integer form.
+    the canonical quotient and free coordinates are zero.
     """
     if b.cols != 1 or b.rows != A.rows:
         raise DimensionMismatchError(f"rhs must be a {A.rows}x1 column")
     if A.ring != b.ring:
         raise DimensionMismatchError("matrix/rhs ring mismatch")
-    ring = A.ring
-    if ring.modulus is not None:
-        return _solve_modular(A, b)
-    form = _snf_integer(A)
-    c = form.U * b
+    form = snf(A)
     y = [0] * A.cols
-    n = min(A.rows, A.cols)
-    for i in range(A.rows):
-        d = form.D.entries[i][i] if i < n else 0
-        ci = c.entries[i][0]
+    for i, (c, d) in enumerate(zip(form.U.apply(b.col(0)), form.pivots(A.rows))):
         if d == 0:
-            if ci != 0:
+            if c != 0:
                 return None
-        else:
-            if ci % d != 0:
-                return None
-            y[i] = ci // d
-    x_full = form.V.apply(y)
-    return Matrix.column(ring, x_full[: A.cols])
-
-
-def _solve_modular(A: Matrix, b: Matrix) -> Matrix | None:
-    ring = A.ring
-    n = ring.modulus
-    form = _snf_modular(A)
-    c = form.U * b
-    y = [0] * A.cols
-    nm = min(A.rows, A.cols)
-    for i in range(A.rows):
-        d = form.D.entries[i][i] if i < nm else 0
-        ci = c.entries[i][0]
-        g = math.gcd(d, n)
-        if ci % g != 0:
+        elif c % d != 0:
             return None
-        if d != 0:
-            # d y = ci mod n with d = g (normalized); smallest solution
-            y[i] = (ci // g) * pow(d // g, -1, n // g) % (n // g) if g != n else 0
-    x_full = form.V.apply(y)
-    return Matrix.column(ring, x_full)
+        elif i < A.cols:
+            y[i] = c // d
+    return Matrix.column(A.ring, form.V.apply(y))
 
 
 def kernel_basis(A: Matrix) -> Matrix:
     """Columns generating {x : A x = 0} over A's ring.
 
-    Over Z the columns are a lattice basis of the kernel; over Z/n the
-    modular Smith form contributes one generator per coordinate (the
-    annihilator direction (n / gcd(d, n)) e), so the columns generate
-    the full kernel including torsion directions.
+    Smith coordinate j contributes column j of V times the annihilator
+    of its pivot d_j: n / d_j over Z/n, which generates the torsion
+    directions too; over Z, 1 for a zero pivot and 0 otherwise, which
+    leaves a lattice basis of the kernel.  Zero contributions are dropped.
     """
     ring = A.ring
-    if ring.modulus is not None:
-        return _kernel_modular(A)
-    form = _snf_integer(A)
-    n = min(A.rows, A.cols)
-    free_cols = [j for j in range(A.cols) if j >= n or form.D.entries[j][j] == 0]
-    cols = [form.V.col(j) for j in free_cols]
-    if not cols:
-        return Matrix.zero(ring, A.cols, 0)
-    return Matrix(ring, A.cols, len(cols), [list(r) for r in zip(*cols)])
-
-
-def _kernel_modular(A: Matrix) -> Matrix:
-    ring = A.ring
-    n = ring.modulus
-    form = _snf_modular(A)
-    nm = min(A.rows, A.cols)
+    n = ring.modulus or 0
+    form = snf(A)
     cols = []
-    for j in range(A.cols):
-        d = form.D.entries[j][j] if j < nm else 0
-        g = math.gcd(d, n)
-        ann = n // g
-        if ann % n == 0:
-            continue  # annihilator is zero mod n: no kernel direction
-        gen = [0] * A.cols
-        gen[j] = ann
-        cols.append(form.V.apply(gen))
+    for j, d in enumerate(form.pivots(A.cols)):
+        ann = ring.normalize(n // d if d else 1)
+        if ann:
+            cols.append([ring.normalize(ann * x) for x in form.V.col(j)])
     if not cols:
         return Matrix.zero(ring, A.cols, 0)
-    out = Matrix(ring, A.cols, len(cols), [list(r) for r in zip(*cols)])
-    keep = [j for j in range(out.cols)
-            if any(out.entries[i][j] != 0 for i in range(out.rows))]
-    return out.submatrix(range(out.rows), keep)
+    return Matrix(ring, A.cols, len(cols), zip(*cols))
 
 
 def determinant(A: Matrix) -> int:
@@ -434,31 +347,12 @@ def determinant(A: Matrix) -> int:
     return A.ring.normalize(sign * m[n - 1][n - 1])
 
 
-def invariant_factors_of(A: Matrix, extra_torsion: int | None = None) -> tuple:
+def invariant_factors_of(A: Matrix) -> tuple:
     """Invariant factors of the cokernel of A as an abelian group, with
-    the relation n = 0 adjoined for residue rings; unit factors dropped,
-    each 0 standing for a free summand.
+    the relation n = 0 adjoined for residue rings: the Smith pivots with
+    the 1s dropped, each 0 standing for a free summand over Z.
 
     This is the canonical presentation-independent fingerprint used for
     module isomorphism tests.
     """
-    if extra_torsion is not None:
-        n = extra_torsion
-        form = _snf_modular(A if A.ring.modulus == n else A.change_ring(
-            _ring_mod(n)))
-        nm = min(A.rows, A.cols)
-        diag = [math.gcd(form.D.entries[i][i], n) for i in range(nm)]
-        factors = [d for d in diag if d != 1] + [n] * (A.rows - nm)
-        return tuple(sorted(factors))
-    form = _snf_integer(A.lift_to_integers())
-    nm = min(A.rows, A.cols)
-    diag = [form.D.entries[i][i] for i in range(nm)]
-    torsion = [d for d in diag if d not in (0, 1)]
-    free = (A.rows - nm) + sum(1 for d in diag if d == 0)
-    return tuple(torsion + [0] * free)
-
-
-def _ring_mod(n: int):
-    from .rings import IntegersModN
-
-    return IntegersModN(n)
+    return tuple(d for d in snf(A).pivots(A.rows) if d != 1)

@@ -139,18 +139,6 @@ class _Tokens:
         return rows
 
 
-def _arrow_pair(t: _Tokens):
-    """Parse `<id> -> <id>`, also accepting the compact `<id>-><id>`."""
-    first = t.word()
-    if "->" in first:
-        src, tgt = first.split("->", 1)
-        if not src or not tgt:
-            raise t.error("malformed arrow")
-        return src, tgt
-    t.punct("->")
-    return first, t.word()
-
-
 def parse_ring_token(tokens: _Tokens) -> Ring:
     kind = tokens.word()
     if kind == "Z":

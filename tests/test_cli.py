@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from finhom import FpModule, IntegersModN
 from finhom.cli import main, run_command
 from finhom.errors import ParseError, ValidationError
 from finhom.report import Report
@@ -76,6 +77,21 @@ def test_cli_tor_table(tmp_path):
     assert by_name["degree-0"] == "Z/2"
     assert by_name["degree-1"] == "Z/2"
     assert by_name["degree-2"] == "0"
+
+
+def test_zero_ring_modules_are_zero(tmp_path):
+    # over Z/1 every module is the zero group, free ones included
+    F = FpModule.free(IntegersModN(1), 2)
+    assert F.invariant_factors() == ()
+    assert F.is_zero_module()
+    assert F.size() == 1
+    wsfile = tmp_path / "z1.cl"
+    wsfile.write_text("ring R Zmod 1\nmodule F over R gens 2 rels []\n")
+    code, report = run_command([
+        "tor", "--workspace", str(wsfile), "--a", "F", "--b", "F",
+        "--max-degree", "1"])
+    assert code == 0
+    assert "check\tdegree-0\tpass\t0\n" in report.to_machine()
 
 
 def test_cli_exit_codes(tmp_path):

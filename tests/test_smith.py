@@ -3,9 +3,12 @@ import random
 from itertools import product
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField, kernel_basis, snf, solve_linear
-from finhom.smith import determinant, invariant_factors_of
+from finhom.errors import PreconditionFailedError
+from finhom.smith import determinant, invariant_factors_of, inverse
 
 ZZ = Integers()
 
@@ -68,17 +71,41 @@ def test_snf_random_exactness_and_determinism():
                     assert f1.D.entries[i][j] == 0
 
 
-@pytest.mark.parametrize("ring", [IntegersModN(4), IntegersModN(6), PrimeField(3)])
+@pytest.mark.parametrize("ring", [
+    IntegersModN(4), IntegersModN(6), PrimeField(3), IntegersModN(1),
+    IntegersModN(8), IntegersModN(9), IntegersModN(12), IntegersModN(30)])
 def test_snf_residue_rings(ring):
     rng = random.Random(13)
+    n = ring.modulus
     for _ in range(40):
-        r = rng.randint(0, 4)
-        c = rng.randint(0, 4)
-        A = Matrix(ring, r, c, [[rng.randrange(ring.modulus) for _ in range(c)] for _ in range(r)])
+        r = rng.randint(0, 6)
+        c = rng.randint(0, 6)
+        A = Matrix(ring, r, c, [[rng.randrange(n) for _ in range(c)] for _ in range(r)])
         form = snf(A)
         assert form.U * A * form.V == form.D
-        assert math.gcd(determinant(form.U.lift_to_integers()), ring.modulus) == 1
-        assert math.gcd(determinant(form.V.lift_to_integers()), ring.modulus) == 1
+        assert math.gcd(determinant(form.U.lift_to_integers()), n) == 1
+        assert math.gcd(determinant(form.V.lift_to_integers()), n) == 1
+        # D is diagonal, with a chain of divisors of n (n stored as 0)
+        assert form.D == Matrix.diagonal(ring, r, c, form.diagonal)
+        chain = [d or n for d in form.diagonal] + [n]
+        assert all(n % d == 0 for d in chain)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        assert inverse(form.U) * form.U == Matrix.identity(ring, r)
+        # independent oracle: the integer matrix [A | n I] presents the
+        # same abelian group as A over Z/n
+        if r:
+            lifted = sympy.Matrix([list(row) + [n if i == k else 0 for k in range(r)]
+                                   for i, row in enumerate(A.entries)])
+            oracle = invariant_factors(lifted, domain=sympy.ZZ)
+            assert invariant_factors_of(A) == tuple(int(d) for d in oracle if d != 1)
+        else:
+            assert invariant_factors_of(A) == ()
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4)])
+def test_inverse_rejects_singular(ring):
+    with pytest.raises(PreconditionFailedError):
+        inverse(Matrix.from_rows(ring, [[2]]))
 
 
 def test_solve_linear_basic():
