@@ -73,7 +73,8 @@ class ChainComplex:
     # -- access -----------------------------------------------------------
 
     def module_at(self, n: int) -> FpModule:
-        return self.objects.get(n, FpModule.zero(self.ring))
+        m = self.objects.get(n)
+        return m if m is not None else FpModule.zero(self.ring)
 
     def diff(self, n: int) -> ModuleMap:
         d = self.differentials.get(n)

@@ -6,8 +6,10 @@ constrained by equations of the shape
     sum_k  coef_k * (A_k · U_{h_k} · B_k)  =  rhs   (mod relation span)
 
 which vectorize to one exact linear system over the base ring via
-vec(A U B) = (B^T kron A) vec(U).  Working modulo a relation span adds a
-slack unknown per equation.  The combined system is handed to
+vec(A U B) = (B^T kron A) vec(U).  The system is written directly from
+the entries of A and B, with no identity, transpose or Kronecker matrix
+formed.  Working modulo a relation span adds a slack unknown per
+equation.  The combined system is handed to
 ``solve_linear`` (one deterministic solution) or ``kernel_basis`` (the
 full solution module of the homogeneous problem).
 """
@@ -19,6 +21,11 @@ from dataclasses import dataclass
 from .matrix import Matrix
 from .rings import Ring
 from .smith import kernel_basis, solve_linear
+
+
+def _nonzero(M: Matrix) -> list:
+    """(row, column, entry) for every nonzero entry of M."""
+    return [(i, k, a) for i, row in enumerate(M.entries) for k, a in enumerate(row) if a]
 
 
 @dataclass(frozen=True)
@@ -87,24 +94,33 @@ class MatrixEquationSolver:
         return offs, total
 
     def _build(self):
+        """The system A x = b of all equations, written entry by entry.
+
+        Row i + m*j of an equation (m = rhs.rows) is entry (i, j) of its
+        vectorized left side; column off + k + h.rows*l is entry (k, l) of
+        unknown h.  By vec(L U R) = (R^T kron L) vec(U), a term adds
+        coef * L[i][k] * R[l][j] there; a missing L or R is the identity,
+        so only k = i or l = j occurs.  Sums are reduced once, by Matrix.
+        """
         ring = self.ring
         offs, total = self._offsets()
         rows_blocks = []
         rhs_entries = []
         for terms, rhs in self._equations:
-            m = rhs.rows * rhs.cols
-            block = [[0] * total for _ in range(m)]
+            m = rhs.rows
+            block = [[0] * total for _ in range(m * rhs.cols)]
             for coef, left, h, right in terms:
-                left_m = left if left is not None else Matrix.identity(ring, h.rows)
-                right_m = right if right is not None else Matrix.identity(ring, h.cols)
-                kron = right_m.transpose().kronecker(left_m).scale(coef)
+                hr = h.rows
+                lpairs = (_nonzero(left) if left is not None
+                          else [(i, i, 1) for i in range(hr)])
+                rpairs = (_nonzero(right) if right is not None
+                          else [(j, j, 1) for j in range(h.cols)])
                 off = offs[h.index]
-                for i in range(kron.rows):
-                    row = block[i]
-                    ke = kron.entries[i]
-                    for j in range(kron.cols):
-                        if ke[j]:
-                            row[off + j] = ring.add(row[off + j], ke[j])
+                for l, j, r in rpairs:
+                    c = coef * r
+                    col0 = off + hr * l
+                    for i, k, a in lpairs:
+                        block[i + m * j][col0 + k] += c * a
             rows_blocks.extend(block)
             rhs_entries.extend(rhs.vec())
         A = Matrix(ring, len(rows_blocks), total, rows_blocks)

@@ -4,10 +4,20 @@ Entries are normalized ring elements stored row-major as a tuple of row
 tuples, so matrices are immutable, hashable values.  Dimensions zero in
 either direction are legal everywhere; empty matrices show up constantly
 as presentations of free and zero modules.
+
+Invariant: every entry of a Matrix is in normal form for its ring (an
+int in [0, n) over Z/n and F_n, any int over Z).  The public constructor
+establishes it by reducing every entry; operations whose results are
+reduced by construction (slices, sums and products through the ring's
+arithmetic, stacking and block assembly of matrices over the same ring)
+build their results through the trusted ``_reduced`` constructor, which
+only checks the shape.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import mul as _times
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -15,7 +25,7 @@ from .rings import Ring
 
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_hash")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: Iterable[Iterable[int]]):
         n = ring.modulus
@@ -31,6 +41,24 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _reduced(ring: Ring, rows: int, cols: int, data: tuple) -> "Matrix":
+        """Trusted constructor: ``data`` is a tuple of row tuples whose
+        entries are already in normal form for ``ring``.  Nothing is
+        copied or reduced; only the shape is checked."""
+        if len(data) != rows or (rows and set(map(len, data)) != {cols}):
+            raise DimensionMismatchError(
+                f"expected {rows}x{cols} entries, got {[len(r) for r in data]}"
+            )
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "ring", ring)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", data)
+        object.__setattr__(m, "_hash", None)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -45,16 +73,17 @@ class Matrix:
 
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, [[0] * cols for _ in range(rows)])
+        return Matrix._reduced(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
         one = ring.one
-        return Matrix(ring, n, n, [[one if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._reduced(ring, n, n, tuple(
+            (0,) * i + (one,) + (0,) * (n - i - 1) for i in range(n)))
 
     @staticmethod
     def column(ring: Ring, values: Sequence[int]) -> "Matrix":
-        return Matrix(ring, len(values), 1, [[v] for v in values])
+        return Matrix(ring, 1, len(values), [values]).transpose()
 
     @staticmethod
     def diagonal(ring: Ring, rows: int, cols: int, diag: Sequence[int]) -> "Matrix":
@@ -66,6 +95,8 @@ class Matrix:
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Matrix)
             and self.ring == other.ring
@@ -75,7 +106,11 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -93,20 +128,19 @@ class Matrix:
         return self.entries[i]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      [self.col(i) for i in range(self.cols)])
+        data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._reduced(self.ring, self.cols, self.rows, data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            self.ring, len(row_idx), len(col_idx),
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-        )
+        e = self.entries
+        return Matrix._reduced(self.ring, len(row_idx), len(col_idx),
+                               tuple(tuple(e[i][j] for j in col_idx) for i in row_idx))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -118,18 +152,18 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("matrix addition shape mismatch")
-        rng = self.ring
-        return Matrix(rng, self.rows, self.cols,
-                      [[rng.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        add = self.ring.add
+        return Matrix._reduced(self.ring, self.rows, self.cols,
+                               tuple(tuple(add(a, b) for a, b in zip(ra, rb))
+                                     for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Matrix":
-        rng = self.ring
-        return Matrix(rng, self.rows, self.cols,
-                      [[rng.mul(c, x) for x in row] for row in self.entries])
+        mul = self.ring.mul
+        return Matrix._reduced(self.ring, self.rows, self.cols,
+                               tuple(tuple(mul(c, x) for x in row) for row in self.entries))
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -140,20 +174,18 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        rng = self.ring
+        norm = self.ring.normalize
         ot = other.transpose().entries
-        out = []
-        for ra in self.entries:
-            out.append([rng.normalize(sum(a * b for a, b in zip(ra, rc))) for rc in ot])
-        return Matrix(rng, self.rows, other.cols, out)
+        return Matrix._reduced(self.ring, self.rows, other.cols, tuple(
+            tuple(norm(sum(map(_times, ra, rc))) for rc in ot)
+            for ra in self.entries))
 
     def apply(self, vector: Sequence[int]) -> tuple:
         """Matrix times a column vector, returned as a tuple."""
         if self.cols != len(vector):
             raise DimensionMismatchError("vector length mismatch")
-        rng = self.ring
-        return tuple(rng.normalize(sum(a * v for a, v in zip(row, vector)))
-                     for row in self.entries)
+        norm = self.ring.normalize
+        return tuple(norm(sum(map(_times, row, vector))) for row in self.entries)
 
     # -- block operations ----------------------------------------------------
 
@@ -161,36 +193,39 @@ class Matrix:
         self._check_ring(other)
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack row mismatch")
-        return Matrix(self.ring, self.rows, self.cols + other.cols,
-                      [ra + rb for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._reduced(self.ring, self.rows, self.cols + other.cols,
+                               tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check_ring(other)
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack column mismatch")
-        return Matrix(self.ring, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
+        return Matrix._reduced(self.ring, self.rows + other.rows, self.cols,
+                               self.entries + other.entries)
 
     @staticmethod
     def hstack_all(ring: Ring, rows: int, blocks: Sequence["Matrix"]) -> "Matrix":
-        out = Matrix.zero(ring, rows, 0)
         for b in blocks:
-            out = out.hstack(b)
-        return out
+            if b.ring != ring:
+                raise DimensionMismatchError(f"ring mismatch: {ring} vs {b.ring}")
+            if b.rows != rows:
+                raise DimensionMismatchError("hstack row mismatch")
+        data = tuple(tuple(chain.from_iterable(parts)) for parts in
+                     zip(*(b.entries for b in blocks))) if blocks else ((),) * rows
+        return Matrix._reduced(ring, rows, sum(b.cols for b in blocks), data)
 
     @staticmethod
     def block_diagonal(ring: Ring, blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        m = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        data = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    m[r0 + i][c0 + j] = b.entries[i][j]
-            r0 += b.rows
+            if b.ring != ring:
+                raise DimensionMismatchError(f"ring mismatch: {ring} vs {b.ring}")
+            left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
+            data.extend(left + row + right for row in b.entries)
             c0 += b.cols
-        return Matrix(ring, rows, cols, m)
+        return Matrix._reduced(ring, len(data), cols, tuple(data))
 
     @staticmethod
     def from_blocks(ring: Ring, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -208,19 +243,14 @@ class Matrix:
     def kronecker(self, other: "Matrix") -> "Matrix":
         """Tensor (Kronecker) product; row-major pairing of indices."""
         self._check_ring(other)
-        rng = self.ring
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        m = [[0] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        m[i * other.rows + k][j * other.cols + l] = rng.mul(a, other.entries[k][l])
-        return Matrix(rng, rows, cols, m)
+        mul = self.ring.mul
+        zero = (0,) * other.cols
+        data = tuple(
+            tuple(chain.from_iterable(
+                (mul(a, x) for x in orow) if a else zero for a in srow))
+            for srow in self.entries for orow in other.entries)
+        return Matrix._reduced(self.ring, self.rows * other.rows,
+                               self.cols * other.cols, data)
 
     def vec(self) -> tuple:
         """Column-stacking vectorization: columns concatenated top to bottom."""

@@ -32,7 +32,6 @@ from typing import Dict, List, Tuple
 from .complexes import (
     ChainComplex,
     ChainMap,
-    cone,
     cycles,
     cylinder,
     disk,

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField
+from finhom import Integers, IntegersModN, Matrix, PrimeField, smith
 from finhom.checks import check_model_axioms, check_monoidal
 from finhom.complexes import (
     ChainComplex,
@@ -481,14 +481,21 @@ def test_criterion_9_quiver():
 def test_criterion_10_determinism():
     pairs = []
     # full 50-sample model and monoidal suites: the first run is the one
-    # cached for criteria 4 and 5, the second is fresh
+    # cached for criteria 4 and 5, the second is fresh and starts from cold
+    # Smith caches, so an answer that depends on cache state would show
+    def clear_smith_caches():
+        smith._snf_integer.cache_clear()
+        smith._snf_modular.cache_clear()
+
     for which in ("proj-Z4", "flat-Z"):
         first = _model_axiom_report(which).to_machine()
         spec = model_structure(PROJECTIVE_STRUCTURE, Z4) if which == "proj-Z4" \
             else model_structure(FLAT_STRUCTURE, ZZ)
+        clear_smith_caches()
         second = check_model_axioms(spec, seed=1, samples=50).to_machine()
         pairs.append((f"model-check {which} x50", first, second))
         firstm = _monoidal_report(which).to_machine()
+        clear_smith_caches()
         secondm = check_monoidal(spec, seed=1, samples=50).to_machine()
         pairs.append((f"monoidal-check {which} x50", firstm, secondm))
     from finhom.cli import run_command

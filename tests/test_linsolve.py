@@ -1,0 +1,64 @@
+"""The solver writes its system entry by entry; the Kronecker assembly it
+replaced is kept here as the reference."""
+
+import random
+
+import pytest
+
+from finhom import Integers, IntegersModN, Matrix
+from finhom.linsolve import MatrixEquationSolver
+
+
+def kronecker_build(solver):
+    """A and b of the solver's system via vec(L U R) = (R^T kron L) vec(U),
+    with a missing L or R formed as an identity matrix."""
+    ring = solver.ring
+    offs, total = solver._offsets()
+    rows, rhs_entries = [], []
+    for terms, rhs in solver._equations:
+        block = [[0] * total for _ in range(rhs.rows * rhs.cols)]
+        for coef, left, h, right in terms:
+            left_m = left if left is not None else Matrix.identity(ring, h.rows)
+            right_m = right if right is not None else Matrix.identity(ring, h.cols)
+            kron = right_m.transpose().kronecker(left_m).scale(coef)
+            off = offs[h.index]
+            for i, ke in enumerate(kron.entries):
+                for j, x in enumerate(ke):
+                    block[i][off + j] = ring.add(block[i][off + j], x)
+        rows.extend(block)
+        rhs_entries.extend(rhs.vec())
+    return Matrix(ring, len(rows), total, rows), Matrix.column(ring, rhs_entries)
+
+
+def rand_matrix(rng, ring, rows, cols):
+    return Matrix(ring, rows, cols,
+                  [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+
+
+def random_solver(rng, ring):
+    solver = MatrixEquationSolver(ring)
+    handles = [solver.add_unknown_matrix(rng.randint(0, 3), rng.randint(0, 3))
+               for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        m, p = rng.randint(0, 3), rng.randint(0, 3)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            h = rng.choice(handles)
+            coef = rng.choice((1, -1, 2))
+            left = None if h.rows == m and rng.random() < 0.5 else rand_matrix(rng, ring, m, h.rows)
+            right = None if h.cols == p and rng.random() < 0.5 else rand_matrix(rng, ring, h.cols, p)
+            terms.append((coef, left, h, right))
+        slack = rand_matrix(rng, ring, m, rng.randint(0, 2)) if rng.random() < 0.5 else None
+        solver.add_equation(terms, rand_matrix(rng, ring, m, p), mod_relations=slack)
+    return solver
+
+
+@pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)
+def test_build_matches_kronecker_assembly(ring):
+    rng = random.Random(f"linsolve-{ring}")
+    for _ in range(300):
+        solver = random_solver(rng, ring)
+        A, b, _, total = solver._build()
+        A_ref, b_ref = kronecker_build(solver)
+        assert A.entries == A_ref.entries and (A.rows, A.cols) == (A_ref.rows, total)
+        assert b.entries == b_ref.entries and b.rows == b_ref.rows
