@@ -8,11 +8,17 @@ Exit codes: 0 when the run succeeds with no violations, 1 when checks
 report violations, 2 on usage, parse or validation errors.  Reports go
 to standard output, human-readable by default (--emit machine for the
 byte-stable form); --out writes the machine-readable report to a file.
+Every flag also accepts argparse's unique prefixes (--ou for --out).
+
+The parser is built once per process, on the first call, so in-process
+callers of ``run_command`` pay for its set-up once; each argv is parsed
+once, and ``main`` reads --emit and --out from that parse.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -25,7 +31,7 @@ from .cotorsion import (
     injective_pair,
     projective_pair,
 )
-from .errors import FinhomError, ParseError, ValidationError
+from .errors import FinhomError
 from .functors import ext_n, free_resolution, tensor_modules, tor_n
 from .kaplansky import KaplanskyConfig, flat_subcomplex_envelope, kaplansky_filtration
 from .model import (
@@ -170,6 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The process's one parser, built on the first call: argparse keeps no state
+# between parses, so every call reuses it.  Private, so that no caller can
+# change the parser the others use.
+_parser = functools.cache(build_parser)
+
+
 def _load_workspace(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_workspace(fh.read())
@@ -183,17 +195,15 @@ def _invariant_text(factors) -> str:
 
 def run_command(argv) -> tuple[int, Report]:
     """Execute one subcommand; returns (exit code, report)."""
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit:
-        raise
+    return _execute(_parser().parse_args(argv), argv)
+
+
+def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
+    """Run the subcommand that ``args``, parsed from ``argv``, names."""
     start = time.monotonic()
     command_echo = "finhom " + " ".join(argv)
-    seed = getattr(args, "seed", 0)
-    report = Report(command=command_echo, seed=seed)
-    cfg = KaplanskyConfig(gamma=getattr(args, "gamma", 3),
-                          step_budget=getattr(args, "step_budget", 64))
+    report = Report(command=command_echo, seed=args.seed)
+    cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
 
     if args.command == "resolve":
         ws = _load_workspace(args.workspace)
@@ -317,39 +327,18 @@ def run_command(argv) -> tuple[int, Report]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code, report = run_command(argv)
+        args = _parser().parse_args(argv)
+        code, report = _execute(args, argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ParseError, ValidationError, FileNotFoundError, KeyError) as exc:
+    except (FinhomError, FileNotFoundError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FinhomError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    _write_out(argv, report)
-    print(report.to_machine() if _wants_machine(argv) else report.to_human(), end="")
-    return code
-
-
-def _wants_machine(argv) -> bool:
-    for i, a in enumerate(argv):
-        if a == "--emit" and i + 1 < len(argv):
-            return argv[i + 1] == "machine"
-        if a.startswith("--emit="):
-            return a.split("=", 1)[1] == "machine"
-    return False
-
-
-def _write_out(argv, report):
-    out = None
-    for i, a in enumerate(argv):
-        if a == "--out" and i + 1 < len(argv):
-            out = argv[i + 1]
-        elif a.startswith("--out="):
-            out = a.split("=", 1)[1]
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_machine())
+    print(report.to_machine() if args.emit == "machine" else report.to_human(), end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ on free modules (projective objects of the bounded complex category).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -30,6 +31,12 @@ from .modules import (
 )
 from .rings import Ring
 from .smith import kernel_basis
+
+
+@functools.cache
+def _zero_module(ring: Ring) -> FpModule:
+    """The zero module over ``ring``, one per ring: FpModule is immutable."""
+    return FpModule.zero(ring)
 
 
 class ChainComplex:
@@ -74,7 +81,7 @@ class ChainComplex:
 
     def module_at(self, n: int) -> FpModule:
         m = self.objects.get(n)
-        return m if m is not None else FpModule.zero(self.ring)
+        return m if m is not None else _zero_module(self.ring)
 
     def diff(self, n: int) -> ModuleMap:
         d = self.differentials.get(n)

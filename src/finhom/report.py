@@ -24,7 +24,6 @@ def _escape(s: str) -> str:
 
 def _unescape(s: str) -> str:
     out = []
-    it = iter(range(len(s)))
     i = 0
     while i < len(s):
         c = s[i]

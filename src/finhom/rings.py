@@ -68,7 +68,7 @@ class Ring:
     # -- value semantics ------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Ring)
             and self.kind == other.kind
             and self.modulus == other.modulus

@@ -1,12 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from finhom import FpModule, IntegersModN
 from finhom.cli import main, run_command
 from finhom.errors import ParseError, ValidationError
-from finhom.report import Report
+from finhom.report import FORMAT_HEADER, Report
 from finhom.workspace import parse_workspace, ring_from_name, serialize_workspace
 
 WORKSPACE = """\
@@ -120,6 +122,50 @@ def test_cli_model_check_and_determinism(tmp_path):
     _, rep2 = run_command(argv)
     assert rep1.to_machine() == rep2.to_machine()
     assert code1 == 0 and code2 == 0
+
+
+@pytest.mark.parametrize("out_flag", ["--out", "--ou"])
+def test_cli_main_writes_out_and_honours_prefixes(tmp_path, capsys, out_flag):
+    wsfile = tmp_path / "w.cl"
+    wsfile.write_text(WORKSPACE)
+    out = tmp_path / "r.txt"
+    argv = ["tor", "--workspace", str(wsfile), "--a", "M", "--b", "N",
+            "--emi", "machine", out_flag, str(out)]
+    assert main(argv) == 0
+    expected = run_command(argv)[1].to_machine()
+    assert out.read_text(encoding="utf-8") == expected
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_parser_reuse_leaks_nothing(tmp_path, capsys):
+    wsfile = tmp_path / "w.cl"
+    wsfile.write_text(WORKSPACE)
+    argv = ["ext", "--workspace", str(wsfile), "--a", "M", "--b", "N"]
+    _, first = run_command(argv + ["--max-degree", "3"])
+    _, second = run_command(argv)
+    assert [c.name for c in first.checks] == [f"degree-{n}" for n in range(4)]
+    assert [c.name for c in second.checks] == [f"degree-{n}" for n in range(3)]
+    # a usage error after a successful call still exits 2
+    assert main(argv) == 0
+    assert main(["ext", "--workspace", str(wsfile), "--a", "M"]) == 2
+    assert "--b" in capsys.readouterr().err
+
+
+def test_cli_entry_point_as_process(tmp_path):
+    wsfile = tmp_path / "w.cl"
+    wsfile.write_text(WORKSPACE)
+    out = tmp_path / "r.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-m", "finhom.cli", "tor", "--workspace", str(wsfile),
+           "--a", "M", "--b", "N"]
+    done = subprocess.run(cmd + ["--emit", "machine", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(FORMAT_HEADER)
+    assert done.stdout == out.read_text(encoding="utf-8")
+    usage = subprocess.run(cmd[:-2], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert usage.returncode == 2
 
 
 def test_cli_monoidal_sabotage():
