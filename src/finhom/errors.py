@@ -70,4 +70,5 @@ class ParseError(FinhomError):
 
 
 class ValidationError(FinhomError):
-    """A parsed object violated a structural invariant (named in the message)."""
+    """A parsed object violated a structural invariant, or a computed
+    certificate failed (named in the message)."""

@@ -29,6 +29,13 @@ from .rings import Ring
 from .smith import invariant_factors_of, inverse, kernel_basis, snf, solve_linear
 
 
+def _certify(holds: bool, certificate: str) -> None:
+    """Raise ValidationError naming ``certificate`` unless it holds; unlike
+    ``assert``, the check also runs under ``python -O``."""
+    if not holds:
+        raise ValidationError(f"certificate failed: {certificate}")
+
+
 class FpModule:
     __slots__ = ("ring", "gens", "relations", "_cache")
 
@@ -181,7 +188,8 @@ class FpModule:
         fro_m = Uinv.submatrix(range(self.gens), survive)
         to = ModuleMap(self, canon, to_m)
         fro = ModuleMap(canon, self, fro_m)
-        assert to.compose(fro).is_identity() and fro.compose(to).is_identity()
+        _certify(to.compose(fro).is_identity() and fro.compose(to).is_identity(),
+                 "canonical_form: to and fro are mutually inverse")
         self._cache["canon"] = (canon, to, fro)
         return self._cache["canon"]
 
@@ -320,7 +328,7 @@ class ModuleMap:
         )
         if inv is None:
             raise ValidationError("map is not invertible")
-        assert inv.compose(self).is_identity()
+        _certify(inv.compose(self).is_identity(), "ModuleMap.inverse: inv o f = id")
         return inv
 
 
@@ -420,12 +428,12 @@ def map_factorization(f: ModuleMap):
     corestr = ModuleMap(
         f.source, I, Matrix.identity(f.ring, f.source.gens), check=False
     )
-    assert iincl.compose(corestr).equals(f)
-    assert corestr.is_epi()
-    assert kincl.is_mono()
-    assert cproj.is_epi()
-    assert f.compose(kincl).is_zero_map()
-    assert cproj.compose(f).is_zero_map()
+    _certify(iincl.compose(corestr).equals(f), "map_factorization: image factors f")
+    _certify(corestr.is_epi(), "map_factorization: source -> image is epi")
+    _certify(kincl.is_mono(), "map_factorization: kernel inclusion is mono")
+    _certify(cproj.is_epi(), "map_factorization: cokernel projection is epi")
+    _certify(f.compose(kincl).is_zero_map(), "map_factorization: f o kernel = 0")
+    _certify(cproj.compose(f).is_zero_map(), "map_factorization: cokernel o f = 0")
     return kincl, I, cproj
 
 
@@ -456,9 +464,11 @@ def find_map_with(source: FpModule, target: FpModule,
         return None
     out = sol[h]
     if post_compose is not None:
-        assert post_compose[0].compose(out).equals(post_compose[1])
+        _certify(post_compose[0].compose(out).equals(post_compose[1]),
+                 "find_map_with: g o h = c")
     if pre_compose is not None:
-        assert out.compose(pre_compose[0]).equals(pre_compose[1])
+        _certify(out.compose(pre_compose[0]).equals(pre_compose[1]),
+                 "find_map_with: h o g = c")
     return out
 
 

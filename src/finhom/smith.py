@@ -11,7 +11,13 @@ with arbitrary precision; its pivot is the entry of smallest nonzero
 absolute value, ties broken by row then column order.  Over Z/n and F_p,
 ``_snf_modular`` eliminates over the local parts Z/p^k of n with all
 arithmetic reduced, so entries never grow; its pivot is the first entry,
-in row-major order, of least p-valuation.
+in row-major order, of least p-valuation.  Its systems are large and
+sparse, so its work follows the nonzero entries: the pivot search skips
+zeros, and each elimination pass updates only the positions where the
+pivot row (of A and U) or the pivot column (of V) is nonzero.  The CRT
+join of the parts runs only when n has two or more prime factors, and
+U, D and V, whose entries are already reduced, are built by the trusted
+``Matrix._reduced``.
 
 One rule reads the diagonal everywhere (``SmithForm.pivots``): a zero or
 missing pivot counts as n over Z/n, and as 0 over Z.
@@ -22,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from .errors import DimensionMismatchError, PreconditionFailedError
 from .matrix import Matrix
@@ -188,9 +196,18 @@ def _snf_modular(A: Matrix) -> SmithForm:
     is a unit times a power of p, so the pivot -- the first entry, in
     row-major order, of least gcd with q -- divides its whole block.
     Scaled by a unit to exactly p^e, it clears its column and its row in
-    one pass each.  The parts are joined by the CRT idempotents, each
-    pivot row scaled by a unit so that the diagonal holds the divisors of
-    n in a chain d_1 | d_2 | ... | n (n itself is stored as 0).
+    one pass each.  The systems met here are large and sparse, so the
+    work follows the nonzero entries: the pivot search skips zeros at C
+    speed, and each pass reads the nonzero entries of the pivot row of
+    A and of U (row pass) or of the pivot column of V (column pass) once
+    and updates only those positions.
+
+    For n = p^k the one part is the answer.  Otherwise the parts are
+    joined by the CRT idempotents, each pivot row scaled by a unit so
+    that the diagonal holds the divisors of n in a chain
+    d_1 | d_2 | ... | n (n itself is stored as 0); over Z/1 there is no
+    part and U, D and V are zero.  Every entry ends in [0, n), so the
+    results are built by the trusted ``Matrix._reduced``.
     """
     ring = A.ring
     n = ring.modulus
@@ -201,18 +218,23 @@ def _snf_modular(A: Matrix) -> SmithForm:
         q = p
         while n % (q * p) == 0:
             q *= p
-        a = [[x % q for x in r] for r in A.entries]
-        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-        vt = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
+        # for n = p^k the entries are already residues mod q
+        a = [list(r) if q == n else [x % q for x in r] for r in A.entries]
+        u = [[0] * rows for _ in range(rows)]
+        for i, r in enumerate(u):
+            r[i] = 1
+        vt = [[0] * cols for _ in range(cols)]  # columns of V
+        for j, r in enumerate(vt):
+            r[j] = 1
         diag = [q] * m
         for t in range(m):
             g, pi, pj = q, -1, -1
             for i in range(t, rows):
                 row = a[i]
-                for j in range(t, cols):
-                    x = row[j]
-                    if x % g:  # gcd(x, q) < g
-                        g, pi, pj = math.gcd(x, q), i, j
+                # only the nonzero entries of the row can be the pivot
+                for j in compress(range(t, cols), row[t:]):
+                    if row[j] % g:  # gcd(row[j], q) < g
+                        g, pi, pj = math.gcd(row[j], q), i, j
                         if g == 1:
                             break
                 if g == 1:
@@ -222,43 +244,60 @@ def _snf_modular(A: Matrix) -> SmithForm:
             a[t], a[pi] = a[pi], a[t]
             u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                for r in a:
+                # rows above t are zero in every column from t on
+                for r in a[t:]:
                     r[t], r[pj] = r[pj], r[t]
                 vt[t], vt[pj] = vt[pj], vt[t]
-            w = pow(a[t][t] // g, -1, q)
-            if w != 1:
-                a[t] = [x * w % q for x in a[t]]
-                u[t] = [x * w % q for x in u[t]]
             at, ut, vtt = a[t], u[t], vt[t]
-            for i in range(t + 1, rows):
-                f = a[i][t] // g
-                if f:
-                    a[i] = [(x - f * y) % q for x, y in zip(a[i], at)]
-                    u[i] = [(x - f * y) % q for x, y in zip(u[i], ut)]
+            w = pow(at[t] // g, -1, q)
+            # nonzero (index, value) pairs of the pivot rows, scaled by w
+            arow = [(j, at[j] * w % q) for j in compress(range(t, cols), at[t:])]
+            urow = [(k, ut[k] * w % q) for k in compress(range(rows), ut)]
+            for k, y in urow:
+                ut[k] = y
+            for i in compress(range(t + 1, rows), map(itemgetter(t), a[t + 1:])):
+                ai, ui = a[i], u[i]
+                f = ai[t] // g
+                for j, y in arow:
+                    ai[j] = (ai[j] - f * y) % q
+                for k, y in urow:
+                    ui[k] = (ui[k] - f * y) % q
             # rows below t are now zero in column t, so a column pass
-            # changes only row t, whose entries are multiples of g
-            for j in range(t + 1, cols):
-                f = at[j] // g
-                if f:
-                    at[j] = 0
-                    vt[j] = [(x - f * y) % q for x, y in zip(vt[j], vtt)]
+            # changes only row t, whose entries are multiples of g; row t
+            # of a is not read again, so only V is updated
+            vrow = [(k, vtt[k]) for k in compress(range(cols), vtt)]
+            for j, y in arow[1:]:
+                f = y // g
+                vj = vt[j]
+                for k, z in vrow:
+                    vj[k] = (vj[k] - f * z) % q
             diag[t] = g
         parts.append((q, u, vt, diag))
 
-    d = [math.prod(part[3][t] for part in parts) for t in range(m)]
-    U = [[0] * rows for _ in range(rows)]
-    Vt = [[0] * cols for _ in range(cols)]
-    for q, u, vt, diag in parts:
-        e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod the other parts
-        for t in range(rows):
-            s = e * (d[t] // diag[t]) if t < m else e
-            U[t] = [x + s * y for x, y in zip(U[t], u[t])]
-        for j in range(cols):
-            Vt[j] = [x + e * y for x, y in zip(Vt[j], vt[j])]
+    if len(parts) == 1:
+        # n = p^k: the CRT idempotent is 1 and every row scale is 1
+        _, U, Vt, diag = parts[0]
+        d = [x % n for x in diag]
+    else:  # two or more primes, or none (Z/1, where everything is 0)
+        d = [math.prod(part[3][t] for part in parts) for t in range(m)]
+        U = [[0] * rows for _ in range(rows)]
+        Vt = [[0] * cols for _ in range(cols)]
+        for q, u, vt, diag in parts:
+            e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod the other parts
+            for t in range(rows):
+                s = e * (d[t] // diag[t]) if t < m else e
+                U[t] = [x + s * y for x, y in zip(U[t], u[t])]
+            for j in range(cols):
+                Vt[j] = [x + e * y for x, y in zip(Vt[j], vt[j])]
+        U = [[x % n for x in r] for r in U]
+        Vt = [[x % n for x in r] for r in Vt]
+        d = [x % n for x in d]
+    zero = (0,) * cols
     return SmithForm(
-        U=Matrix(ring, rows, rows, U),
-        D=Matrix.diagonal(ring, rows, cols, d),
-        V=Matrix(ring, cols, cols, zip(*Vt)),
+        U=Matrix._reduced(ring, rows, rows, tuple(map(tuple, U))),
+        D=Matrix._reduced(ring, rows, cols, tuple(
+            zero[:t] + (d[t],) + zero[t + 1:] if t < m else zero for t in range(rows))),
+        V=Matrix._reduced(ring, cols, cols, tuple(zip(*Vt))),
     )
 
 
@@ -310,14 +349,15 @@ def kernel_basis(A: Matrix) -> Matrix:
     ring = A.ring
     n = ring.modulus or 0
     form = snf(A)
+    vcols = form.V.transpose().entries
     cols = []
     for j, d in enumerate(form.pivots(A.cols)):
         ann = ring.normalize(n // d if d else 1)
         if ann:
-            cols.append([ring.normalize(ann * x) for x in form.V.col(j)])
+            cols.append([ring.normalize(ann * x) for x in vcols[j]])
     if not cols:
         return Matrix.zero(ring, A.cols, 0)
-    return Matrix(ring, A.cols, len(cols), zip(*cols))
+    return Matrix._reduced(ring, A.cols, len(cols), tuple(zip(*cols)))
 
 
 def determinant(A: Matrix) -> int:

@@ -1,8 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField
+from finhom import Integers, IntegersModN, Matrix, PrimeField, modules
 from finhom.errors import ValidationError
 from finhom.modules import (
     FpModule,
@@ -179,3 +181,16 @@ def test_element_in_submodule():
     gens = Matrix.from_rows(ZZ, [[2, 0], [0, 3]])
     assert element_in_submodule(M, gens, [4, 3]) is not None
     assert element_in_submodule(M, gens, [1, 0]) is None
+
+
+def test_module_certificates_are_not_asserts():
+    # bare asserts vanish under python -O; certificates must not
+    tree = ast.parse(Path(modules.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_failed_certificate_raises_validation_error(monkeypatch):
+    M = FpModule.cokernel_presentation(Matrix.from_rows(ZZ, [[2, 0], [0, 3]]))
+    monkeypatch.setattr(ModuleMap, "is_identity", lambda self: False)
+    with pytest.raises(ValidationError, match="canonical_form"):
+        M.canonical_form()

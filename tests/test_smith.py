@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField, kernel_basis, snf, solve_linear
 from finhom.errors import PreconditionFailedError
-from finhom.smith import determinant, invariant_factors_of, inverse
+from finhom.smith import _snf_modular, determinant, invariant_factors_of, inverse
 
 ZZ = Integers()
 
@@ -208,3 +208,130 @@ def test_invariant_factors_helper():
     assert invariant_factors_of(B) == (0, 0)
     C = Matrix.from_rows(ZZ, [[1, 0], [0, 6]])
     assert invariant_factors_of(C) == (6,)
+
+
+def dense_snf_modular(A):
+    """The dense elimination ``_snf_modular`` replaced, kept as the
+    reference: every pass updates every entry of every row, and U, D and V
+    go through the public, reducing constructors.  Returns (U, D, V)."""
+    ring = A.ring
+    n = ring.modulus
+    rows, cols = A.rows, A.cols
+    m = min(rows, cols)
+    parts = []
+    for p in ring._prime_factors():
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        a = [[x % q for x in r] for r in A.entries]
+        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        diag = [q] * m
+        for t in range(m):
+            g, pi, pj = q, -1, -1
+            for i in range(t, rows):
+                row = a[i]
+                for j in range(t, cols):
+                    x = row[j]
+                    if x % g:
+                        g, pi, pj = math.gcd(x, q), i, j
+                        if g == 1:
+                            break
+                if g == 1:
+                    break
+            if pi < 0:
+                break
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
+            w = pow(a[t][t] // g, -1, q)
+            if w != 1:
+                a[t] = [x * w % q for x in a[t]]
+                u[t] = [x * w % q for x in u[t]]
+            at, ut, vtt = a[t], u[t], vt[t]
+            for i in range(t + 1, rows):
+                f = a[i][t] // g
+                if f:
+                    a[i] = [(x - f * y) % q for x, y in zip(a[i], at)]
+                    u[i] = [(x - f * y) % q for x, y in zip(u[i], ut)]
+            for j in range(t + 1, cols):
+                f = at[j] // g
+                if f:
+                    at[j] = 0
+                    vt[j] = [(x - f * y) % q for x, y in zip(vt[j], vtt)]
+            diag[t] = g
+        parts.append((q, u, vt, diag))
+
+    d = [math.prod(part[3][t] for part in parts) for t in range(m)]
+    U = [[0] * rows for _ in range(rows)]
+    Vt = [[0] * cols for _ in range(cols)]
+    for q, u, vt, diag in parts:
+        e = n // q * pow(n // q, -1, q)
+        for t in range(rows):
+            s = e * (d[t] // diag[t]) if t < m else e
+            U[t] = [x + s * y for x, y in zip(U[t], u[t])]
+        for j in range(cols):
+            Vt[j] = [x + e * y for x, y in zip(Vt[j], vt[j])]
+    return (Matrix(ring, rows, rows, U), Matrix.diagonal(ring, rows, cols, d),
+            Matrix(ring, cols, cols, zip(*Vt)))
+
+
+def assert_matches_dense(A):
+    form = _snf_modular(A)
+    for got, want in zip((form.U, form.D, form.V), dense_snf_modular(A)):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.entries == want.entries, A.entries
+    return form
+
+
+MODULAR_RINGS = [IntegersModN(n) for n in (1, 2, 4, 8, 9, 12, 16, 27, 30, 36, 210)] + [PrimeField(3)]
+
+
+@pytest.mark.parametrize("ring", MODULAR_RINGS, ids=str)
+def test_snf_modular_matches_dense_reference(ring):
+    rng = random.Random(f"smith-reference-{ring}")
+    n = ring.modulus
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(100)]
+    for r, c in shapes:
+        density = rng.choice((0.05, 0.1, 0.25, 0.5, 1))
+        A = Matrix(ring, r, c, [[rng.randrange(n) if rng.random() < density else 0
+                                 for _ in range(c)] for _ in range(r)])
+        form = assert_matches_dense(A)
+        if len(ring._prime_factors()) > 1:
+            # the CRT join reduces before the trusted constructor
+            for M in (form.U, form.D, form.V):
+                assert Matrix(ring, M.rows, M.cols, M.entries) == M
+
+
+def test_snf_modular_matches_dense_reference_on_sparse_systems():
+    # shaped like the lifting and factorization systems over Z/4
+    rng = random.Random("smith-reference-sparse")
+    Z4 = IntegersModN(4)
+    for _ in range(20):
+        r, c = rng.randint(40, 80), rng.randint(30, 60)
+        density = rng.uniform(0.02, 0.05)
+        A = Matrix(Z4, r, c, [[rng.randrange(1, 4) if rng.random() < density else 0
+                               for _ in range(c)] for _ in range(r)])
+        assert_matches_dense(A)
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)], ids=str)
+def test_kernel_basis_matches_column_construction(ring):
+    # column j of V times the annihilator of pivot j, read with V.col(j)
+    rng = random.Random(f"kernel-{ring}")
+    n = ring.modulus or 0
+    for _ in range(60):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        A = Matrix(ring, r, c, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        form = snf(A)
+        cols = []
+        for j, d in enumerate(form.pivots(c)):
+            ann = ring.normalize(n // d if d else 1)
+            if ann:
+                cols.append([ring.normalize(ann * x) for x in form.V.col(j)])
+        want = Matrix(ring, c, len(cols), zip(*cols)) if cols else Matrix.zero(ring, c, 0)
+        assert kernel_basis(A) == want
