@@ -25,8 +25,8 @@ from .matrix import Matrix
 from .modules import (
     FpModule,
     ModuleMap,
-    element_in_submodule,
     submodule,
+    submodule_coordinates,
     subquotient,
 )
 from .rings import Ring
@@ -124,11 +124,6 @@ class ChainComplex:
     @staticmethod
     def concentrated(n: int, M: FpModule) -> "ChainComplex":
         return ChainComplex(M.ring, {n: M}, {}, check=False)
-
-    def shift(self, k: int) -> "ChainComplex":
-        objs = {n + k: M for n, M in self.objects.items()}
-        diffs = {n + k: d for n, d in self.differentials.items()}
-        return ChainComplex(self.ring, objs, diffs, check=False)
 
     @staticmethod
     def direct_sum(*summands: "ChainComplex") -> "ChainComplex":
@@ -658,39 +653,54 @@ def _neg_identity_block(ring, rows, cols):
 # -- subcomplexes ----------------------------------------------------------------
 
 
-def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix]):
+def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
+                         extends: Optional["ChainMap"] = None):
     """(S, incl) for the subcomplex generated degreewise by the given
-    element columns; requires closure under the differential."""
+    element columns; requires closure under the differential.
+
+    ``extends`` may be the inclusion of a subcomplex of X that this
+    function built before, such as the previous stage of a cell chain.
+    A degree whose generator matrix equals that inclusion's component
+    keeps the earlier module and inclusion; a differential is kept only
+    when both of its degrees are.  Everything else is built as without
+    ``extends``, so the result is the same either way, and d o d = 0 is
+    still checked on all of S.
+    """
     ring = X.ring
+    if extends is not None and extends.target != X:
+        raise PreconditionFailedError("the extended subcomplex must lie in X")
+    kept = set()
     objs = {}
     incls = {}
     for n, g in gens.items():
-        S, incl = submodule(X.module_at(n), g)
-        if not S.is_zero_module():
-            objs[n] = S
+        if extends is not None and extends.component_at(n).matrix == g:
+            kept.add(n)
+            incl = extends.components.get(n)
+        else:
+            incl = submodule(X.module_at(n), g)[1]
+        if incl is not None and not incl.source.is_zero_module():
+            objs[n] = incl.source
             incls[n] = incl
     diffs = {}
     for n in sorted(objs):
+        if n in kept and (n - 1) in kept:
+            # closure and the differential were settled when built before
+            if (n - 1) in objs:
+                diffs[n] = extends.source.differentials[n]
+            continue
+        moved = X.diff(n).matrix * incls[n].matrix
         if (n - 1) not in objs:
             # closure: image of d on the sub must be zero in X_{n-1}
-            moved = X.diff(n).matrix * incls[n].matrix
             for j in range(moved.cols):
                 if not X.module_at(n - 1).element_is_zero(moved.col(j)):
                     raise ValidationError("generators are not closed under d")
             continue
-        moved = X.diff(n).matrix * incls[n].matrix
-        cols = []
-        for j in range(moved.cols):
-            coords = element_in_submodule(X.module_at(n - 1), incls[n - 1].matrix,
-                                          moved.col(j))
-            if coords is None:
-                raise ValidationError("generators are not closed under d")
-            cols.append(tuple(coords.col(0)))
-        mat = (Matrix(ring, objs[n - 1].gens, len(cols), [list(r) for r in zip(*cols)])
-               if cols else Matrix.zero(ring, objs[n - 1].gens, 0))
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], mat, check=False)
+        coords = submodule_coordinates(X.module_at(n - 1), incls[n - 1].matrix, moved)
+        if coords is None:
+            raise ValidationError("generators are not closed under d")
+        diffs[n] = ModuleMap(objs[n], objs[n - 1], coords, check=False)
     S = ChainComplex(ring, objs, diffs)
-    incl = ChainMap(S, X, {n: incls[n] for n in S.support if n in incls}, check=False)
+    incl = ChainMap(S, X, incls, check=False)
     return S, incl
 
 
@@ -786,13 +796,8 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
         dmat = Matrix.block_diagonal(ring, [B.diff(n).matrix, C.diff(n).matrix])
         moved = dmat * incl_mats[n]
         amb_prev = FpModule.direct_sum(B.module_at(n - 1), C.module_at(n - 1))
-        cols = []
-        for j in range(moved.cols):
-            coords = element_in_submodule(amb_prev, bc_prev_gens, moved.col(j))
-            assert coords is not None, "pullback is not closed under d"
-            cols.append(tuple(coords.col(0)))
-        mat = (Matrix(ring, objs[n - 1].gens, len(cols), [list(r) for r in zip(*cols)])
-               if cols else Matrix.zero(ring, objs[n - 1].gens, 0))
+        mat = submodule_coordinates(amb_prev, bc_prev_gens, moved)
+        assert mat is not None, "pullback is not closed under d"
         diffs[n] = ModuleMap(objs[n], objs[n - 1], mat, check=False)
     P = ChainComplex(ring, objs, diffs)
     proj_b = ChainMap(P, B, {n: projb[n] for n in P.support if n in projb}, check=False)
@@ -806,16 +811,10 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
             if n not in objs:
                 continue
             W = u.source.module_at(n)
-            cols = []
             amb = FpModule.direct_sum(B.module_at(n), C.module_at(n))
-            for j in range(W.gens):
-                vcol = list(u.component_at(n).matrix.col(j)) + \
-                    list(v.component_at(n).matrix.col(j))
-                coords = element_in_submodule(amb, incl_mats[n], vcol)
-                assert coords is not None
-                cols.append(tuple(coords.col(0)))
-            mat = (Matrix(ring, objs[n].gens, len(cols), [list(r) for r in zip(*cols)])
-                   if cols else Matrix.zero(ring, objs[n].gens, 0))
+            uv = u.component_at(n).matrix.vstack(v.component_at(n).matrix)
+            mat = submodule_coordinates(amb, incl_mats[n], uv)
+            assert mat is not None
             comps[n] = ModuleMap(W, objs[n], mat)
         return ChainMap(u.source, P, comps)
 

@@ -23,10 +23,10 @@ from .modules import (
     FpModule,
     ModuleMap,
     ShortExactSeq,
-    element_in_submodule,
     find_section,
     hom_module,
     submodule,
+    submodule_coordinates,
     subquotient,
 )
 from .rings import Ring
@@ -252,27 +252,16 @@ def lift_through(f: ModuleMap, g: ModuleMap,
     )
 
     # iota: A -> Z sending a to (i(a), f(a))
-    iota_cols = []
-    for k in range(A.gens):
-        v = list(i.matrix.col(k)) + list(f.matrix.col(k))
-        coords = element_in_submodule(BL, zincl.matrix, v)
-        assert coords is not None, "commutativity guarantees (i, f) lands in the pullback"
-        iota_cols.append(tuple(coords.col(0)))
-    iota_m = (Matrix(ring, Z.gens, A.gens, [list(r) for r in zip(*iota_cols)])
-              if iota_cols else Matrix.zero(ring, Z.gens, 0))
+    iota_m = submodule_coordinates(BL, zincl.matrix, i.matrix.vstack(f.matrix))
+    assert iota_m is not None, "commutativity guarantees (i, f) lands in the pullback"
     iota = ModuleMap(A, Z, iota_m, check=False)
 
     T, tproj = iota.cokernel()
 
     # k: K -> T via (0, j) and r: T -> C via p q~
-    k_cols = []
-    for kk in range(K.gens):
-        v = [0] * B.gens + list(j.matrix.col(kk))
-        coords = element_in_submodule(BL, zincl.matrix, v)
-        assert coords is not None
-        k_cols.append(tuple(coords.col(0)))
-    k_m = (Matrix(ring, Z.gens, K.gens, [list(r) for r in zip(*k_cols)])
-           if k_cols else Matrix.zero(ring, Z.gens, 0))
+    k_m = submodule_coordinates(BL, zincl.matrix,
+                                Matrix.zero(ring, B.gens, K.gens).vstack(j.matrix))
+    assert k_m is not None
     k_map = tproj.compose(ModuleMap(K, Z, k_m, check=False))
     r_map = ModuleMap(T, C, p.matrix * q_tilde.matrix)
     assert k_map.is_mono() and r_map.is_epi()

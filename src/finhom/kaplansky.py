@@ -29,6 +29,7 @@ from .complexes import (
     ChainMap,
     cycles,
     disk,
+    disk_sphere_sequence,
     is_exact,
     pushout_chainmaps,
     subcomplex_from_gens,
@@ -44,11 +45,13 @@ from .matrix import Matrix
 from .modules import (
     FpModule,
     ModuleMap,
+    _certify,
     element_in_submodule,
     intersection_gens,
     preimage_gens,
     quotient,
     submodule,
+    submodule_coordinates,
 )
 from .rings import Ring
 from .smith import inverse, snf
@@ -86,17 +89,12 @@ def find_small_surjecting_sub(g: ModuleMap, gamma: int):
             raise BudgetExceededError(
                 f"target needs {canon.gens} generators, budget {gamma}")
         target_cols = fro.matrix
-    pre_cols = []
-    for j in range(target_cols.cols):
-        x = element_in_submodule(Y, g.matrix, target_cols.col(j))
-        assert x is not None, "epimorphism must hit every target generator"
-        pre_cols.append(tuple(x.col(0)))
-    gens = (Matrix(g.ring, g.source.gens, len(pre_cols),
-                   [list(r) for r in zip(*pre_cols)])
-            if pre_cols else Matrix.zero(g.ring, g.source.gens, 0))
+    gens = submodule_coordinates(Y, g.matrix, target_cols)
+    _certify(gens is not None,
+             "find_small_surjecting_sub: the epimorphism hits every target generator")
     S, incl = submodule(g.source, gens)
-    restricted = g.compose(incl)
-    assert restricted.is_epi(), "restriction to generator preimages is epi"
+    _certify(g.compose(incl).is_epi(),
+             "find_small_surjecting_sub: the restriction to the preimages is epi")
     return S, incl
 
 
@@ -147,8 +145,8 @@ def _saturation_witness(F: FpModule, cls: ObjectClass, seed: Matrix) -> Witness:
     ambient (f.g. projective = flat = free there)."""
     ring = F.ring
     canon, to, fro = F.canonical_form()
-    assert all(d == 0 for d in canon.invariant_factors()), \
-        "class members over Z are free at f.p. scale"
+    _certify(all(d == 0 for d in canon.invariant_factors()),
+             "kaplansky_witness: class members over Z are free")
     seed_in_canon = to.matrix * seed
     nonzero = not all(
         all(x == 0 for x in seed_in_canon.col(j)) for j in range(seed_in_canon.cols))
@@ -168,10 +166,10 @@ def _saturation_witness(F: FpModule, cls: ObjectClass, seed: Matrix) -> Witness:
     S, incl = submodule(F, gens_in_f)
     Q, _ = quotient(F, gens_in_f)
     w = Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
-    assert w.class_ok and w.quotient_ok
-    # the seed must be inside the witness
-    for j in range(seed.cols):
-        assert element_in_submodule(F, gens_in_f, seed.col(j)) is not None
+    _certify(w.class_ok and w.quotient_ok,
+             "kaplansky_witness: the saturation and its quotient are in the class")
+    _certify(submodule_coordinates(F, gens_in_f, seed) is not None,
+             "kaplansky_witness: the seed lies inside the saturation")
     return w
 
 
@@ -240,9 +238,8 @@ class FiltrationChain:
         gens = self.base_gens
         for step in self.steps:
             # monotone growth: previous generators remain inside
-            for j in range(gens.cols):
-                if element_in_submodule(self.ambient, step.stage_gens, gens.col(j)) is None:
-                    return False
+            if submodule_coordinates(self.ambient, step.stage_gens, gens) is None:
+                return False
             if not step.class_ok or step.generator_count > gamma:
                 return False
             if not self.cls.contains(step.quotient_witness):
@@ -339,15 +336,10 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
             pre = preimage_gens(d, prev_sprime)
             P, pincl = submodule(Fn, pre)
             Sp_mod, _ = submodule(F.module_at(n - 1), prev_sprime)
-            rcols = []
-            moved = d.matrix * pincl.matrix
-            for j in range(moved.cols):
-                c = element_in_submodule(F.module_at(n - 1), prev_sprime, moved.col(j))
-                assert c is not None
-                rcols.append(tuple(c.col(0)))
-            rmat = (Matrix(ring, prev_sprime.cols, len(rcols),
-                           [list(r) for r in zip(*rcols)])
-                    if rcols else Matrix.zero(ring, prev_sprime.cols, 0))
+            rmat = submodule_coordinates(F.module_at(n - 1), prev_sprime,
+                                         d.matrix * pincl.matrix)
+            _certify(rmat is not None,
+                     "flat_subcomplex_envelope: d maps the preimage into S'")
             restricted = ModuleMap(P, Sp_mod, rmat, check=False)
             U, uincl = find_small_surjecting_sub(restricted, cfg.gamma)
             u_in_f = pincl.matrix * uincl.matrix
@@ -361,13 +353,9 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
         if up is not None and up.cols > 0:
             c_gens = c_gens.hstack(F.diff(n + 1).matrix * up)
         # express the seed inside the cycle module
-        seed_in_z = []
-        for j in range(c_gens.cols):
-            c = element_in_submodule(Fn, zincl.matrix, c_gens.col(j))
-            assert c is not None, "cycle seed must consist of cycles"
-            seed_in_z.append(tuple(c.col(0)))
-        seed_z = (Matrix(ring, Zm.gens, len(seed_in_z), [list(r) for r in zip(*seed_in_z)])
-                  if seed_in_z else Matrix.zero(ring, Zm.gens, 0))
+        seed_z = submodule_coordinates(Fn, zincl.matrix, c_gens)
+        _certify(seed_z is not None,
+                 "flat_subcomplex_envelope: the cycle seed consists of cycles")
         if Zm.is_zero_module():
             s_prime[n] = Matrix.zero(ring, Fn.gens, 0)
             prev_sprime = s_prime[n]
@@ -379,7 +367,7 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
 
     total = {n: v_part[n].hstack(s_prime[n]) for n in F.support}
     S, incl = subcomplex_from_gens(F, total)
-    assert is_exact(S), "envelope must be exact"
+    _certify(is_exact(S), "flat_subcomplex_envelope: the envelope is exact")
     counts = {n: total[n].cols for n in F.support}
     return EnvelopeResult(S, incl, witnesses, counts)
 
@@ -446,7 +434,8 @@ def icell_decompose(f: ChainMap, cfg: KaplanskyConfig = KaplanskyConfig()) -> Ce
     are rank-one disk attachments S^{k-1}(R) -> D^k(R) glued along the
     boundaries of lifted cokernel basis vectors, from the bottom degree
     up.  When the cokernel is a literal sum of disks the decomposition
-    collapses to one 0 -> D^n cell per disk summand.
+    collapses to one 0 -> D^n cell per disk summand.  The chain is grown
+    by ``grow_cell_chain``: each stage extends the one before it.
     """
     if not f.is_mono():
         raise PreconditionFailedError("cell decomposition needs a monomorphism")
@@ -462,129 +451,127 @@ def icell_decompose(f: ChainMap, cfg: KaplanskyConfig = KaplanskyConfig()) -> Ce
             )
 
     disk_layout = _literal_disk_sum(f, coker)
-    base_gens = {n: f.component_at(n).matrix for n in Q.support}
-    stages = [f.source]
-    gens = dict(base_gens)
-    cells: List[Cell] = []
-    prev_stage = f.source
-    prev_is_source = True
-
-    def push_stage(new_gens, label, gen_mono, attach_builder):
-        nonlocal prev_stage, prev_is_source, gens
-        Snew, incl_new = subcomplex_from_gens(Q, new_gens)
-        # step inclusion: previous generators sit first in the new lists
-        comps = {}
-        for n in prev_stage.support:
-            old = gens[n].cols if not prev_is_source else \
-                f.component_at(n).matrix.cols
-            width = new_gens[n].cols
-            m = Matrix.identity(ring, old).vstack(Matrix.zero(ring, width - old, old)) \
-                if old else Matrix.zero(ring, width, 0)
-            comps[n] = ModuleMap(prev_stage.module_at(n), Snew.module_at(n), m,
-                                 check=False)
-        step = ChainMap(prev_stage, Snew, comps, check=False)
-        attach, image = attach_builder(prev_stage, Snew, step)
-        cells.append(Cell(gen_mono, attach, step, image, label))
-        stages.append(Snew)
-        gens = new_gens
-        prev_stage = Snew
-        prev_is_source = False
-
     if disk_layout is not None:
+        cells = []
         for n, top_idx in disk_layout:
-            r = len(top_idx)
-            D = disk(n, FpModule.free(ring, r))
-            zero_cx = ChainComplex.zero(ring)
-            gen_mono = ChainMap.zero_map(zero_cx, D)
-            new_gens = dict(gens)
             top_cols = Matrix.identity(ring, Q.module_at(n).gens).submatrix(
                 range(Q.module_at(n).gens), top_idx)
-            bot_cols = Q.diff(n).matrix * top_cols
-            new_gens[n] = gens[n].hstack(top_cols)
-            new_gens[n - 1] = gens.get(
-                n - 1, Matrix.zero(ring, Q.module_at(n - 1).gens, 0)).hstack(bot_cols)
-
-            def builder(prev, Snew, step, D=D, n=n, r=r, zero_cx=zero_cx):
-                attach = ChainMap.zero_map(zero_cx, prev)
-                # the cell image sends the disk onto the appended generators
-                comps = {}
-                wn = Snew.module_at(n).gens
-                comps[n] = ModuleMap(D.module_at(n), Snew.module_at(n),
-                                     Matrix.zero(ring, wn - r, r).vstack(
-                                         Matrix.identity(ring, r)), check=False)
-                wn1 = Snew.module_at(n - 1).gens
-                comps[n - 1] = ModuleMap(D.module_at(n - 1), Snew.module_at(n - 1),
-                                         Matrix.zero(ring, wn1 - r, r).vstack(
-                                             Matrix.identity(ring, r)), check=False)
-                image = ChainMap(D, Snew, comps, check=False)
-                return attach, image
-
-            push_stage(new_gens, f"0 -> D^{n}(R^{r})", gen_mono, builder)
+            cells.append(disk_cell(n, top_cols, Q.diff(n).matrix * top_cols))
     else:
-        for n in coker.support:
-            C = coker.module_at(n)
-            canon, to, fro = C.canonical_form()
-            for j in range(canon.gens):
-                # lift the j-th canonical basis vector of the cokernel slice
-                target_elt = fro.matrix.submatrix(range(C.gens), [j])
-                v = target_elt  # cokernel shares generators with Q_n
-                dv = Q.diff(n).matrix * v
-                R1 = FpModule.free(ring, 1)
-                gen_mono, _ = _sphere_into_disk(n, R1)
-                new_gens = dict(gens)
-                new_gens[n] = gens[n].hstack(v)
+        cells = _sphere_cells(Q, coker)
+    return grow_cell_chain(f, cells)
 
-                def builder(prev, Snew, step, v=v, dv=dv, n=n, R1=R1,
-                            gen_mono=gen_mono):
-                    # attaching map S^{n-1}(R) -> prev sends 1 to dv
-                    below = gens.get(n - 1)
-                    if below is None or Q.module_at(n - 1).gens == 0:
-                        coords = None
-                    else:
-                        coords = element_in_submodule(Q.module_at(n - 1), below,
-                                                      dv.col(0))
-                        assert coords is not None, \
-                            "boundary must lie in the lower stage"
-                    attach_comps = {}
-                    if coords is not None and not prev.module_at(n - 1).is_zero_module():
-                        attach_comps[n - 1] = ModuleMap(R1, prev.module_at(n - 1),
-                                                        coords, check=False)
-                    attach = ChainMap(gen_mono.source, prev, attach_comps, check=False)
-                    wn = Snew.module_at(n).gens
-                    D = gen_mono.target
-                    comps = {
-                        n: ModuleMap(D.module_at(n), Snew.module_at(n),
-                                     Matrix.zero(ring, wn - 1, 1).vstack(
-                                         Matrix.identity(ring, 1)), check=False)
-                    }
-                    if coords is not None and not Snew.module_at(n - 1).is_zero_module():
-                        boundary = step.component_at(n - 1).matrix * coords
-                        comps[n - 1] = ModuleMap(D.module_at(n - 1),
-                                                 Snew.module_at(n - 1), boundary,
-                                                 check=False)
-                    image = ChainMap(D, Snew, comps, check=False)
-                    return attach, image
 
-                push_stage(new_gens, f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono, builder)
+def _sphere_cells(Q: ChainComplex, coker: ChainComplex):
+    """One S^{n-1}(R) -> D^n(R) cell per canonical basis vector of each
+    cokernel slice, lowest degree first; the mono is built once per
+    degree."""
+    R1 = FpModule.free(Q.ring, 1)
+    for n in coker.support:
+        C = coker.module_at(n)
+        canon, _, fro = C.canonical_form()
+        if not canon.gens:
+            continue
+        gen_mono = disk_sphere_sequence(n, R1)[0]
+        for j in range(canon.gens):
+            # lift the j-th canonical basis vector; the cokernel shares
+            # its generators with Q_n
+            v = fro.matrix.submatrix(range(C.gens), [j])
+            dv = Q.diff(n).matrix * v
 
-    last_stage = stages[-1]
-    if cells:
-        final = ChainMap(last_stage, Q,
-                         {n: ModuleMap(last_stage.module_at(n), Q.module_at(n),
-                                       gens[n], check=False)
-                          for n in last_stage.support}, check=False)
-        assert final.is_iso(), "stages must exhaust the target"
-    else:
+            def attach(prev, prev_gens, stage, step, n=n, dv=dv, gen_mono=gen_mono):
+                # the attaching map S^{n-1}(R) -> prev sends 1 to dv
+                below = prev_gens.get(n - 1)
+                coords = None
+                if below is not None and Q.module_at(n - 1).gens:
+                    coords = submodule_coordinates(Q.module_at(n - 1), below, dv)
+                    _certify(coords is not None,
+                             "icell_decompose: the boundary lies in the lower stage")
+                attach_comps = {}
+                if coords is not None and not prev.module_at(n - 1).is_zero_module():
+                    attach_comps[n - 1] = ModuleMap(R1, prev.module_at(n - 1), coords,
+                                                    check=False)
+                attaching = ChainMap(gen_mono.source, prev, attach_comps, check=False)
+                D = gen_mono.target
+                wn = stage.module_at(n).gens
+                comps = {n: ModuleMap(D.module_at(n), stage.module_at(n),
+                                      Matrix.zero(Q.ring, wn - 1, 1).vstack(
+                                          Matrix.identity(Q.ring, 1)), check=False)}
+                if coords is not None and not stage.module_at(n - 1).is_zero_module():
+                    boundary = step.component_at(n - 1).matrix * coords
+                    comps[n - 1] = ModuleMap(D.module_at(n - 1), stage.module_at(n - 1),
+                                             boundary, check=False)
+                return attaching, ChainMap(D, stage, comps, check=False)
+
+            yield {n: v}, f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono, attach
+
+
+def disk_cell(n: int, top_cols: Matrix, bottom_cols: Matrix):
+    """A 0 -> D^n(R^r) cell for ``grow_cell_chain``: the r columns
+    ``top_cols`` of the target in degree n and ``bottom_cols`` in degree
+    n-1 (their images under d) are glued on along the zero map."""
+    ring = top_cols.ring
+    r = top_cols.cols
+    D = disk(n, FpModule.free(ring, r))
+    zero_cx = ChainComplex.zero(ring)
+
+    def attach(prev, prev_gens, stage, step):
+        # the cell image sends the disk onto the appended generators
+        comps = {}
+        for k in (n, n - 1):
+            w = stage.module_at(k).gens
+            comps[k] = ModuleMap(D.module_at(k), stage.module_at(k),
+                                 Matrix.zero(ring, w - r, r).vstack(
+                                     Matrix.identity(ring, r)), check=False)
+        return ChainMap.zero_map(zero_cx, prev), ChainMap(D, stage, comps, check=False)
+
+    return ({n: top_cols, n - 1: bottom_cols}, f"0 -> D^{n}(R^{r})",
+            ChainMap.zero_map(zero_cx, D), attach)
+
+
+def grow_cell_chain(f: ChainMap, cells) -> CellChain:
+    """The cell chain of a mono f: X -> Q, one pushout stage per cell.
+
+    Each cell is (appended, label, generating mono, attach): ``appended``
+    maps degrees to element columns of Q added after the previous
+    stage's generators, which start as the columns of f.  The stage is
+    the subcomplex of Q on the grown generators, built as an extension
+    of the previous stage (``subcomplex_from_gens(..., extends=...)``),
+    so only the degrees a cell touches are recomputed.  The step
+    inclusion keeps the previous generators first;
+    ``attach(prev, prev_gens, stage, step)`` returns the attaching map
+    and the cell image.  The last stage's inclusion into Q must be an
+    isomorphism, and it is the chain's final map.
+    """
+    Q = f.target
+    ring = f.ring
+    gens = {n: f.component_at(n).matrix for n in Q.support}
+    stages = [f.source]
+    chain_cells: List[Cell] = []
+    incl = None
+    for appended, label, gen_mono, attach in cells:
+        prev = stages[-1]
+        new_gens = dict(gens)
+        for n, cols in appended.items():
+            new_gens[n] = gens.get(n, Matrix.zero(ring, Q.module_at(n).gens, 0)).hstack(cols)
+        stage, incl = subcomplex_from_gens(Q, new_gens, extends=incl)
+        # step inclusion: previous generators sit first in the new lists
+        comps = {}
+        for n in prev.support:
+            old = gens[n].cols
+            m = Matrix.identity(ring, old).vstack(
+                Matrix.zero(ring, new_gens[n].cols - old, old))
+            comps[n] = ModuleMap(prev.module_at(n), stage.module_at(n), m, check=False)
+        step = ChainMap(prev, stage, comps, check=False)
+        attaching, image = attach(prev, gens, stage, step)
+        chain_cells.append(Cell(gen_mono, attaching, step, image, label))
+        stages.append(stage)
+        gens = new_gens
+    if incl is None:
         # zero cokernel: f itself is the identification
-        final = f
-    return CellChain(f, stages, cells, final)
-
-
-def _sphere_into_disk(n: int, M: FpModule):
-    from .complexes import disk_sphere_sequence
-
-    i, p = disk_sphere_sequence(n, M)
-    return i, p
+        return CellChain(f, stages, chain_cells, f)
+    _certify(incl.is_iso(), "grow_cell_chain: the stages exhaust the target")
+    return CellChain(f, stages, chain_cells, incl)
 
 
 def _literal_disk_sum(f: ChainMap, coker: ChainComplex) -> Optional[List[Tuple[int, list]]]:

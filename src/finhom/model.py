@@ -34,7 +34,6 @@ from .complexes import (
     ChainMap,
     cycles,
     cylinder,
-    disk,
     disk_cover,
     homology,
     homology_table,
@@ -42,7 +41,6 @@ from .complexes import (
     is_quasi_iso,
     pullback_chainmaps,
     pushout_chainmaps,
-    subcomplex_from_gens,
     tensor_chain_maps,
     tensor_complexes,
 )
@@ -67,10 +65,10 @@ from .errors import (
     ValidationError,
 )
 from .functors import free_resolution
-from .kaplansky import Cell, CellChain, KaplanskyConfig, icell_decompose
+from .kaplansky import CellChain, KaplanskyConfig, disk_cell, grow_cell_chain, icell_decompose
 from .linsolve import MatrixEquationSolver
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, element_in_submodule, submodule
+from .modules import FpModule, ModuleMap, _certify, submodule, submodule_coordinates
 from .rings import Ring
 from .smith import kernel_basis
 
@@ -151,8 +149,10 @@ def classify_map(f: ChainMap, spec: ModelStructureSpec,
             ker, DG_C_RIGHT, spec.pair, test_family=family, gamma=spec.cfg.gamma)
         triv_fib, certs["kernel-right-exact"] = complex_class_member(
             ker, CTILDE, spec.pair, gamma=spec.cfg.gamma)
-    assert triv_cof == (cof and weq), "trivial cofibration cross-check failed"
-    assert triv_fib == (fib and weq), "trivial fibration cross-check failed"
+    _certify(triv_cof == (cof and weq),
+             "classify_map: trivial cofibration = cofibration and weak equivalence")
+    _certify(triv_fib == (fib and weq),
+             "classify_map: trivial fibration = fibration and weak equivalence")
     return MapFlags(weq, cof, fib, triv_cof, triv_fib, certs)
 
 
@@ -217,7 +217,7 @@ def _factor_trivcof_fib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
             pcomps[n] = ModuleMap(qn, Y.module_at(n), pm, check=False)
     i = ChainMap(X, Q, icomps)
     p = ChainMap(Q, Y, pcomps)
-    assert p.compose(i).equals(f)
+    _certify(p.compose(i).equals(f), "factor_map (trivial cofibration): p o i = f")
 
     coker, _ = i.cokernel_complex()
     ok_coker, coker_cert = complex_class_member(coker, FTILDE, spec.pair,
@@ -243,77 +243,26 @@ def _disk_padding_cells(i: ChainMap, X: ChainComplex, Y: ChainComplex,
     (both of its degrees) along the zero map, so every square is a
     genuine pushout of a generating trivial cofibration."""
     ring = Q.ring
-    gens = {n: i.component_at(n).matrix for n in Q.support}
-    stages = [X]
-    cells: List[Cell] = []
-    prev = X
     rank = {m: Y.module_at(m).gens for m in Y.support}
 
-    def top_cols(m, r):
-        # degree-m block of Q: [X_m | tops r_m | bottoms r_{m+1}]
-        xn = X.module_at(m).gens
-        width = Q.module_at(m).gens
-        rows = [[0] * r for _ in range(width)]
-        for k in range(r):
-            rows[xn + k][k] = ring.one
-        return Matrix(ring, width, r, rows)
-
-    def bottom_cols(m, r):
-        # bottoms of D^m sit after the tops of D^{m-1} in degree m-1
-        offset = X.module_at(m - 1).gens + rank.get(m - 1, 0)
-        width = Q.module_at(m - 1).gens
+    def unit_cols(width, offset, r):
         rows = [[0] * r for _ in range(width)]
         for k in range(r):
             rows[offset + k][k] = ring.one
         return Matrix(ring, width, r, rows)
 
+    cells = []
     for m in sorted(rank):
         r = rank[m]
         if r == 0:
             continue
-        Dm = disk(m, FpModule.free(ring, r))
-        new_gens = dict(gens)
-        tc = top_cols(m, r)
-        bc = bottom_cols(m, r)
-        new_gens[m] = gens[m].hstack(tc)
-        new_gens[m - 1] = gens.get(m - 1, Matrix.zero(
-            ring, Q.module_at(m - 1).gens, 0)).hstack(bc)
-        Snew, _ = subcomplex_from_gens(Q, new_gens)
-        comps = {}
-        for deg in prev.support:
-            old = gens[deg].cols
-            width = new_gens[deg].cols
-            mm = Matrix.identity(ring, old).vstack(Matrix.zero(ring, width - old, old))
-            comps[deg] = ModuleMap(prev.module_at(deg), Snew.module_at(deg), mm,
-                                   check=False)
-        step = ChainMap(prev, Snew, comps, check=False)
-        gen_mono = ChainMap.zero_map(ChainComplex.zero(ring), Dm)
-        attach = ChainMap.zero_map(ChainComplex.zero(ring), prev)
-        # image: disk tops and bottoms onto the appended generators
-        wm = Snew.module_at(m).gens
-        wm1 = Snew.module_at(m - 1).gens
-        image = ChainMap(Dm, Snew, {
-            m: ModuleMap(Dm.module_at(m), Snew.module_at(m),
-                         Matrix.zero(ring, wm - r, r).vstack(
-                             Matrix.identity(ring, r)), check=False),
-            m - 1: ModuleMap(Dm.module_at(m - 1), Snew.module_at(m - 1),
-                             Matrix.zero(ring, wm1 - r, r).vstack(
-                                 Matrix.identity(ring, r)), check=False),
-        }, check=False)
-        cells.append(Cell(gen_mono, attach, step, image, f"0 -> D^{m}(R^{r})"))
-        stages.append(Snew)
-        gens = new_gens
-        prev = Snew
-    last = stages[-1]
-    if cells:
-        final = ChainMap(last, Q,
-                         {n: ModuleMap(last.module_at(n), Q.module_at(n), gens[n],
-                                       check=False) for n in last.support},
-                         check=False)
-        assert final.is_iso()
-    else:
-        final = i
-    return CellChain(i, stages, cells, final)
+        # degree-m block of Q: [X_m | tops r_m | bottoms r_{m+1}]; the
+        # bottoms of D^m sit after the tops of D^{m-1} in degree m-1
+        tops = unit_cols(Q.module_at(m).gens, X.module_at(m).gens, r)
+        bottoms = unit_cols(Q.module_at(m - 1).gens,
+                            X.module_at(m - 1).gens + rank.get(m - 1, 0), r)
+        cells.append(disk_cell(m, tops, bottoms))
+    return grow_cell_chain(i, cells)
 
 
 def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
@@ -333,7 +282,7 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
         i = universal(data.front, zero_to_t)
         p = data.projection.compose(proj_cyl)
         Q = P
-    assert p.compose(i).equals(f)
+    _certify(p.compose(i).equals(f), "factor_map (cofibration): p o i = f")
 
     coker, _ = i.cokernel_complex()
     ok_coker, coker_cert = complex_class_member(coker, DG_F_LEFT, spec.pair,
@@ -345,7 +294,7 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
         raise FactorizationObstructedError(
             "cylinder factorization failed its certificates: "
             + coker_cert.describe() + " / " + ker_cert.describe())
-    assert is_quasi_iso(p)
+    _certify(is_quasi_iso(p), "factor_map (cofibration): p is a quasi-isomorphism")
     chain = icell_decompose(i, spec.cfg)
     window = (min(Q.lo, Y.lo), max(Q.hi, Y.hi))
     return Factorization(f, i, p, COF_THEN_TRIVFIB, coker_cert, ker_cert, chain, window)
@@ -518,15 +467,9 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
     for n in Y.support:
         Yn = Y.module_at(n)
         Zm, zincl = cycles(Y, n)
-        bgens = Y.diff(n + 1).matrix
         # boundaries as a submodule of the cycles
-        bz_cols = []
-        for j in range(bgens.cols):
-            c = element_in_submodule(Yn, zincl.matrix, bgens.col(j))
-            assert c is not None
-            bz_cols.append(tuple(c.col(0)))
-        b_in_z = (Matrix(ring, Zm.gens, len(bz_cols), [list(r) for r in zip(*bz_cols)])
-                  if bz_cols else Matrix.zero(ring, Zm.gens, 0))
+        b_in_z = submodule_coordinates(Yn, zincl.matrix, Y.diff(n + 1).matrix)
+        _certify(b_in_z is not None, "ce_trivial_fibration: boundaries are cycles")
         Bm, bincl_z = submodule(Zm, b_in_z)
         Hm = FpModule(ring, Zm.gens, Zm.relations.hstack(b_in_z))
         datums[n] = {
@@ -539,13 +482,8 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
             d = Y.diff(n)
             Bprev = datums[n - 1]["B"]
             prev_gens = datums[n - 1]["zincl"].matrix * datums[n - 1]["binclz"].matrix
-            cols = []
-            for j in range(d.matrix.cols):
-                c = element_in_submodule(Y.module_at(n - 1), prev_gens, d.matrix.col(j))
-                assert c is not None, "differentials land in boundaries"
-                cols.append(tuple(c.col(0)))
-            cor = (Matrix(ring, Bprev.gens, len(cols), [list(r) for r in zip(*cols)])
-                   if cols else Matrix.zero(ring, Bprev.gens, 0))
+            cor = submodule_coordinates(Y.module_at(n - 1), prev_gens, d.matrix)
+            _certify(cor is not None, "ce_trivial_fibration: differentials land in boundaries")
             datums[n]["cor"] = ModuleMap(Y.module_at(n), Bprev, cor, check=False)
 
     # free resolutions and horseshoe splices per degree
@@ -560,16 +498,12 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         epsZ_m = (dat["binclz"].matrix * epsB.matrix).hstack(lift_h)
         epsZ = ModuleMap(z0, Zm, epsZ_m, check=False)
         # tau: PH1 -> PB0 correcting the splice
-        tau_cols = []
-        for j in range(PH1.gens):
-            v = lift_h * deltaH.matrix.submatrix(range(PH0.gens), [j])
-            cb = element_in_submodule(Zm, dat["binclz"].matrix, v.col(0))
-            assert cb is not None, "splice correction lands in the boundaries"
-            pre = element_in_submodule(dat["B"], epsB.matrix, cb.col(0))
-            assert pre is not None
-            tau_cols.append(tuple(ring.neg(x) for x in pre.col(0)))
-        tau = (Matrix(ring, PB0.gens, len(tau_cols), [list(r) for r in zip(*tau_cols)])
-               if tau_cols else Matrix.zero(ring, PB0.gens, 0))
+        cb = submodule_coordinates(Zm, dat["binclz"].matrix, lift_h * deltaH.matrix)
+        _certify(cb is not None,
+                 "ce_trivial_fibration: the splice correction lands in the boundaries")
+        pre = submodule_coordinates(dat["B"], epsB.matrix, cb)
+        _certify(pre is not None, "ce_trivial_fibration: epsB reaches the correction")
+        tau = pre.scale(-1)
         z1 = FpModule.free(ring, PB1.gens + PH1.gens)
         deltaZ_m = Matrix.from_blocks(ring, [
             [deltaB.matrix, tau],
@@ -596,27 +530,18 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
             py0 = FpModule.free(ring, dat["PZ0"].gens + bprev0)
             # lift PB0(n-1) generators through the corestriction
             cor = dat["cor"]
-            lift_cols = []
-            for j in range(bprev0):
-                target = prev["epsB"].matrix.submatrix(range(prev["B"].gens), [j])
-                sol = _solve_onto(cor, target)
-                lift_cols.append(tuple(sol.col(0)))
-            liftB = (Matrix(ring, Yn.gens, bprev0, [list(r) for r in zip(*lift_cols)])
-                     if lift_cols else Matrix.zero(ring, Yn.gens, 0))
+            liftB = submodule_coordinates(cor.target, cor.matrix, prev["epsB"].matrix)
+            _certify(liftB is not None,
+                     "ce_trivial_fibration: the corestriction reaches every generator")
             epsY_m = (z_in_y * dat["epsZ"].matrix).hstack(liftB)
             py1 = FpModule.free(ring, dat["PZ1"].gens + bprev1)
             # tau2: PB1(n-1) -> PZ0(n)
-            tau2_cols = []
-            for j in range(bprev1):
-                w = liftB * prev["deltaB"].matrix.submatrix(range(bprev0), [j])
-                cz = element_in_submodule(Yn, z_in_y, w.col(0))
-                assert cz is not None, "horseshoe correction lands in cycles"
-                pre = element_in_submodule(dat["Z"], dat["epsZ"].matrix, cz.col(0))
-                assert pre is not None
-                tau2_cols.append(tuple(ring.neg(x) for x in pre.col(0)))
-            tau2 = (Matrix(ring, dat["PZ0"].gens, bprev1,
-                           [list(r) for r in zip(*tau2_cols)])
-                    if tau2_cols else Matrix.zero(ring, dat["PZ0"].gens, 0))
+            cz = submodule_coordinates(Yn, z_in_y, liftB * prev["deltaB"].matrix)
+            _certify(cz is not None,
+                     "ce_trivial_fibration: the horseshoe correction lands in cycles")
+            pre = submodule_coordinates(dat["Z"], dat["epsZ"].matrix, cz)
+            _certify(pre is not None, "ce_trivial_fibration: epsZ reaches the correction")
+            tau2 = pre.scale(-1)
             deltaY_m = Matrix.from_blocks(ring, [
                 [dat["deltaZ"], tau2],
                 [Matrix.zero(ring, bprev0, dat["PZ1"].gens), prev["deltaB"].matrix],
@@ -664,9 +589,9 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         mat = datums[m]["epsY"].matrix.hstack(Matrix.zero(ring, Ym.gens, w1))
         tcomps[m] = ModuleMap(T.module_at(m), Ym, mat, check=False)
     t = ChainMap(T, Y, tcomps)
-    assert t.is_epi()
+    _certify(t.is_epi(), "ce_trivial_fibration: t is epi")
     K, _ = t.kernel_subcomplex()
-    assert is_exact(K), "Cartan-Eilenberg kernel must be exact"
+    _certify(is_exact(K), "ce_trivial_fibration: the kernel of t is exact")
     return T, t
 
 
@@ -688,14 +613,9 @@ def _horizontal_block(datums, m, j):
     for k in range(bcols):
         # column zpart + k maps to row k (the PB slot leads PZ's blocks)
         out[k][zpart + k] = ring.one
-    assert bcols == bslot or bcols == 0
+    _certify(bcols == bslot or bcols == 0,
+             "ce_trivial_fibration: the PB block fills its slot")
     return Matrix(ring, tgt, src, out)
-
-
-def _solve_onto(g: ModuleMap, target_col: Matrix) -> Matrix:
-    sol = element_in_submodule(g.target, g.matrix, target_col.col(0))
-    assert sol is not None, "epimorphism must reach the target element"
-    return sol
 
 
 # -- replacements --------------------------------------------------------------------------
@@ -763,8 +683,9 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec) -> ChainMap:
                 terms.append((1, None, handles[n], prob.i.component_at(n).matrix))
             solver.add_equation(terms, prob.top.component_at(n).matrix,
                                 mod_relations=Xc.module_at(n).relations)
-        elif src.gens and not prob.top.component_at(n).is_zero_map():
-            raise AssertionError("no unknown available for a nonzero constraint")
+        elif src.gens:
+            _certify(prob.top.component_at(n).is_zero_map(),
+                     "solve_lifting: a constraint without unknowns is zero")
         # p h = bottom
         if B.module_at(n).gens and prob.p.target.module_at(n).gens:
             terms = []
@@ -785,10 +706,10 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec) -> ChainMap:
                                                 B.module_at(n).gens),
                                     mod_relations=Xc.module_at(n - 1).relations)
     sol = solver.solve()
-    assert sol is not None, "a lift must exist when the preconditions hold"
+    _certify(sol is not None, "solve_lifting: a lift exists when the preconditions hold")
     h = ChainMap(B, Xc, {n: sol[hdl] for n, hdl in handles.items()})
-    assert h.compose(prob.i).equals(prob.top)
-    assert prob.p.compose(h).equals(prob.bottom)
+    _certify(h.compose(prob.i).equals(prob.top), "solve_lifting: h o i = top")
+    _certify(prob.p.compose(h).equals(prob.bottom), "solve_lifting: p o h = bottom")
     return h
 
 

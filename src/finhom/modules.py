@@ -194,11 +194,6 @@ class FpModule:
         return self._cache["canon"]
 
 
-def element_in_colspan(A: Matrix, v: Sequence[int]) -> Optional[Matrix]:
-    """Coefficients expressing v in the column span of A, or None."""
-    return solve_linear(A, Matrix.column(A.ring, list(v)))
-
-
 class ModuleMap:
     __slots__ = ("source", "target", "matrix")
 
@@ -378,17 +373,10 @@ def subquotient(M: FpModule, zgens: Matrix, bgens: Matrix) -> FpModule:
     reduces to this.
     """
     Z, _ = submodule(M, zgens)
-    # express each b-generator in Z coordinates
-    cols = []
-    for j in range(bgens.cols):
-        coeff = element_in_colspan(zgens.hstack(M.relations), bgens.col(j))
-        if coeff is None:
-            raise ValidationError("boundaries do not lie inside cycles")
-        cols.append(tuple(coeff.col(0))[: zgens.cols])
-    if cols:
-        binz = Matrix(M.ring, zgens.cols, len(cols), [list(r) for r in zip(*cols)])
-    else:
-        binz = Matrix.zero(M.ring, zgens.cols, 0)
+    # the b-generators in Z coordinates
+    binz = submodule_coordinates(M, zgens, bgens)
+    if binz is None:
+        raise ValidationError("boundaries do not lie inside cycles")
     return FpModule(M.ring, zgens.cols, Z.relations.hstack(binz))
 
 
@@ -407,12 +395,24 @@ def preimage_gens(f: ModuleMap, wgens: Matrix) -> Matrix:
     return K.submatrix(range(f.source.gens), range(K.cols))
 
 
-def element_in_submodule(M: FpModule, gens: Matrix, v: Sequence[int]) -> Optional[Matrix]:
-    """Coordinates of v in span(gens) modulo M's relations, or None."""
-    coeff = element_in_colspan(gens.hstack(M.relations), v)
+def submodule_coordinates(M: FpModule, gens: Matrix, cols: Matrix) -> Optional[Matrix]:
+    """Coordinates of every column of ``cols`` in span(gens) modulo M's
+    relations: the gens.cols x cols.cols matrix C with gens C = cols up
+    to relations, or None when some column lies outside the span.
+
+    The system [gens | relations] is built and solved once for all
+    columns; column j of C is what ``element_in_submodule`` gives for
+    column j alone.
+    """
+    coeff = solve_linear(gens.hstack(M.relations), cols)
     if coeff is None:
         return None
-    return coeff.submatrix(range(gens.cols), [0])
+    return coeff.submatrix(range(gens.cols), range(cols.cols))
+
+
+def element_in_submodule(M: FpModule, gens: Matrix, v: Sequence[int]) -> Optional[Matrix]:
+    """Coordinates of v in span(gens) modulo M's relations, or None."""
+    return submodule_coordinates(M, gens, Matrix.column(M.ring, list(v)))
 
 
 def map_factorization(f: ModuleMap):
@@ -529,11 +529,8 @@ class ShortExactSeq:
         if not self.p.compose(self.i).is_zero_map():
             raise ValidationError("composite of the sequence is not zero")
         # kernel of p must be contained in the image of i
-        kg = self.p.kernel_gens()
-        B = self.i.target
-        for j in range(kg.cols):
-            if element_in_submodule(B, self.i.matrix, kg.col(j)) is None:
-                raise ValidationError("kernel of the epi is larger than the image of the mono")
+        if submodule_coordinates(self.i.target, self.i.matrix, self.p.kernel_gens()) is None:
+            raise ValidationError("kernel of the epi is larger than the image of the mono")
 
     @property
     def sub(self) -> FpModule:

@@ -31,7 +31,14 @@ from .errors import (
 from .functors import is_flat
 from .kaplansky import KaplanskyConfig
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, element_in_submodule, quotient, submodule
+from .modules import (
+    FpModule,
+    ModuleMap,
+    element_in_submodule,
+    quotient,
+    submodule,
+    submodule_coordinates,
+)
 from .rings import Ring
 
 
@@ -214,15 +221,10 @@ def sub_rep_module(M: QuiverRepModule, gens: Dict[str, Matrix]) -> QuiverRepModu
         Mw = M.module_at(e.target)
         moved = M.edge_matrix(e).change_ring(Mw.ring) * \
             incls[e.source].matrix.lift_to_integers().change_ring(Mw.ring)
-        cols = []
-        for j in range(moved.cols):
-            c = element_in_submodule(Mw, incls[e.target].matrix, moved.col(j))
-            if c is None:
-                raise ValidationError("sub-module generators are not edge-closed")
-            cols.append(tuple(c.col(0)))
-        emaps[e.name] = (Matrix(Mw.ring, mods[e.target].gens, len(cols),
-                                [list(r) for r in zip(*cols)])
-                         if cols else Matrix.zero(Mw.ring, mods[e.target].gens, 0))
+        emap = submodule_coordinates(Mw, incls[e.target].matrix, moved)
+        if emap is None:
+            raise ValidationError("sub-module generators are not edge-closed")
+        emaps[e.name] = emap
     return QuiverRepModule(M.rep, mods, emaps)
 
 

@@ -3,8 +3,9 @@
 Everything else in the library reduces to the operations implemented
 here: ``snf`` (diagonalization U A V = D with invertible U, V and a
 divisibility chain on D), ``inverse``, ``solve_linear`` (one
-deterministic solution of A x = b, or None), ``kernel_basis``
-(generators of {x : A x = 0}) and ``invariant_factors_of``.
+deterministic solution of A X = B, column by column, or None),
+``kernel_basis`` (generators of {x : A x = 0}) and
+``invariant_factors_of``.
 
 Each ring family has one Smith routine.  Over Z, ``_snf_integer`` works
 with arbitrary precision; its pivot is the entry of smallest nonzero
@@ -315,27 +316,30 @@ def inverse(U: Matrix) -> Matrix:
     return form.V * form.U
 
 
-def solve_linear(A: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution of A x = b, or None if there is none.
+def solve_linear(A: Matrix, B: Matrix) -> Matrix | None:
+    """One exact solution X of A X = B, or None if some column of B has
+    none.
 
-    Deterministic choice: in Smith coordinates, bound coordinates take
-    the canonical quotient and free coordinates are zero.
+    Deterministic choice, column by column: in Smith coordinates, bound
+    coordinates take the canonical quotient and free coordinates are
+    zero.  So column j of X is the solution for column j of B alone; the
+    Smith form of A is taken once for all of them.
     """
-    if b.cols != 1 or b.rows != A.rows:
-        raise DimensionMismatchError(f"rhs must be a {A.rows}x1 column")
-    if A.ring != b.ring:
+    if B.rows != A.rows:
+        raise DimensionMismatchError(f"rhs must have {A.rows} rows")
+    if A.ring != B.ring:
         raise DimensionMismatchError("matrix/rhs ring mismatch")
     form = snf(A)
-    y = [0] * A.cols
-    for i, (c, d) in enumerate(zip(form.U.apply(b.col(0)), form.pivots(A.rows))):
+    Y = [(0,) * B.cols] * A.cols
+    for i, (row, d) in enumerate(zip((form.U * B).entries, form.pivots(A.rows))):
         if d == 0:
-            if c != 0:
+            if any(row):
                 return None
-        elif c % d != 0:
+        elif any(c % d for c in row):
             return None
         elif i < A.cols:
-            y[i] = c // d
-    return Matrix.column(A.ring, form.V.apply(y))
+            Y[i] = tuple(c // d for c in row)
+    return form.V * Matrix._reduced(A.ring, A.cols, B.cols, tuple(Y))
 
 
 def kernel_basis(A: Matrix) -> Matrix:
@@ -358,33 +362,6 @@ def kernel_basis(A: Matrix) -> Matrix:
     if not cols:
         return Matrix.zero(ring, A.cols, 0)
     return Matrix._reduced(ring, A.cols, len(cols), tuple(zip(*cols)))
-
-
-def determinant(A: Matrix) -> int:
-    """Exact determinant (Bareiss over a lift); used by tests and
-    invertibility checks, not on hot paths."""
-    if A.rows != A.cols:
-        raise DimensionMismatchError("determinant needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return A.ring.one
-    m = [list(r) for r in A.lift_to_integers().entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return A.ring.normalize(sign * m[n - 1][n - 1])
 
 
 def invariant_factors_of(A: Matrix) -> tuple:

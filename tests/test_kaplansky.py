@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix
+from finhom import Integers, IntegersModN, Matrix, PrimeField, kaplansky
 from finhom.complexes import (
     ChainComplex,
     ChainMap,
@@ -8,9 +10,10 @@ from finhom.complexes import (
     disk,
     is_exact,
     sphere,
+    subcomplex_from_gens,
 )
 from finhom.cotorsion import ObjectClass
-from finhom.errors import NotInClassError
+from finhom.errors import FactorizationObstructedError, NotInClassError
 from finhom.kaplansky import (
     KaplanskyConfig,
     FiltrationChain,
@@ -20,7 +23,23 @@ from finhom.kaplansky import (
     kaplansky_filtration,
     kaplansky_witness,
 )
-from finhom.modules import FpModule, ModuleMap, element_in_submodule, submodule
+from finhom.model import (
+    COF_THEN_TRIVFIB,
+    FLAT_STRUCTURE,
+    PROJECTIVE_STRUCTURE,
+    TRIVCOF_THEN_FIB,
+    factor_map,
+    model_structure,
+)
+from finhom.modules import (
+    FpModule,
+    ModuleMap,
+    element_in_submodule,
+    submodule,
+    submodule_coordinates,
+)
+from finhom.sampling import DeterministicSampler
+from finhom.smith import snf
 
 ZZ = Integers()
 Z6 = IntegersModN(6)
@@ -185,3 +204,97 @@ def test_icell_generic_slices():
     chain2 = icell_decompose(f2)
     assert chain2.verify()
     assert len(chain2.cells) == 2
+
+
+# -- stages built as extensions ------------------------------------------------
+
+
+@pytest.mark.parametrize("ring, structure", [
+    (ZZ, FLAT_STRUCTURE),
+    (IntegersModN(4), PROJECTIVE_STRUCTURE),
+    (PrimeField(3), PROJECTIVE_STRUCTURE),
+], ids=["Z", "Z/4", "F3"])
+def test_cell_stages_equal_stages_built_from_scratch(ring, structure, monkeypatch):
+    # every stage grown from the previous one must equal the subcomplex
+    # built from its generators alone: modules, differentials, inclusion
+    compared = []
+
+    def checked(X, gens, extends=None):
+        S, incl = subcomplex_from_gens(X, gens, extends=extends)
+        if extends is not None:
+            S0, incl0 = subcomplex_from_gens(X, gens)
+            assert (S.lo, S.hi) == (S0.lo, S0.hi)
+            assert S.objects == S0.objects
+            assert {n: d.matrix for n, d in S.differentials.items()} == \
+                {n: d.matrix for n, d in S0.differentials.items()}
+            assert {n: c.matrix for n, c in incl.components.items()} == \
+                {n: c.matrix for n, c in incl0.components.items()}
+            compared.append(len(gens))
+        return S, incl
+
+    monkeypatch.setattr(kaplansky, "subcomplex_from_gens", checked)
+    spec = model_structure(structure, ring)
+    sampler = DeterministicSampler(17)
+    for _ in range(8):
+        X = sampler.free_complex(ring, max_support=4, max_rank=3)
+        Y = sampler.free_complex(ring, max_support=4, max_rank=3)
+        f = sampler.chain_map(X, Y)
+        for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
+            try:
+                fact = factor_map(f, mode, spec)
+            except FactorizationObstructedError:
+                continue  # Z/4 cylinders without a bounded free resolution
+            assert fact.cell_chain.verify()
+        chain = icell_decompose(ChainMap.zero_map(ChainComplex.zero(ring), Y))
+        assert chain.verify()
+    assert len(compared) >= 20
+
+
+def _coordinates_one_column(M, gens, v):
+    """The per-column solve, written out: Smith form of [gens | relations],
+    bound coordinates take the quotient, free ones are zero."""
+    A = gens.hstack(M.relations)
+    form = snf(A)
+    y = [0] * A.cols
+    for i, (c, d) in enumerate(zip(form.U.apply(list(v)), form.pivots(A.rows))):
+        if d == 0:
+            if c != 0:
+                return None
+        elif c % d != 0:
+            return None
+        elif i < A.cols:
+            y[i] = c // d
+    x = form.V.apply(y)
+    return Matrix.column(M.ring, list(x[:gens.cols]))
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)],
+                         ids=["Z", "Z/4", "Z/12", "F3"])
+def test_submodule_coordinates_matches_column_by_column(ring):
+    rng = random.Random(5)
+
+    def entry():
+        return rng.randint(-3, 3) if ring.modulus is None else rng.randrange(ring.modulus)
+
+    def rand(rows, cols):
+        return Matrix(ring, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    outside = 0
+    for _ in range(60):
+        g = rng.randint(1, 4)
+        M = FpModule.cokernel_presentation(rand(g, rng.randint(0, 3)))
+        gens = rand(g, rng.randint(0, 3))
+        inside = gens * rand(gens.cols, 2) + M.relations * rand(M.relations.cols, 2)
+        for cols in (inside, rand(g, 3), inside.hstack(rand(g, 1)), rand(g, 0)):
+            got = submodule_coordinates(M, gens, cols)
+            each = [_coordinates_one_column(M, gens, cols.col(j)) for j in range(cols.cols)]
+            for j, ref in enumerate(each):
+                assert element_in_submodule(M, gens, cols.col(j)) == ref
+                assert submodule_coordinates(M, gens, cols.submatrix(range(g), [j])) == ref
+            if any(ref is None for ref in each):
+                outside += 1
+                assert got is None
+            else:
+                assert got == Matrix.hstack_all(ring, gens.cols, each)
+        assert submodule_coordinates(M, gens, inside) is not None
+    assert outside > 0

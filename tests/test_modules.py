@@ -1,10 +1,13 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField, modules
+from finhom import Integers, IntegersModN, Matrix, PrimeField, kaplansky, model, modules
 from finhom.errors import ValidationError
 from finhom.modules import (
     FpModule,
@@ -183,10 +186,54 @@ def test_element_in_submodule():
     assert element_in_submodule(M, gens, [1, 0]) is None
 
 
-def test_module_certificates_are_not_asserts():
+@pytest.mark.parametrize("module", [modules, kaplansky, model],
+                         ids=["modules", "kaplansky", "model"])
+def test_module_certificates_are_not_asserts(module):
     # bare asserts vanish under python -O; certificates must not
-    tree = ast.parse(Path(modules.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+CERTIFICATES_UNDER_O = """
+import sys
+from finhom import Integers, Matrix
+from finhom.complexes import ChainComplex, ChainMap, disk
+from finhom.errors import ValidationError
+from finhom.kaplansky import disk_cell, grow_cell_chain
+from finhom.modules import FpModule, ModuleMap
+
+def expect_certificate(label, thunk):
+    try:
+        thunk()
+    except ValidationError as exc:
+        print(label, exc)
+    else:
+        print(label, "returned")
+
+ZZ = Integers()
+R1 = FpModule.free(ZZ, 1)
+print("optimize", sys.flags.optimize)
+# a chain that glues only the first of two disks: its stages miss the target
+Q = ChainComplex.direct_sum(disk(1, R1), disk(0, R1))
+f = ChainMap.zero_map(ChainComplex.zero(ZZ), Q)
+one_cell = [disk_cell(1, Matrix.identity(ZZ, 1), Q.diff(1).matrix)]
+expect_certificate("cell-chain", lambda: grow_cell_chain(f, one_cell))
+# an inverse whose certificate is forced to fail
+ModuleMap.is_identity = lambda self: False
+expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
+"""
+
+
+def test_certificates_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith(
+        "cell-chain certificate failed: grow_cell_chain: the stages exhaust the target")
+    assert lines[2].startswith("inverse certificate failed: ModuleMap.inverse")
 
 
 def test_failed_certificate_raises_validation_error(monkeypatch):
