@@ -25,6 +25,7 @@ from .matrix import Matrix
 from .modules import (
     FpModule,
     ModuleMap,
+    _certify,
     submodule,
     submodule_coordinates,
     subquotient,
@@ -159,11 +160,15 @@ def disk(n: int, M: FpModule) -> ChainComplex:
     )
 
 
+def sphere_into_disk(n: int, M: FpModule) -> ChainMap:
+    """The canonical mono S^{n-1}(M) -> D^n(M), checked as a chain map."""
+    return ChainMap(sphere(n - 1, M), disk(n, M), {n - 1: ModuleMap.identity(M)})
+
+
 def disk_sphere_sequence(n: int, M: FpModule):
     """The canonical short exact sequence S^{n-1}(M) -> D^n(M) -> S^n(M)."""
-    D = disk(n, M)
-    i = ChainMap(sphere(n - 1, M), D, {n - 1: ModuleMap.identity(M)})
-    p = ChainMap(D, sphere(n, M), {n: ModuleMap.identity(M)})
+    i = sphere_into_disk(n, M)
+    p = ChainMap(i.target, sphere(n, M), {n: ModuleMap.identity(M)})
     return i, p
 
 
@@ -435,7 +440,7 @@ def tensor_unit_iso_complex(X: ChainComplex) -> ChainMap:
             comps[n] = ModuleMap(src.module_at(n), X.module_at(n),
                                  Matrix.identity(ring, g), check=False)
     out = ChainMap(src, unit if False else X, comps)
-    assert out.is_iso()
+    _certify(out.is_iso(), "tensor_unit_iso_complex: the unit map is an isomorphism")
     return out
 
 
@@ -467,7 +472,7 @@ def tensor_symmetry_iso(X: ChainComplex, Y: ChainComplex) -> ChainMap:
         comps[k] = ModuleMap(src.module_at(k), tgt.module_at(k),
                              Matrix(ring, w_t, w_s, rowsm), check=False)
     out = ChainMap(src, tgt, comps)
-    assert out.is_iso()
+    _certify(out.is_iso(), "tensor_symmetry_iso: the braiding is an isomorphism")
     return out
 
 
@@ -508,7 +513,7 @@ def tensor_assoc_iso(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> Chain
         comps[k] = ModuleMap(src.module_at(k), tgt.module_at(k),
                              Matrix(ring, w_t, w_s, rowsm), check=False)
     out = ChainMap(src, tgt, comps)
-    assert out.is_iso()
+    _certify(out.is_iso(), "tensor_assoc_iso: the associator is an isomorphism")
     return out
 
 
@@ -691,9 +696,8 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
         moved = X.diff(n).matrix * incls[n].matrix
         if (n - 1) not in objs:
             # closure: image of d on the sub must be zero in X_{n-1}
-            for j in range(moved.cols):
-                if not X.module_at(n - 1).element_is_zero(moved.col(j)):
-                    raise ValidationError("generators are not closed under d")
+            if not X.module_at(n - 1).columns_vanish(moved):
+                raise ValidationError("generators are not closed under d")
             continue
         coords = submodule_coordinates(X.module_at(n - 1), incls[n - 1].matrix, moved)
         if coords is None:
@@ -742,7 +746,7 @@ def pushout_chainmaps(f: ChainMap, g: ChainMap):
     inj_b = ChainMap(B, P, {n: injb[n] for n in P.support if n in injb}, check=False)
     inj_c = ChainMap(C, P, {n: injc[n] for n in P.support if n in injc}, check=False)
     if f.is_mono():
-        assert inj_c.is_mono(), "pushout of a monomorphism must be a monomorphism"
+        _certify(inj_c.is_mono(), "pushout_chainmaps: the pushout of a mono is a mono")
 
     def universal(u: ChainMap, v: ChainMap) -> ChainMap:
         if not u.compose(f).equals(v.compose(g)):
@@ -797,7 +801,7 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
         moved = dmat * incl_mats[n]
         amb_prev = FpModule.direct_sum(B.module_at(n - 1), C.module_at(n - 1))
         mat = submodule_coordinates(amb_prev, bc_prev_gens, moved)
-        assert mat is not None, "pullback is not closed under d"
+        _certify(mat is not None, "pullback_chainmaps: the pullback is closed under d")
         diffs[n] = ModuleMap(objs[n], objs[n - 1], mat, check=False)
     P = ChainComplex(ring, objs, diffs)
     proj_b = ChainMap(P, B, {n: projb[n] for n in P.support if n in projb}, check=False)
@@ -814,7 +818,7 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
             amb = FpModule.direct_sum(B.module_at(n), C.module_at(n))
             uv = u.component_at(n).matrix.vstack(v.component_at(n).matrix)
             mat = submodule_coordinates(amb, incl_mats[n], uv)
-            assert mat is not None
+            _certify(mat is not None, "pullback_chainmaps: the cone lands in the pullback")
             comps[n] = ModuleMap(W, objs[n], mat)
         return ChainMap(u.source, P, comps)
 
@@ -876,13 +880,10 @@ def is_null_homotopic(f: ChainMap) -> Optional[Homotopy]:
     return Homotopy(f, maps)
 
 
-def chain_hom_module(X: ChainComplex, Y: ChainComplex):
-    """The module of chain maps X -> Y.
-
-    Returns (H, gens) where gens are ChainMaps generating Hom as an
-    R-module and H presents it (relations: combinations equal to the
-    zero chain map).
-    """
+def chain_hom_gens(X: ChainComplex, Y: ChainComplex) -> list:
+    """ChainMaps generating the module of chain maps X -> Y as an
+    R-module: the solution basis of the commuting squares, zero maps
+    dropped.  ``chain_hom_module`` presents the module they generate."""
     ring = X.ring
     solver = MatrixEquationSolver(ring)
     handles = {}
@@ -906,21 +907,32 @@ def chain_hom_module(X: ChainComplex, Y: ChainComplex):
             continue
         solver.add_equation(terms, Matrix.zero(ring, tgt.gens, src_gens),
                             mod_relations=tgt.relations)
-    basis = solver.solution_basis()
     gens = []
-    for b in basis:
+    for b in solver.solution_basis():
         comps = {n: b[h] for n, h in handles.items()}
         gens.append(ChainMap(X, Y, comps, check=False))
-    gens = [g for g in gens if not g.is_zero_map()]
+    return [g for g in gens if not g.is_zero_map()]
+
+
+def chain_hom_module(X: ChainComplex, Y: ChainComplex):
+    """The module of chain maps X -> Y.
+
+    Returns (H, gens) where gens, from ``chain_hom_gens``, are ChainMaps
+    generating Hom as an R-module and H presents it (relations:
+    combinations equal to the zero chain map).
+    """
+    ring = X.ring
+    gens = chain_hom_gens(X, Y)
     if not gens:
         return FpModule.zero(ring), []
     # presentation: relations are coefficient vectors giving the zero map
+    degrees = [n for n in X.support if X.module_at(n).gens and Y.module_at(n).gens]
     cols = []
     for g in gens:
-        cols.append(Matrix.column(ring, list(_stack_components(g, handles))))
+        cols.append(Matrix.column(ring, list(_stack_components(g, degrees))))
     vecs = Matrix.hstack_all(ring, cols[0].rows, cols)
     relblocks = []
-    for n in sorted(handles):
+    for n in degrees:
         relblocks.append(Matrix.block_diagonal(
             ring, [Y.module_at(n).relations] * X.module_at(n).gens))
     relblock = Matrix.block_diagonal(ring, relblocks) if relblocks else \
@@ -930,9 +942,9 @@ def chain_hom_module(X: ChainComplex, Y: ChainComplex):
     return FpModule(ring, len(gens), rel), gens
 
 
-def _stack_components(g: ChainMap, handles) -> tuple:
+def _stack_components(g: ChainMap, degrees) -> tuple:
     out = []
-    for n in sorted(handles):
+    for n in degrees:
         out.extend(g.component_at(n).matrix.vec())
     return tuple(out)
 
@@ -1003,7 +1015,7 @@ def disk_cover(X: ChainComplex):
         second = X.diff(n + 1).matrix if rn1 else Matrix.zero(ring, xn.gens, rn1)
         comps[n] = ModuleMap(P.module_at(n), xn, cover.hstack(second), check=False)
     c = ChainMap(P, X, comps)
-    assert c.is_epi()
+    _certify(c.is_epi(), "disk_cover: the cover is degreewise epi")
     return P, c
 
 
@@ -1030,7 +1042,8 @@ def ext1_complexes(X: ChainComplex, Y: ChainComplex) -> FpModule:
         for g in gens_src:
             phi = g.compose(d)
             coords = chain_map_coords(gens_tgt, degs, phi)
-            assert coords is not None, "precomposition must land in the hom module"
+            _certify(coords is not None,
+                     "ext1_complexes: precomposition lands in the hom module")
             cols.append(tuple(coords.col(0)))
         if not cols:
             return Matrix.zero(X.ring, hom_tgt.gens, 0)
@@ -1040,5 +1053,5 @@ def ext1_complexes(X: ChainComplex, Y: ChainComplex) -> FpModule:
     delta1 = ModuleMap(h0, h1, delta1_matrix, check=False)
     delta2_matrix = induced(g1, h2, g2, d2, P2)   # Hom(P1,Y) -> Hom(P2,Y)
     delta2 = ModuleMap(h1, h2, delta2_matrix, check=False)
-    assert delta2.compose(delta1).is_zero_map()
+    _certify(delta2.compose(delta1).is_zero_map(), "ext1_complexes: delta2 o delta1 = 0")
     return subquotient(h1, delta2.kernel_gens(), delta1.matrix)

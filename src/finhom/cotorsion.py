@@ -26,13 +26,13 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ChainComplex,
     ChainMap,
-    chain_hom_module,
+    chain_hom_gens,
     cycles,
     disk,
-    disk_sphere_sequence,
     is_exact,
     is_null_homotopic,
     sphere,
+    sphere_into_disk,
 )
 from .errors import PreconditionFailedError, ValidationError
 from .functors import ext_n, is_flat, is_injective, is_projective
@@ -327,9 +327,9 @@ def complex_class_member(X: ChainComplex, cls: str, pair: CotorsionPairData,
             test_family = default_test_family(pair, cls, window)
         for E in test_family:
             if cls == DG_F_LEFT:
-                _, gens = chain_hom_module(X, E)
+                gens = chain_hom_gens(X, E)
             else:
-                _, gens = chain_hom_module(E, X)
+                gens = chain_hom_gens(E, X)
             all_null = all(is_null_homotopic(g) is not None for g in gens)
             cert.homotopy_tests.append((repr(E), all_null))
             member = member and all_null
@@ -352,8 +352,7 @@ def induced_generating_monos(pair: CotorsionPairData, window) -> List[ChainMap]:
     for n in window:
         out.append(ChainMap.zero_map(ChainComplex.zero(ring), disk(n, R1)))
     for n in window:
-        i, _ = disk_sphere_sequence(n, R1)
-        out.append(i)
+        out.append(sphere_into_disk(n, R1))
     for k in pair.generating_monos:
         for n in window:
             src = sphere(n, k.source)

@@ -23,6 +23,7 @@ from .modules import (
     FpModule,
     ModuleMap,
     ShortExactSeq,
+    _certify,
     find_section,
     hom_module,
     submodule,
@@ -55,7 +56,7 @@ def free_resolution(M: FpModule, length: int):
         prev_free = Fi
         current = kernel_basis(current)
         if ring.kind == Ring.INTEGERS and i >= 2:
-            assert Fi.gens == 0, "resolutions over Z must stop after one step"
+            _certify(Fi.gens == 0, "free_resolution: resolutions over Z stop after one step")
     return maps
 
 
@@ -173,7 +174,7 @@ def is_flat(M: FpModule) -> bool:
             tor_n(M, FpModule.cyclic(M.ring, d), 1).is_zero_module()
             for d in M.ring.divisors()
         )
-        assert tor_check == result, "flat/projective cross-check disagreement"
+        _certify(tor_check == result, "is_flat: the flat and projective tests agree")
     return result
 
 
@@ -253,7 +254,7 @@ def lift_through(f: ModuleMap, g: ModuleMap,
 
     # iota: A -> Z sending a to (i(a), f(a))
     iota_m = submodule_coordinates(BL, zincl.matrix, i.matrix.vstack(f.matrix))
-    assert iota_m is not None, "commutativity guarantees (i, f) lands in the pullback"
+    _certify(iota_m is not None, "lift_through: (i, f) lands in the pullback")
     iota = ModuleMap(A, Z, iota_m, check=False)
 
     T, tproj = iota.cokernel()
@@ -261,14 +262,14 @@ def lift_through(f: ModuleMap, g: ModuleMap,
     # k: K -> T via (0, j) and r: T -> C via p q~
     k_m = submodule_coordinates(BL, zincl.matrix,
                                 Matrix.zero(ring, B.gens, K.gens).vstack(j.matrix))
-    assert k_m is not None
+    _certify(k_m is not None, "lift_through: (0, j) lands in the pullback")
     k_map = tproj.compose(ModuleMap(K, Z, k_m, check=False))
     r_map = ModuleMap(T, C, p.matrix * q_tilde.matrix)
-    assert k_map.is_mono() and r_map.is_epi()
-    assert r_map.compose(k_map).is_zero_map()
+    _certify(k_map.is_mono() and r_map.is_epi(), "lift_through: K -> T is mono and T -> C epi")
+    _certify(r_map.compose(k_map).is_zero_map(), "lift_through: K -> T -> C is zero")
 
     section = find_section(r_map)
-    assert section is not None, "vanishing Ext must split the middle sequence"
+    _certify(section is not None, "lift_through: vanishing Ext splits the middle sequence")
 
     # n~: B -> Z with q~ n~ = id_B and tproj n~ = section p
     solver = MatrixEquationSolver(ring)
@@ -276,10 +277,10 @@ def lift_through(f: ModuleMap, g: ModuleMap,
     solver.require_composite_equals(q_tilde, h_tilde, ModuleMap.identity(B))
     solver.require_composite_equals(tproj, h_tilde, section.compose(p))
     sol = solver.solve()
-    assert sol is not None, "pullback property must produce the induced map"
+    _certify(sol is not None, "lift_through: the pullback property gives the induced map")
     n_tilde = sol[h_tilde]
 
     h = g_tilde.compose(n_tilde)
-    assert h.compose(i).equals(f), "lift must restrict to f"
-    assert q.compose(h).equals(g), "lift must project to g"
+    _certify(h.compose(i).equals(f), "lift_through: the lift restricts to f")
+    _certify(q.compose(h).equals(g), "lift_through: the lift projects to g")
     return h

@@ -29,9 +29,9 @@ from .complexes import (
     ChainMap,
     cycles,
     disk,
-    disk_sphere_sequence,
     is_exact,
     pushout_chainmaps,
+    sphere_into_disk,
     subcomplex_from_gens,
 )
 from .cotorsion import ObjectClass
@@ -181,7 +181,7 @@ def _greedy_witness(F: FpModule, cls: ObjectClass, seed: Matrix,
         raise BudgetExceededError("greedy witness needs a finite module")
     elements = list(F.elements())
     gens = seed
-    if _span_is_zero(F, gens) and not F.is_zero_module():
+    if F.columns_vanish(gens) and not F.is_zero_module():
         first = next(e for e in elements if any(x != 0 for x in e))
         gens = _append_col(ring, F.gens, gens, first)
     steps = 0
@@ -203,10 +203,6 @@ def _greedy_witness(F: FpModule, cls: ObjectClass, seed: Matrix,
         if not added:
             # S = F: quotient is zero, which every class contains
             return Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
-
-
-def _span_is_zero(F: FpModule, gens: Matrix) -> bool:
-    return all(F.element_is_zero(gens.col(j)) for j in range(gens.cols))
 
 
 def _append_col(ring, rows, m: Matrix, col) -> Matrix:
@@ -313,7 +309,7 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
 
     seed = {n: seed_gens.get(n, Matrix.zero(ring, F.module_at(n).gens, 0))
             for n in F.support}
-    if all(_span_is_zero(F.module_at(n), g) for n, g in seed.items()):
+    if all(F.module_at(n).columns_vanish(g) for n, g in seed.items()):
         # the result must be nonzero: seed the lowest degree with cycles
         for n in F.support:
             Zm, zincl = cycles(F, n)
@@ -472,7 +468,7 @@ def _sphere_cells(Q: ChainComplex, coker: ChainComplex):
         canon, _, fro = C.canonical_form()
         if not canon.gens:
             continue
-        gen_mono = disk_sphere_sequence(n, R1)[0]
+        gen_mono = sphere_into_disk(n, R1)
         for j in range(canon.gens):
             # lift the j-th canonical basis vector; the cokernel shares
             # its generators with Q_n

@@ -14,13 +14,16 @@ Elements of a module are coset representatives: length-``gens`` integer
 tuples modulo the column span of the relations (plus n Z^g over Z/n).
 Canonical representatives come from the Smith normal form of the relation
 lattice, which also yields the invariant-factor fingerprint used for all
-isomorphism tests.
+isomorphism tests.  Whether elements are zero is read from the left
+transform U and the pivots alone (``FpModule.columns_vanish``), which
+decides map equality, zero maps, monos and well-definedness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, UnsupportedRingError, ValidationError
@@ -135,33 +138,67 @@ class FpModule:
     # -- coset arithmetic ---------------------------------------------------
 
     def _smith_data(self):
-        """(U, U^{-1}, diag) describing the relation lattice in Smith
-        coordinates; diag holds the pivots of the relations, one per
-        generator: 0 for free directions over Z, divisors of n (n itself
-        for unconstrained generators) over residue rings."""
+        """(U, diag) describing the relation lattice in Smith coordinates:
+        U is the left transform of the Smith form of the relations, and
+        diag holds its pivots, one per generator: 0 for free directions
+        over Z, divisors of n (n itself for unconstrained generators) over
+        residue rings.  Membership reads only these; U^{-1}, a second
+        Smith form, is taken by ``_smith_inverse`` when a representative
+        is asked for."""
         if "smith" not in self._cache:
             form = snf(self.relations)
-            self._cache["smith"] = (form.U, inverse(form.U), form.pivots(self.gens))
+            self._cache["smith"] = (form.U, form.pivots(self.gens))
         return self._cache["smith"]
+
+    def _smith_inverse(self) -> Matrix:
+        """U^{-1} for the U of ``_smith_data``."""
+        if "uinv" not in self._cache:
+            self._cache["uinv"] = inverse(self._smith_data()[0])
+        return self._cache["uinv"]
+
+    def columns_vanish(self, A: Matrix) -> bool:
+        """Whether every column of A (generator coordinates) is zero in
+        the module, i.e. lies in the relation span.
+
+        With U R V = D the Smith form of the relations R and d_i its
+        pivots, v lies in the span exactly when (U v)_i = 0 mod d_i for
+        every i: mod n where the pivot is zero over Z/n, exactly where it
+        is zero over Z, and always where d_i = 1.  Each row of U meets
+        every column of A once; the first failure returns False.
+        """
+        if A.ring != self.ring or A.rows != self.gens:
+            raise DimensionMismatchError(
+                f"columns must have {self.gens} entries over {self.ring}")
+        U, diag = self._smith_data()
+        cols = list(zip(*A.entries))
+        for urow, d in zip(U.entries, diag):
+            if d == 1:
+                continue
+            for col in cols:
+                x = sum(map(mul, urow, col))
+                if x % d if d else x:
+                    return False
+        return True
 
     def canonical_element(self, v: Sequence[int]) -> tuple:
         """Canonical coset representative of a generator-coordinate vector."""
         if len(v) != self.gens:
             raise DimensionMismatchError("element length mismatch")
-        U, Uinv, diag = self._smith_data()
+        U, diag = self._smith_data()
         u = U.apply([int(x) for x in v])
         red = [ui % d if d != 0 else ui for ui, d in zip(u, diag)]
-        out = Uinv.apply(red)
+        out = self._smith_inverse().apply(red)
         return tuple(self.ring.normalize(x) for x in out)
 
     def element_is_zero(self, v) -> bool:
-        return all(x == 0 for x in self.canonical_element(v))
+        return self.columns_vanish(Matrix.column(self.ring, list(v)))
 
     def elements(self):
         """All coset representatives in canonical order.  Finite modules only."""
-        U, Uinv, diag = self._smith_data()
+        _, diag = self._smith_data()
         if any(d == 0 for d in diag):
             raise UnsupportedRingError("cannot enumerate an infinite module")
+        Uinv = self._smith_inverse()
         for combo in product(*[range(d) for d in diag]):
             out = Uinv.apply(list(combo))
             yield tuple(self.ring.normalize(x) for x in out)
@@ -176,7 +213,7 @@ class FpModule:
         """
         if "canon" in self._cache:
             return self._cache["canon"]
-        U, Uinv, diag = self._smith_data()
+        U, diag = self._smith_data()
         survive = [i for i, d in enumerate(diag) if d != 1]
         facs = [diag[i] for i in survive]
         canon = FpModule(
@@ -185,7 +222,7 @@ class FpModule:
             Matrix.diagonal(self.ring, len(survive), len(survive), facs),
         )
         to_m = U.submatrix(survive, range(self.gens))
-        fro_m = Uinv.submatrix(range(self.gens), survive)
+        fro_m = self._smith_inverse().submatrix(range(self.gens), survive)
         to = ModuleMap(self, canon, to_m)
         fro = ModuleMap(canon, self, fro_m)
         _certify(to.compose(fro).is_identity() and fro.compose(to).is_identity(),
@@ -204,7 +241,7 @@ class ModuleMap:
             )
         if source.ring != target.ring or matrix.ring != source.ring:
             raise DimensionMismatchError("module map ring mismatch")
-        if check and not _carries_relations(source, target, matrix):
+        if check and not target.columns_vanish(matrix * source.relations):
             raise ValidationError("matrix does not carry source relations into target relations")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -250,10 +287,10 @@ class ModuleMap:
         if self.source != other.source or self.target != other.target:
             return False
         diff = self.matrix - other.matrix
-        return _columns_in_relspan(self.target, diff)
+        return self.target.columns_vanish(diff)
 
     def is_zero_map(self) -> bool:
-        return _columns_in_relspan(self.target, self.matrix)
+        return self.target.columns_vanish(self.matrix)
 
     def is_identity(self) -> bool:
         if self.source != self.target:
@@ -306,7 +343,7 @@ class ModuleMap:
 
     def is_mono(self) -> bool:
         K = self.kernel_gens()
-        return _columns_in_relspan(self.source, K)
+        return self.source.columns_vanish(K)
 
     def is_epi(self) -> bool:
         C, _ = self.cokernel()
@@ -325,18 +362,6 @@ class ModuleMap:
             raise ValidationError("map is not invertible")
         _certify(inv.compose(self).is_identity(), "ModuleMap.inverse: inv o f = id")
         return inv
-
-
-def _carries_relations(source: FpModule, target: FpModule, matrix: Matrix) -> bool:
-    moved = matrix * source.relations
-    return _columns_in_relspan(target, moved)
-
-
-def _columns_in_relspan(M: FpModule, cols: Matrix) -> bool:
-    for j in range(cols.cols):
-        if not M.element_is_zero(cols.col(j)):
-            return False
-    return True
 
 
 # -- submodules, quotients, subquotients ------------------------------------------

@@ -132,18 +132,13 @@ class QuiverRepModule:
             # which also forces n x = 0 compatibility for Z/n sources
             lifted = m.lift_to_integers()
             rel = Mv.relations.lift_to_integers()
-            moved = lifted * rel
-            for j in range(moved.cols):
-                if not Mw.element_is_zero(moved.col(j)):
-                    raise ValidationError(
-                        f"edge {e.name}: map does not kill source relations")
+            if not Mw.columns_vanish((lifted * rel).change_ring(Mw.ring)):
+                raise ValidationError(
+                    f"edge {e.name}: map does not kill source relations")
             src_ring = self.rep.ring_at(e.source)
-            if src_ring.modulus is not None:
-                scaled = lifted.scale(src_ring.modulus)
-                for j in range(scaled.cols):
-                    if not Mw.element_is_zero(scaled.col(j)):
-                        raise ValidationError(
-                            f"edge {e.name}: map is not linear over {src_ring}")
+            if src_ring.modulus is not None and not Mw.columns_vanish(
+                    lifted.scale(src_ring.modulus).change_ring(Mw.ring)):
+                raise ValidationError(f"edge {e.name}: map is not linear over {src_ring}")
 
     def module_at(self, v: str) -> FpModule:
         return self.vertex_modules[v]
@@ -271,7 +266,7 @@ def quiver_kaplansky_witness(M: QuiverRepModule, seeds: Dict[str, Matrix],
 
     gens = {v: seeds.get(v, Matrix.zero(rep.ring_at(v), M.module_at(v).gens, 0))
             for v in rep.vertices}
-    if all(_all_zero(M.module_at(v), gens[v]) for v in rep.vertices):
+    if all(M.module_at(v).columns_vanish(gens[v]) for v in rep.vertices):
         for v in rep.vertices:
             Mv = M.module_at(v)
             if not Mv.is_zero_module():
@@ -310,10 +305,6 @@ def quiver_kaplansky_witness(M: QuiverRepModule, seeds: Dict[str, Matrix],
             quot = quotient_rep_module(M, gens)
             return QuiverWitness(sub, quot, dict(gens), rep_cardinality(sub))
     raise BudgetExceededError("quiver witness search exceeded its budget")
-
-
-def _all_zero(M: FpModule, gens: Matrix) -> bool:
-    return all(M.element_is_zero(gens.col(j)) for j in range(gens.cols))
 
 
 def _edge_closure(M: QuiverRepModule, gens: Dict[str, Matrix]):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .complexes import ChainComplex, ChainMap, chain_hom_module
+from .complexes import ChainComplex, ChainMap, chain_hom_gens
+from .errors import UnsupportedRingError
 from .matrix import Matrix
 from .modules import FpModule, ModuleMap, ShortExactSeq, submodule
 from .rings import Ring
@@ -79,7 +80,7 @@ class DeterministicSampler:
     def chain_map(self, X: ChainComplex, Y: ChainComplex) -> ChainMap:
         """A random element of the chain-map module."""
         ring = X.ring
-        H, gens = chain_hom_module(X, Y)
+        gens = chain_hom_gens(X, Y)
         if not gens:
             return ChainMap.zero_map(X, Y)
         hi = 3 if ring.modulus is None else ring.modulus - 1
@@ -96,7 +97,8 @@ class DeterministicSampler:
                      max_size: Optional[int] = 36) -> FpModule:
         """A random finitely presented module, resampled until its
         element count fits the bound."""
-        assert ring.is_finite
+        if not ring.is_finite:
+            raise UnsupportedRingError(f"cannot sample bounded-size modules over {ring}")
         for _ in range(64):
             g = self.rng.randint(1, max_gens)
             r = self.rng.randint(0, max_gens)

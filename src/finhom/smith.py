@@ -12,13 +12,13 @@ with arbitrary precision; its pivot is the entry of smallest nonzero
 absolute value, ties broken by row then column order.  Over Z/n and F_p,
 ``_snf_modular`` eliminates over the local parts Z/p^k of n with all
 arithmetic reduced, so entries never grow; its pivot is the first entry,
-in row-major order, of least p-valuation.  Its systems are large and
-sparse, so its work follows the nonzero entries: the pivot search skips
-zeros, and each elimination pass updates only the positions where the
-pivot row (of A and U) or the pivot column (of V) is nonzero.  The CRT
-join of the parts runs only when n has two or more prime factors, and
-U, D and V, whose entries are already reduced, are built by the trusted
-``Matrix._reduced``.
+in row-major order, of least p-valuation.  The systems of both are
+large and sparse, so their work follows the nonzero entries: the pivot
+search skips zeros, and each elimination pass updates only the positions
+where the pivot row (of A and U) or the pivot column (of V, and over Z
+of A) is nonzero.  The CRT join of the parts runs only when n has two or
+more prime factors, and U, D and V, whose entries are already reduced,
+are built by the trusted ``Matrix._reduced``.
 
 One rule reads the diagonal everywhere (``SmithForm.pivots``): a zero or
 missing pivot counts as n over Z/n, and as 0 over Z.
@@ -32,9 +32,9 @@ from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 
-from .errors import DimensionMismatchError, PreconditionFailedError
+from .errors import DimensionMismatchError, PreconditionFailedError, ValidationError
 from .matrix import Matrix
-from .rings import Integers, Ring
+from .rings import Ring
 
 
 @dataclass(frozen=True)
@@ -67,116 +67,131 @@ class SmithForm:
 def _snf_integer(A: Matrix) -> SmithForm:
     """Smith normal form over Z by elementary row/column operations.
 
-    Matrices are immutable values, so forms are memoized; the linear
-    solvers below hit the same system matrix over and over."""
+    The pivot is the entry of least nonzero absolute value in the
+    trailing block, ties broken by row, then column.  It clears its
+    column by row operations and its row by column operations; a nonzero
+    remainder takes over as pivot and the passes run again, and a pivot
+    that does not divide the rest of the block has the first offending
+    row added to its own.  The work follows the nonzero entries, as in
+    ``_snf_modular``: the pivot search skips zeros and stops at the first
+    entry of absolute value 1, a row pass reads the nonzero entries of
+    the pivot rows of A and U once, a column pass updates only the rows
+    with a nonzero in the pivot column (rows above the pivot are zero in
+    every column from it on) and the nonzero positions of the pivot
+    column of V, which is kept as its columns, and the offender scan is
+    skipped for a unit pivot.  The order of operations, and so U, D and
+    V, is that of the dense elimination kept as the reference in the
+    tests.
+
+    Entries grow without bound (no size reduction of U and V).  Matrices
+    are immutable values, so forms are memoized; the linear solvers hit
+    the same system matrix over and over."""
     rows, cols = A.rows, A.cols
     a = [list(r) for r in A.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = [[0] * rows for _ in range(rows)]
+    for i, r in enumerate(u):
+        r[i] = 1
+    vt = [[0] * cols for _ in range(cols)]  # columns of V
+    for j, r in enumerate(vt):
+        r[j] = 1
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        ad, as_ = a[dst], a[src]
-        for k in range(cols):
-            ad[k] += c * as_[k]
-        ud, us = u[dst], u[src]
-        for k in range(rows):
-            ud[k] += c * us[k]
-
-    def add_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(t):
-        best = None
+    for t in range(min(rows, cols)):
+        best, pi, pj = 0, -1, -1
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(best[0])):
-                    best = (x, i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        found = find_pivot(t)
-        if found is None:
+            row = a[i]
+            for j in compress(range(t, cols), row[t:]):
+                x = abs(row[j])
+                if x < best or not best:
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if pi < 0:
             break
-        _, pi, pj = found
-        if pi != t:
-            swap_rows(t, pi)
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(t, pj)
+            for r in a[t:]:
+                r[t], r[pj] = r[pj], r[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
 
         while True:
-            # clear column t below the pivot
+            # clear column t below the pivot; a nonzero remainder lies
+            # strictly between 0 and the (positive) pivot and takes its place
             dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        # remainder smaller than pivot: promote it
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
+            below = list(compress(range(t + 1, rows), map(itemgetter(t), a[t + 1:])))
+            if below:
+                at, ut = a[t], u[t]
+                arow = [(k, at[k]) for k in compress(range(t, cols), at[t:])]
+                urow = [(k, ut[k]) for k in compress(range(rows), ut)]
+                for i in below:
+                    ai, ui = a[i], u[i]
+                    q = ai[t] // a[t][t]
+                    for k, y in arow:
+                        ai[k] -= q * y
+                    for k, y in urow:
+                        ui[k] -= q * y
+                    if ai[t]:
+                        a[t], a[i] = ai, a[t]
+                        u[t], u[i] = ui, u[t]
+                        arow = [(k, ai[k]) for k in compress(range(t, cols), ai[t:])]
+                        urow = [(k, ui[k]) for k in compress(range(rows), ui)]
                         dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
+                if dirty:
+                    continue
+            # clear row t right of the pivot; column t is zero below it
+            # until a remainder is swapped in
+            at = a[t]
+            right = list(compress(range(t + 1, cols), at[t + 1:]))
+            if right:
+                colrows = [at]
+                vtt = vt[t]
+                vcol = [(k, vtt[k]) for k in compress(range(cols), vtt)]
+                for j in right:
+                    q = at[j] // at[t]
+                    for r in colrows:
+                        r[j] -= q * r[t]
+                    vj = vt[j]
+                    for k, y in vcol:
+                        vj[k] -= q * y
+                    if at[j]:
+                        for r in a[t:]:
+                            r[t], r[j] = r[j], r[t]
+                        vt[t], vt[j] = vj, vt[t]
+                        colrows = [r for r in a[t:] if r[t]]
+                        vcol = [(k, vj[k]) for k in compress(range(cols), vj)]
                         dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block; if not, fold the
-            # offending row into row t and run the reduction again
-            offender = None
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                if dirty:
+                    continue
+            # the pivot must divide the rest of the block; if not, fold
+            # the first offending row into row t and run the passes again
+            p = at[t]
+            if p == 1:
+                break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in filter(None, a[i][t + 1:]))), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
-        t += 1
+            ao, uo, ut = a[offender], u[offender], u[t]
+            for k in compress(range(t + 1, cols), ao[t + 1:]):
+                at[k] += ao[k]
+            for k in compress(range(rows), uo):
+                ut[k] += uo[k]
 
-    # final pass: the block pivots already divide each other by
-    # construction, but assert the chain and positivity defensively
     diag = [a[i][i] for i in range(min(rows, cols))]
-    for i in range(len(diag) - 1):
-        if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-            raise AssertionError("smith normal form divisibility chain broken")
-
-    zz = Integers()
+    for x, y in zip(diag, diag[1:]):
+        if x and y % x:
+            raise ValidationError(
+                "certificate failed: _snf_integer: the diagonal is a divisor chain")
+    zz = A.ring
     return SmithForm(
-        U=Matrix(zz, rows, rows, u),
-        D=Matrix(zz, rows, cols, a),
-        V=Matrix(zz, cols, cols, v),
+        U=Matrix._reduced(zz, rows, rows, tuple(map(tuple, u))),
+        D=Matrix._reduced(zz, rows, cols, tuple(map(tuple, a))),
+        V=Matrix._reduced(zz, cols, cols, tuple(zip(*vt))),
     )
 
 

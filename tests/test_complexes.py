@@ -7,6 +7,7 @@ from finhom.complexes import (
     ChainComplex,
     ChainMap,
     boundaries,
+    chain_hom_gens,
     chain_hom_module,
     cone,
     cycles,
@@ -28,6 +29,7 @@ from finhom.complexes import (
 )
 from finhom.functors import ext_n, tensor_modules
 from finhom.modules import FpModule, ModuleMap
+from finhom.sampling import DeterministicSampler
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -274,6 +276,14 @@ def test_chain_hom_module_disk():
     S = sphere(0, zmod(2))
     H2, gens2 = chain_hom_module(S, S)
     assert H2.invariant_factors() == (2,)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z4, PrimeField(3)], ids=str)
+def test_chain_hom_gens_are_the_module_generators(ring):
+    sampler = DeterministicSampler(5)
+    for _ in range(8):
+        X, Y = sampler.free_complex(ring), sampler.free_complex(ring)
+        assert chain_hom_gens(X, Y) == chain_hom_module(X, Y)[1]
 
 
 def test_ext1_complexes_examples():

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField, kaplansky, model, modules
+from finhom import (Integers, IntegersModN, Matrix, PrimeField, complexes, functors, kaplansky,
+                    model, modules, sampling)
 from finhom.errors import ValidationError
 from finhom.modules import (
     FpModule,
@@ -52,6 +53,32 @@ def test_element_canonical_forms_mod6():
     assert len(seen) == 2
     assert M.size() == 2
     assert sorted(M.elements()) == sorted(seen)
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(1), Z4, IntegersModN(12), IntegersModN(30),
+                                  PrimeField(3)], ids=str)
+def test_columns_vanish_matches_canonical_elements(ring):
+    rng = random.Random(f"columns-vanish-{ring}")
+    n = ring.modulus
+
+    def entry():
+        return rng.randint(-3, 3) if n is None else rng.randrange(n)
+
+    def random_matrix(r, c):
+        return Matrix(ring, r, c, [[entry() for _ in range(c)] for _ in range(r)])
+
+    for _ in range(80):
+        g, r, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        M = FpModule.cokernel_presentation(random_matrix(g, r))
+        # some columns from the relation span, some random
+        A = (M.relations * random_matrix(r, k) if rng.random() < 0.5
+             else random_matrix(g, k))
+        if k and rng.random() < 0.3:
+            A = A.hstack(random_matrix(g, 1))
+        per_column = all(not any(M.canonical_element(col)) for col in A.columns())
+        assert M.columns_vanish(A) == per_column
+        for col in A.columns():
+            assert M.element_is_zero(col) == (not any(M.canonical_element(col)))
 
 
 def test_module_map_validation():
@@ -186,8 +213,9 @@ def test_element_in_submodule():
     assert element_in_submodule(M, gens, [1, 0]) is None
 
 
-@pytest.mark.parametrize("module", [modules, kaplansky, model],
-                         ids=["modules", "kaplansky", "model"])
+@pytest.mark.parametrize("module", [modules, kaplansky, model, complexes, functors, sampling],
+                         ids=["modules", "kaplansky", "model", "complexes", "functors",
+                              "sampling"])
 def test_module_certificates_are_not_asserts(module):
     # bare asserts vanish under python -O; certificates must not
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
@@ -197,7 +225,7 @@ def test_module_certificates_are_not_asserts(module):
 CERTIFICATES_UNDER_O = """
 import sys
 from finhom import Integers, Matrix
-from finhom.complexes import ChainComplex, ChainMap, disk
+from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover
 from finhom.errors import ValidationError
 from finhom.kaplansky import disk_cell, grow_cell_chain
 from finhom.modules import FpModule, ModuleMap
@@ -221,6 +249,9 @@ expect_certificate("cell-chain", lambda: grow_cell_chain(f, one_cell))
 # an inverse whose certificate is forced to fail
 ModuleMap.is_identity = lambda self: False
 expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
+# a disk cover whose epi certificate is forced to fail
+ChainMap.is_epi = lambda self: False
+expect_certificate("disk-cover", lambda: disk_cover(disk(1, R1)))
 """
 
 
@@ -234,6 +265,7 @@ def test_certificates_survive_python_O():
     assert lines[1].startswith(
         "cell-chain certificate failed: grow_cell_chain: the stages exhaust the target")
     assert lines[2].startswith("inverse certificate failed: ModuleMap.inverse")
+    assert lines[3].startswith("disk-cover certificate failed: disk_cover")
 
 
 def test_failed_certificate_raises_validation_error(monkeypatch):

@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField, kernel_basis, snf, solve_linear
 from finhom.errors import PreconditionFailedError
-from finhom.smith import _snf_modular, invariant_factors_of, inverse
+from finhom.smith import _snf_integer, _snf_modular, invariant_factors_of, inverse
 
 ZZ = Integers()
 
@@ -342,6 +342,138 @@ def test_snf_modular_matches_dense_reference_on_sparse_systems():
         A = Matrix(Z4, r, c, [[rng.randrange(1, 4) if rng.random() < density else 0
                                for _ in range(c)] for _ in range(r)])
         assert_matches_dense(A)
+
+
+def dense_snf_integer(A):
+    """The dense elimination ``_snf_integer`` replaced, kept as the
+    reference: the pivot search scans the whole trailing block, and every
+    pass and the offender scan walk every entry.  Returns (U, D, V)."""
+    rows, cols = A.rows, A.cols
+    a = [list(r) for r in A.entries]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, c):
+        ad, as_ = a[dst], a[src]
+        for k in range(cols):
+            ad[k] += c * as_[k]
+        ud, us = u[dst], u[src]
+        for k in range(rows):
+            ud[k] += c * us[k]
+
+    def add_col(dst, src, c):
+        for r in a:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(best[0])):
+                    best = (x, i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        found = find_pivot(t)
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if a[t][t] < 0:
+            negate_row(t)
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        if a[t][t] < 0:
+                            negate_row(t)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+    return (Matrix(ZZ, rows, rows, u), Matrix(ZZ, rows, cols, a), Matrix(ZZ, cols, cols, v))
+
+
+def assert_integer_matches_dense(A):
+    form = _snf_integer(A)
+    for got, want in zip((form.U, form.D, form.V), dense_snf_integer(A)):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.entries == want.entries, A.entries
+
+
+def test_snf_integer_matches_dense_reference():
+    rng = random.Random("smith-reference-integer")
+    # a row remainder swap, a column remainder swap, an offender row, and
+    # a non-unit pivot that divides the rest of its block
+    fixed = [[[2], [3]], [[2, 3]], [[2, 0], [0, 3]], [[4, 6], [6, 4]], [[2, 4], [4, 0]],
+             [[0, -6, 0], [0, 0, 10], [15, 0, 0]], [[-3, 5], [7, -2], [4, 4]]]
+    for rows in fixed:
+        assert_integer_matches_dense(Matrix.from_rows(ZZ, rows))
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(300)]
+    for r, c in shapes:
+        density = rng.choice((0.05, 0.1, 0.25, 0.5, 1))
+        # dense blocks keep small entries: U and V grow fast (ROADMAP item 2)
+        spread = 12 if density < 0.3 or r * c <= 16 else 2
+        A = Matrix(ZZ, r, c, [[rng.randint(-spread, spread) if rng.random() < density else 0
+                               for _ in range(c)] for _ in range(r)])
+        assert_integer_matches_dense(A)
+
+
+def test_snf_integer_matches_dense_reference_on_sparse_systems():
+    # shaped like the solver systems of the flat model structure over Z
+    rng = random.Random("smith-reference-integer-sparse")
+    for _ in range(10):
+        r, c = rng.randint(20, 40), rng.randint(10, 30)
+        A = Matrix(ZZ, r, c, [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.08 else 0
+                               for _ in range(c)] for _ in range(r)])
+        assert_integer_matches_dense(A)
 
 
 @pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)], ids=str)
