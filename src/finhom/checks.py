@@ -24,7 +24,6 @@ sampled cofibrations being a cofibration (trivial when a factor is).
 from __future__ import annotations
 
 import time
-from typing import List
 
 from .complexes import (
     ChainComplex,
@@ -33,8 +32,8 @@ from .complexes import (
     tensor_complexes,
 )
 from .cotorsion import DG_F_LEFT, FTILDE, complex_class_member
-from .errors import PreconditionFailedError
-from .functors import is_flat, tensor_modules
+from .errors import PreconditionFailedError, ValidationError
+from .functors import is_flat, tensor_maps, tensor_modules
 from .matrix import Matrix
 from .model import (
     COF_THEN_TRIVFIB,
@@ -115,7 +114,6 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
         report.add(tag, not bad,
                    "" if not bad else f"retract lost flags {bad}")
 
-    lift_failures: List[str] = []
     for k, f in enumerate(factor_inputs):
         tag = f"mc4lift-{k:0{width}d}"
         try:
@@ -163,7 +161,6 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
             report.add(tag, False, f"{type(exc).__name__}: {exc}")
 
     report.wall_time = time.monotonic() - start
-    del lift_failures
     return report
 
 
@@ -188,7 +185,7 @@ def check_monoidal(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
         witness = ""
         try:
             ok = is_flat(M)
-        except AssertionError as exc:
+        except ValidationError as exc:  # a failed certificate is a violation
             witness = str(exc)
         if not ok and not witness:
             witness = f"{M!r} is not flat"
@@ -228,7 +225,7 @@ def check_monoidal(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
             comp = c.component_at(n)
             for d in divisors:
                 cyc = FpModule.cyclic(ring, d)
-                t = _tensor_module_map(comp, cyc)
+                t = tensor_maps(comp, ModuleMap.identity(cyc))
                 if not t.is_mono():
                     bad = f"degree {n} not pure against R/({d})"
                     break
@@ -282,9 +279,3 @@ def check_monoidal(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
     report.wall_time = time.monotonic() - start
     return report
 
-
-def _tensor_module_map(f: ModuleMap, M: FpModule) -> ModuleMap:
-    src = tensor_modules(f.source, M)
-    tgt = tensor_modules(f.target, M)
-    return ModuleMap(src, tgt, f.matrix.kronecker(Matrix.identity(M.ring, M.gens)),
-                     check=False)

@@ -11,6 +11,14 @@ cokernels of chain maps) this module provides the mapping cone and
 cylinder, disk covers, the module of chain maps between two complexes,
 null-homotopy solving, and Ext^1 of complexes via resolutions by disks
 on free modules (projective objects of the bounded complex category).
+
+Both bifunctors are written out in one place each.  ``graded_map_solver``
+holds the equations h d - (-1)^k d h = rhs of a degree-k graded map;
+chain maps, null-homotopies and the lifts of ``model.solve_lifting``
+are its solutions.  ``_tensor_layout`` alone knows the order, offsets
+and widths of the pieces X_i ox Y_j of X ox Y; the differential, the
+tensor of chain maps and the symmetry and associativity isomorphisms
+place their blocks by it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .modules import (
     subquotient,
 )
 from .rings import Ring
-from .smith import kernel_basis
+from .smith import kernel_basis, solve_linear
 
 
 @functools.cache
@@ -349,6 +357,49 @@ def homology_table(X: ChainComplex) -> dict:
 # -- tensor product -------------------------------------------------------------
 
 
+def _tensor_layout(X: ChainComplex, Y: ChainComplex):
+    """The block layout of X ox Y, the one place that knows it: for each
+    total degree k, ({(i, j): (offset, width)}, total width) over the
+    pieces X_i ox Y_j of degree k in increasing i.  A piece's generators
+    are the pairs (a, b) in row-major order, a*gens(Y_j) + b."""
+    layout = {}
+    for k in range(X.lo + Y.lo, X.hi + Y.hi + 1):
+        offs = {}
+        pos = 0
+        for i in X.support:
+            if (k - i) in Y.support:
+                w = X.module_at(i).gens * Y.module_at(k - i).gens
+                offs[(i, k - i)] = (pos, w)
+                pos += w
+        layout[k] = (offs, pos)
+    return layout
+
+
+def _place_blocks(ring: Ring, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols sum of the given blocks (row offset, column offset,
+    Matrix), each padded with zeros."""
+    data = [[0] * cols for _ in range(rows)]
+    for roff, coff, block in blocks:
+        for a, row in enumerate(block.entries):
+            out = data[roff + a]
+            for b, x in enumerate(row):
+                if x:
+                    out[coff + b] += x
+    return Matrix(ring, rows, cols, data)
+
+
+def _blockwise_chain_map(src: ChainComplex, tgt: ChainComplex, blocks_at) -> ChainMap:
+    """The chain map src -> tgt whose degree-k matrix is the sum of the
+    blocks ``blocks_at(k)`` yields, checked to commute with d."""
+    comps = {}
+    for k in src.support:
+        S, T = src.module_at(k), tgt.module_at(k)
+        if S.gens and T.gens:
+            comps[k] = ModuleMap(S, T, _place_blocks(src.ring, T.gens, S.gens, blocks_at(k)),
+                                 check=False)
+    return ChainMap(src, tgt, comps)
+
+
 def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     """Total complex of the double complex X_i ox Y_j with the Koszul
     sign: d(x ox y) = dx ox y + (-1)^i x ox dy."""
@@ -359,87 +410,35 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     ring = X.ring
     if X.is_zero_complex() or Y.is_zero_complex():
         return ChainComplex.zero(ring)
+    layout = _tensor_layout(X, Y)
+    objs = {k: FpModule.direct_sum(*[tensor_modules(X.module_at(i), Y.module_at(j))
+                                     for i, j in offs])
+            for k, (offs, _) in layout.items()}
 
-    pieces: Dict[int, list] = {}
-    for i in X.support:
-        for j in Y.support:
-            pieces.setdefault(i + j, []).append((i, j))
-    for k in pieces:
-        pieces[k].sort()
-
-    objs = {}
-    offsets = {}
-    for k, idx in sorted(pieces.items()):
-        mods = [tensor_modules(X.module_at(i), Y.module_at(j)) for i, j in idx]
-        offs = {}
-        pos = 0
-        for (i, j), m in zip(idx, mods):
-            offs[(i, j)] = (pos, m.gens)
-            pos += m.gens
-        objs[k] = FpModule.direct_sum(*mods) if mods else FpModule.zero(ring)
-        offsets[k] = offs
-
-    diffs = {}
-    for k in sorted(pieces):
-        if (k - 1) not in objs:
-            continue
-        src = objs[k]
-        tgt = objs[k - 1]
-        rowsm = [[0] * src.gens for _ in range(tgt.gens)]
-        for (i, j) in pieces[k]:
-            coff, cw = offsets[k][(i, j)]
-            # horizontal: d_X ox id into (i-1, j)
-            if (i - 1, j) in offsets.get(k - 1, {}):
-                roff, _ = offsets[k - 1][(i - 1, j)]
-                block = X.diff(i).matrix.kronecker(
+    def blocks(k):
+        below = layout[k - 1][0]
+        for (i, j), (coff, _) in layout[k][0].items():
+            if (i - 1, j) in below:
+                yield below[(i - 1, j)][0], coff, X.diff(i).matrix.kronecker(
                     Matrix.identity(ring, Y.module_at(j).gens))
-                for a in range(block.rows):
-                    for b in range(block.cols):
-                        rowsm[roff + a][coff + b] = ring.add(
-                            rowsm[roff + a][coff + b], block.entries[a][b])
-            # vertical: (-1)^i id ox d_Y into (i, j-1)
-            if (i, j - 1) in offsets.get(k - 1, {}):
-                roff, _ = offsets[k - 1][(i, j - 1)]
-                sign = -1 if i % 2 else 1
-                block = Matrix.identity(ring, X.module_at(i).gens).kronecker(
-                    Y.diff(j).matrix).scale(sign)
-                for a in range(block.rows):
-                    for b in range(block.cols):
-                        rowsm[roff + a][coff + b] = ring.add(
-                            rowsm[roff + a][coff + b], block.entries[a][b])
-        diffs[k] = ModuleMap(src, tgt, Matrix(ring, tgt.gens, src.gens, rowsm), check=False)
+            if (i, j - 1) in below:
+                yield below[(i, j - 1)][0], coff, Matrix.identity(
+                    ring, X.module_at(i).gens).kronecker(Y.diff(j).matrix).scale(
+                    -1 if i % 2 else 1)
 
+    diffs = {k: ModuleMap(objs[k], objs[k - 1],
+                          _place_blocks(ring, objs[k - 1].gens, objs[k].gens, blocks(k)),
+                          check=False)
+             for k in objs if (k - 1) in objs}
     return ChainComplex(ring, objs, diffs)
-
-
-def _tensor_layout(X: ChainComplex, Y: ChainComplex):
-    """Degreewise block layout of the tensor product: for each total
-    degree the ordered (i, j) pieces with offsets and widths."""
-    layout = {}
-    for k in range(X.lo + Y.lo, X.hi + Y.hi + 1):
-        idx = [(i, k - i) for i in X.support if (k - i) in Y.support]
-        offs = {}
-        pos = 0
-        for i, j in sorted(idx):
-            w = X.module_at(i).gens * Y.module_at(j).gens
-            offs[(i, j)] = (pos, w)
-            pos += w
-        layout[k] = (offs, pos)
-    return layout
 
 
 def tensor_unit_iso_complex(X: ChainComplex) -> ChainMap:
     """The canonical isomorphism S^0(R) ox X -> X."""
     ring = X.ring
-    unit = sphere(0, FpModule.free(ring, 1))
-    src = tensor_complexes(unit, X)
-    comps = {}
-    for n in X.support:
-        g = X.module_at(n).gens
-        if g and not src.module_at(n).is_zero_module():
-            comps[n] = ModuleMap(src.module_at(n), X.module_at(n),
-                                 Matrix.identity(ring, g), check=False)
-    out = ChainMap(src, unit if False else X, comps)
+    src = tensor_complexes(sphere(0, FpModule.free(ring, 1)), X)
+    out = _blockwise_chain_map(
+        src, X, lambda n: [(0, 0, Matrix.identity(ring, X.module_at(n).gens))])
     _certify(out.is_iso(), "tensor_unit_iso_complex: the unit map is an isomorphism")
     return out
 
@@ -449,29 +448,18 @@ def tensor_symmetry_iso(X: ChainComplex, Y: ChainComplex) -> ChainMap:
     the (i, j) piece; built explicitly and verified to be a chain map
     and an isomorphism."""
     ring = X.ring
-    src = tensor_complexes(X, Y)
-    tgt = tensor_complexes(Y, X)
     lsrc = _tensor_layout(X, Y)
     ltgt = _tensor_layout(Y, X)
-    comps = {}
-    for k in src.support:
-        offs_s, w_s = lsrc.get(k, ({}, 0))
-        offs_t, w_t = ltgt.get(k, ({}, 0))
-        if w_s == 0 or w_t == 0:
-            continue
-        rowsm = [[0] * w_s for _ in range(w_t)]
-        for (i, j), (coff, w) in offs_s.items():
-            roff, _ = offs_t[(j, i)]
-            sign = -1 if (i * j) % 2 else 1
-            gi = X.module_at(i).gens
-            gj = Y.module_at(j).gens
-            # transpose the generator pairs: (a, b) -> (b, a)
-            for a in range(gi):
-                for b in range(gj):
-                    rowsm[roff + b * gi + a][coff + a * gj + b] = ring.normalize(sign)
-        comps[k] = ModuleMap(src.module_at(k), tgt.module_at(k),
-                             Matrix(ring, w_t, w_s, rowsm), check=False)
-    out = ChainMap(src, tgt, comps)
+
+    def blocks(k):
+        for (i, j), (coff, w) in lsrc[k][0].items():
+            gi, gj = X.module_at(i).gens, Y.module_at(j).gens
+            # the generator pair (a, b) goes to (b, a)
+            swap = Matrix.identity(ring, w).submatrix(
+                range(w), [b * gi + a for a in range(gi) for b in range(gj)])
+            yield ltgt[k][0][(j, i)][0], coff, swap.scale(-1 if (i * j) % 2 else 1)
+
+    out = _blockwise_chain_map(tensor_complexes(X, Y), tensor_complexes(Y, X), blocks)
     _certify(out.is_iso(), "tensor_symmetry_iso: the braiding is an isomorphism")
     return out
 
@@ -480,82 +468,46 @@ def tensor_assoc_iso(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> Chain
     """The associator (X ox Y) ox Z -> X ox (Y ox Z): a block permutation
     with no signs, verified to be a chain isomorphism."""
     ring = X.ring
-    src = tensor_complexes(tensor_complexes(X, Y), Z)
-    tgt = tensor_complexes(X, tensor_complexes(Y, Z))
-    lxy = _tensor_layout(X, Y)
-    lyz = _tensor_layout(Y, Z)
-    lsrc = _tensor_layout(tensor_complexes(X, Y), Z)
-    ltgt = _tensor_layout(X, tensor_complexes(Y, Z))
-    comps = {}
-    for k in src.support:
-        offs_s, w_s = lsrc.get(k, ({}, 0))
-        offs_t, w_t = ltgt.get(k, ({}, 0))
-        if w_s == 0 or w_t == 0:
-            continue
-        rowsm = [[0] * w_s for _ in range(w_t)]
-        for (m, c), (coff0, _) in offs_s.items():
-            # the degree-m piece of X ox Y splits into (i, j) blocks
-            xy_offs, _ = lxy.get(m, ({}, 0))
+    XY, YZ = tensor_complexes(X, Y), tensor_complexes(Y, Z)
+    lxy, lyz = _tensor_layout(X, Y), _tensor_layout(Y, Z)
+    lsrc, ltgt = _tensor_layout(XY, Z), _tensor_layout(X, YZ)
+
+    def blocks(k):
+        # the piece X_i ox Y_j ox Z_c of (X ox Y)_m ox Z_c lands in
+        # X_i ox (Y ox Z)_{j+c} by id ox (inclusion of the piece Y_j ox Z_c);
+        # a zero module dropped from X ox Y or Y ox Z has no generators there
+        for (m, c), (coff, w) in lsrc[k][0].items():
+            if not w:
+                continue
             gc = Z.module_at(c).gens
-            for (i, j), (xyoff, xyw) in xy_offs.items():
-                yz_offs, _ = lyz.get(j + c, ({}, 0))
-                roff0, _ = offs_t[(i, j + c)]
-                yzoff, _ = yz_offs[(j, c)]
-                gi = X.module_at(i).gens
-                gj = Y.module_at(j).gens
-                gyz_total = tensor_complexes(Y, Z).module_at(j + c).gens
-                for a in range(gi):
-                    for b in range(gj):
-                        for cc in range(gc):
-                            col = coff0 + (xyoff + a * gj + b) * gc + cc
-                            row = roff0 + a * gyz_total + (yzoff + b * gc + cc)
-                            rowsm[row][col] = ring.one
-        comps[k] = ModuleMap(src.module_at(k), tgt.module_at(k),
-                             Matrix(ring, w_t, w_s, rowsm), check=False)
-    out = ChainMap(src, tgt, comps)
+            for (i, j), (xyoff, _) in lxy[m][0].items():
+                if not YZ.module_at(j + c).gens:
+                    continue
+                yzoff, gjc = lyz[j + c][0][(j, c)]
+                inclusion = _place_blocks(ring, YZ.module_at(j + c).gens, gjc,
+                                          [(yzoff, 0, Matrix.identity(ring, gjc))])
+                yield (ltgt[k][0][(i, j + c)][0], coff + xyoff * gc,
+                       Matrix.identity(ring, X.module_at(i).gens).kronecker(inclusion))
+
+    out = _blockwise_chain_map(tensor_complexes(XY, Z), tensor_complexes(X, YZ), blocks)
     _certify(out.is_iso(), "tensor_assoc_iso: the associator is an isomorphism")
     return out
 
 
 def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """f ox g for degree-zero chain maps (no sign corrections needed)."""
-    src = tensor_complexes(f.source, g.source)
-    tgt = tensor_complexes(f.target, g.target)
-    ring = f.ring
-    comps = {}
-    for k in src.support:
-        src_idx = [(i, k - i) for i in f.source.support
-                   if (k - i) in g.source.support]
-        tgt_idx = [(i, k - i) for i in f.target.support
-                   if (k - i) in g.target.support]
-        src_offs = {}
-        pos = 0
-        for i, j in sorted(src_idx):
-            w = f.source.module_at(i).gens * g.source.module_at(j).gens
-            src_offs[(i, j)] = (pos, w)
-            pos += w
-        src_w = pos
-        tgt_offs = {}
-        pos = 0
-        for i, j in sorted(tgt_idx):
-            w = f.target.module_at(i).gens * g.target.module_at(j).gens
-            tgt_offs[(i, j)] = (pos, w)
-            pos += w
-        tgt_w = pos
-        if src_w == 0 or tgt_w == 0:
-            continue
-        rowsm = [[0] * src_w for _ in range(tgt_w)]
-        for (i, j), (coff, _) in src_offs.items():
-            if (i, j) not in tgt_offs:
-                continue
-            roff, _ = tgt_offs[(i, j)]
-            block = f.component_at(i).matrix.kronecker(g.component_at(j).matrix)
-            for a in range(block.rows):
-                for b in range(block.cols):
-                    rowsm[roff + a][coff + b] = block.entries[a][b]
-        comps[k] = ModuleMap(src.module_at(k), tgt.module_at(k),
-                             Matrix(ring, tgt_w, src_w, rowsm), check=False)
-    return ChainMap(src, tgt, comps)
+    lsrc = _tensor_layout(f.source, g.source)
+    ltgt = _tensor_layout(f.target, g.target)
+
+    def blocks(k):
+        tgt_offs = ltgt.get(k, ({}, 0))[0]
+        for (i, j), (coff, _) in lsrc[k][0].items():
+            if (i, j) in tgt_offs:
+                yield (tgt_offs[(i, j)][0], coff,
+                       f.component_at(i).matrix.kronecker(g.component_at(j).matrix))
+
+    return _blockwise_chain_map(tensor_complexes(f.source, g.source),
+                                tensor_complexes(f.target, g.target), blocks)
 
 
 # -- cones, cylinders ---------------------------------------------------------------
@@ -614,10 +566,10 @@ def cylinder(f: ChainMap) -> CylinderData:
         if (n - 1) not in objs:
             continue
         xn, xm1, yn = X.module_at(n), X.module_at(n - 1), Y.module_at(n)
-        xm1t, xm2, ym1 = X.module_at(n - 1), X.module_at(n - 2), Y.module_at(n - 1)
+        xm2, ym1 = X.module_at(n - 2), Y.module_at(n - 1)
         row1 = X.diff(n).matrix.hstack(
-            _neg_identity_block(ring, xm1t.gens, xm1.gens)).hstack(
-            Matrix.zero(ring, xm1t.gens, yn.gens))
+            Matrix.identity(ring, xm1.gens).scale(-1)).hstack(
+            Matrix.zero(ring, xm1.gens, yn.gens))
         row2 = Matrix.zero(ring, xm2.gens, xn.gens).hstack(
             X.diff(n - 1).matrix.scale(-1)).hstack(Matrix.zero(ring, xm2.gens, yn.gens))
         row3 = Matrix.zero(ring, ym1.gens, xn.gens).hstack(
@@ -644,15 +596,6 @@ def cylinder(f: ChainMap) -> CylinderData:
     front = ChainMap(X, cyl, front_comps)
     proj = ChainMap(cyl, Y, proj_comps)
     return CylinderData(cyl, front, proj)
-
-
-def _neg_identity_block(ring, rows, cols):
-    m = Matrix.zero(ring, rows, cols)
-    if rows == cols:
-        m = Matrix.identity(ring, rows).scale(-1)
-    elif rows and cols:
-        raise DimensionMismatchError("identity block must be square")
-    return m
 
 
 # -- subcomplexes ----------------------------------------------------------------
@@ -850,68 +793,75 @@ class Homotopy:
                 raise ValidationError(f"homotopy identity fails at degree {n}")
 
 
-def is_null_homotopic(f: ChainMap) -> Optional[Homotopy]:
-    """A verified homotopy witnessing f ~ 0, or None."""
-    X, Y = f.source, f.target
-    ring = f.ring
+def graded_map_solver(X: ChainComplex, Y: ChainComplex, degree: int,
+                      rhs: Optional[ChainMap] = None):
+    """The equations of a graded map h of the given degree from X to Y.
+
+    Returns (solver, handles): one unknown map h_n: X_n -> Y_{n+degree}
+    per degree n of X where both modules are nonzero, and for every n the
+    equation  h_{n-1} d_n - (-1)^degree d h_n = rhs_n  into
+    Y_{n-1+degree}, modulo Y's relations.  With degree 0 and no rhs the
+    solutions are the chain maps; with degree 1 and rhs a chain map f
+    they are the homotopies s with d s + s d = f.  Callers may add
+    further equations before solving.
+    """
+    ring = X.ring
     solver = MatrixEquationSolver(ring)
     handles = {}
-    for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 1):
-        if X.module_at(n).gens and Y.module_at(n + 1).gens:
-            handles[n] = solver.add_unknown_map(X.module_at(n), Y.module_at(n + 1))
-    for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1):
-        if X.module_at(n).gens == 0 or Y.module_at(n).gens == 0:
-            continue  # the identity holds trivially into or out of zero
-        fx = f.component_at(n)
+    for n in X.support:
+        if X.module_at(n).gens and Y.module_at(n + degree).gens:
+            handles[n] = solver.add_unknown_map(X.module_at(n), Y.module_at(n + degree))
+    sign = -1 if degree % 2 == 0 else 1
+    for n in X.support:
+        src, tgt = X.module_at(n), Y.module_at(n - 1 + degree)
+        if src.gens == 0 or tgt.gens == 0:
+            continue  # the equation holds trivially into or out of zero
         terms = []
-        if n in handles:
-            terms.append((1, Y.diff(n + 1).matrix, handles[n], None))
         if (n - 1) in handles:
             terms.append((1, None, handles[n - 1], X.diff(n).matrix))
-        if not terms:
-            if not fx.is_zero_map():
-                return None
-            continue
-        solver.add_equation(terms, fx.matrix, mod_relations=fx.target.relations)
+        if n in handles:
+            terms.append((sign, Y.diff(n + degree).matrix, handles[n], None))
+        if rhs is None:
+            if terms:
+                solver.add_equation(terms, Matrix.zero(ring, tgt.gens, src.gens),
+                                    mod_relations=tgt.relations)
+        elif terms or not rhs.component_at(n).is_zero_map():
+            # with no unknowns, a nonzero rhs leaves the system unsolvable
+            solver.add_equation(terms, rhs.component_at(n).matrix,
+                                mod_relations=tgt.relations)
+    return solver, handles
+
+
+def is_null_homotopic(f: ChainMap) -> Optional[Homotopy]:
+    """A verified homotopy witnessing f ~ 0, or None."""
+    solver, handles = graded_map_solver(f.source, f.target, 1, rhs=f)
     sol = solver.solve()
     if sol is None:
         return None
-    maps = {n: sol[h] for n, h in handles.items()}
-    return Homotopy(f, maps)
+    return Homotopy(f, {n: sol[h] for n, h in handles.items()})
 
 
 def chain_hom_gens(X: ChainComplex, Y: ChainComplex) -> list:
     """ChainMaps generating the module of chain maps X -> Y as an
     R-module: the solution basis of the commuting squares, zero maps
     dropped.  ``chain_hom_module`` presents the module they generate."""
-    ring = X.ring
-    solver = MatrixEquationSolver(ring)
-    handles = {}
-    for n in X.support:
-        if X.module_at(n).gens and Y.module_at(n).gens:
-            handles[n] = solver.add_unknown_map(X.module_at(n), Y.module_at(n))
-    for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 2):
-        # commuting square ending in Y_{n-1}
-        tgt = Y.module_at(n - 1)
-        if tgt.gens == 0:
-            continue
-        terms = []
-        if (n - 1) in handles:
-            terms.append((1, None, handles[n - 1], X.diff(n).matrix))
-        if n in handles:
-            terms.append((-1, Y.diff(n).matrix, handles[n], None))
-        if not terms:
-            continue
-        src_gens = X.module_at(n).gens
-        if src_gens == 0:
-            continue
-        solver.add_equation(terms, Matrix.zero(ring, tgt.gens, src_gens),
-                            mod_relations=tgt.relations)
-    gens = []
-    for b in solver.solution_basis():
-        comps = {n: b[h] for n, h in handles.items()}
-        gens.append(ChainMap(X, Y, comps, check=False))
+    solver, handles = graded_map_solver(X, Y, 0)
+    gens = [ChainMap(X, Y, {n: b[h] for n, h in handles.items()}, check=False)
+            for b in solver.solution_basis()]
     return [g for g in gens if not g.is_zero_map()]
+
+
+def _combination_system(gens, X: ChainComplex, Y: ChainComplex, degrees) -> Matrix:
+    """[vec(gens) | relations] over the given degrees: a vector in its
+    kernel gives coefficients whose combination of the chain maps gens
+    X -> Y is zero, with the multiples of Y's relations that show it."""
+    ring = X.ring
+    cols = [Matrix.column(ring, [x for n in degrees for x in g.component_at(n).matrix.vec()])
+            for g in gens]
+    relations = [Y.module_at(n).relations for n in degrees
+                 for _ in range(X.module_at(n).gens)]
+    return Matrix.hstack_all(ring, cols[0].rows, cols).hstack(
+        Matrix.block_diagonal(ring, relations))
 
 
 def chain_hom_module(X: ChainComplex, Y: ChainComplex):
@@ -925,28 +875,8 @@ def chain_hom_module(X: ChainComplex, Y: ChainComplex):
     gens = chain_hom_gens(X, Y)
     if not gens:
         return FpModule.zero(ring), []
-    # presentation: relations are coefficient vectors giving the zero map
-    degrees = [n for n in X.support if X.module_at(n).gens and Y.module_at(n).gens]
-    cols = []
-    for g in gens:
-        cols.append(Matrix.column(ring, list(_stack_components(g, degrees))))
-    vecs = Matrix.hstack_all(ring, cols[0].rows, cols)
-    relblocks = []
-    for n in degrees:
-        relblocks.append(Matrix.block_diagonal(
-            ring, [Y.module_at(n).relations] * X.module_at(n).gens))
-    relblock = Matrix.block_diagonal(ring, relblocks) if relblocks else \
-        Matrix.zero(ring, vecs.rows, 0)
-    K = kernel_basis(vecs.hstack(relblock))
-    rel = K.submatrix(range(len(gens)), range(K.cols))
-    return FpModule(ring, len(gens), rel), gens
-
-
-def _stack_components(g: ChainMap, degrees) -> tuple:
-    out = []
-    for n in degrees:
-        out.extend(g.component_at(n).matrix.vec())
-    return tuple(out)
+    K = kernel_basis(_combination_system(gens, X, Y, X.support))
+    return FpModule(ring, len(gens), K.submatrix(range(len(gens)), range(K.cols))), gens
 
 
 def chain_map_coords(gens, handles_degrees, phi: ChainMap):
@@ -955,20 +885,8 @@ def chain_map_coords(gens, handles_degrees, phi: ChainMap):
     if not gens:
         return Matrix.zero(ring, 0, 1) if phi.is_zero_map() else None
     degrees = sorted(handles_degrees)
-    cols = [Matrix.column(ring, [x for n in degrees
-                                 for x in g.component_at(n).matrix.vec()])
-            for g in gens]
-    vecs = Matrix.hstack_all(ring, cols[0].rows, cols)
-    relblocks = [Matrix.block_diagonal(
-        ring, [phi.target.module_at(n).relations] * phi.source.module_at(n).gens)
-        for n in degrees]
-    relblock = Matrix.block_diagonal(ring, relblocks) if relblocks else \
-        Matrix.zero(ring, vecs.rows, 0)
-    target = Matrix.column(ring, [x for n in degrees
-                                  for x in phi.component_at(n).matrix.vec()])
-    from .smith import solve_linear
-
-    sol = solve_linear(vecs.hstack(relblock), target)
+    target = Matrix.column(ring, [x for n in degrees for x in phi.component_at(n).matrix.vec()])
+    sol = solve_linear(_combination_system(gens, phi.source, phi.target, degrees), target)
     if sol is None:
         return None
     return sol.submatrix(range(len(gens)), [0])

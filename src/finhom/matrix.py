@@ -124,9 +124,6 @@ class Matrix:
 
     # -- shape helpers ----------------------------------------------------
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 

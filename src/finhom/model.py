@@ -35,6 +35,7 @@ from .complexes import (
     cycles,
     cylinder,
     disk_cover,
+    graded_map_solver,
     homology,
     homology_table,
     is_exact,
@@ -66,7 +67,6 @@ from .errors import (
 )
 from .functors import free_resolution
 from .kaplansky import CellChain, KaplanskyConfig, disk_cell, grow_cell_chain, icell_decompose
-from .linsolve import MatrixEquationSolver
 from .matrix import Matrix
 from .modules import FpModule, ModuleMap, _certify, submodule, submodule_coordinates
 from .rings import Ring
@@ -667,14 +667,8 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec) -> ChainMap:
             "lifting needs (trivial cofibration, fibration) or "
             "(cofibration, trivial fibration)")
     B, Xc = prob.i.target, prob.p.source
-    ring = spec.ring
-    solver = MatrixEquationSolver(ring)
-    handles = {}
-    degrees = sorted(set(B.support) | set(Xc.support))
-    for n in degrees:
-        if B.module_at(n).gens and Xc.module_at(n).gens:
-            handles[n] = solver.add_unknown_map(B.module_at(n), Xc.module_at(n))
-    for n in degrees:
+    solver, handles = graded_map_solver(B, Xc, 0)
+    for n in sorted(set(B.support) | set(Xc.support)):
         # h i = top
         src = prob.i.source.module_at(n)
         if src.gens and Xc.module_at(n).gens:
@@ -693,18 +687,6 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec) -> ChainMap:
                 terms.append((1, prob.p.component_at(n).matrix, handles[n], None))
             solver.add_equation(terms, prob.bottom.component_at(n).matrix,
                                 mod_relations=prob.p.target.module_at(n).relations)
-        # chain map condition d h = h d
-        if B.module_at(n).gens and Xc.module_at(n - 1).gens:
-            terms = []
-            if n in handles:
-                terms.append((1, Xc.diff(n).matrix, handles[n], None))
-            if (n - 1) in handles:
-                terms.append((-1, None, handles[n - 1], B.diff(n).matrix))
-            if terms:
-                solver.add_equation(terms,
-                                    Matrix.zero(ring, Xc.module_at(n - 1).gens,
-                                                B.module_at(n).gens),
-                                    mod_relations=Xc.module_at(n - 1).relations)
     sol = solver.solve()
     _certify(sol is not None, "solve_lifting: a lift exists when the preconditions hold")
     h = ChainMap(B, Xc, {n: sol[hdl] for n, hdl in handles.items()})

@@ -15,8 +15,6 @@ no honest answer over Z.
 
 from __future__ import annotations
 
-import math
-
 from .errors import UnsupportedRingError
 
 
@@ -123,42 +121,12 @@ class Ring:
     def add(self, a: int, b: int) -> int:
         return self.normalize(a + b)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.normalize(a - b)
-
     def mul(self, a: int, b: int) -> int:
         return self.normalize(a * b)
-
-    def neg(self, a: int) -> int:
-        return self.normalize(-a)
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     @property
     def one(self) -> int:
         return self.normalize(1)
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse of a unit; raises for non-units."""
-        if self.modulus is None:
-            if a in (1, -1):
-                return a
-            raise ZeroDivisionError(f"{a} is not a unit in Z")
-        g = math.gcd(a, self.modulus)
-        if g != 1:
-            raise ZeroDivisionError(f"{a} is not a unit mod {self.modulus}")
-        return pow(a, -1, self.modulus)
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether a x = b has a solution in the ring."""
-        if self.modulus is None:
-            return b == 0 if a == 0 else b % a == 0
-        if a % self.modulus == 0:
-            return b % self.modulus == 0
-        g = math.gcd(a, self.modulus)
-        return b % g == 0
 
     def elements(self):
         """All elements, in canonical order.  Finite rings only."""

@@ -21,7 +21,7 @@ from typing import Optional
 from .complexes import ChainComplex, ChainMap, chain_hom_gens
 from .errors import UnsupportedRingError
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, ShortExactSeq, submodule
+from .modules import FpModule, ModuleMap, ShortExactSeq
 from .rings import Ring
 from .smith import kernel_basis
 

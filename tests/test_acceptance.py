@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField, smith
+from finhom import Integers, IntegersModN, Matrix, PrimeField, functors, smith
 from finhom.checks import check_model_axioms, check_monoidal
 from finhom.complexes import (
     ChainComplex,
@@ -248,6 +248,26 @@ def test_criterion_5_sabotage_fixture():
     _line("criterion 5 (sabotage fixture fails condition (1) with witness Z/2)",
           ok, cond1[0].witness if cond1 else "no failure observed")
     assert ok
+
+
+@pytest.fixture
+def fresh_flatness_caches():
+    functors.is_flat.cache_clear()
+    functors.is_projective.cache_clear()
+    yield
+    functors.is_flat.cache_clear()
+    functors.is_projective.cache_clear()
+
+
+def test_criterion_5_failed_flatness_certificate_is_a_violation(monkeypatch,
+                                                                fresh_flatness_caches):
+    # Tor_1 against every cyclic module is forced nonzero, so the flat and
+    # projective tests disagree and is_flat's certificate fails
+    monkeypatch.setattr(functors, "tor_n", lambda M, N, n: FpModule.cyclic(Z4, 2))
+    report = check_monoidal(model_structure(PROJECTIVE_STRUCTURE, Z4), seed=1, samples=1)
+    cond1 = [c for c in report.sorted_checks() if c.name.startswith("cond1-flat")]
+    assert cond1 and not any(c.passed for c in cond1)
+    assert all("is_flat: the flat and projective tests agree" in c.witness for c in cond1)
 
 
 # ---------------------------------------------------------------- criterion 6

@@ -12,10 +12,28 @@ import hashlib
 
 import pytest
 
-from finhom import Integers, IntegersModN
+from finhom import Integers, IntegersModN, PrimeField
 from finhom.checks import check_model_axioms, check_monoidal
 from finhom.cli import run_command
+from finhom.complexes import (
+    ChainComplex,
+    ChainMap,
+    chain_hom_gens,
+    chain_hom_module,
+    chain_map_coords,
+    cone,
+    disk,
+    is_null_homotopic,
+    sphere,
+    tensor_assoc_iso,
+    tensor_chain_maps,
+    tensor_complexes,
+    tensor_symmetry_iso,
+    tensor_unit_iso_complex,
+)
 from finhom.model import FLAT_STRUCTURE, PROJECTIVE_STRUCTURE, model_structure
+from finhom.modules import FpModule
+from finhom.sampling import DeterministicSampler
 
 # modules over Z/12, so the queries go through both CRT parts of the
 # modular Smith form; Ext and Tor are nonzero in every degree shown
@@ -57,3 +75,70 @@ def test_golden_cli_query(command, digest, tmp_path, monkeypatch):
                                 "--max-degree", "3"])
     assert code == 0
     assert sha256(report.to_machine()) == digest
+
+
+# -- Hom and tensor of complexes -------------------------------------------------
+
+def _mat(M) -> str:
+    return f"{M.rows}x{M.cols}{M.entries}"
+
+
+def _cx(X) -> str:
+    return ";".join(f"{n}:{_mat(X.module_at(n).relations)}{_mat(X.diff(n).matrix)}"
+                    for n in X.support)
+
+
+def _cm(f) -> str:
+    degrees = sorted(set(f.source.support) | set(f.target.support))
+    return (f"{_cx(f.source)}->{_cx(f.target)}|"
+            + ";".join(f"{n}:{_mat(f.component_at(n).matrix)}" for n in degrees))
+
+
+def _hom_and_tensor_lines(ring, torsion):
+    """One line per output of the Hom and tensor layers on sampled complexes."""
+    sampler = DeterministicSampler(8)
+    lines = []
+    for _ in range(6):
+        X = sampler.free_complex(ring, max_support=3, max_rank=3)
+        Y = sampler.free_complex(ring, max_support=3, max_rank=2)
+        Z = sampler.free_complex(ring, max_support=2, max_rank=2)
+        # a summand with relations, so equations are taken modulo them
+        Xr = ChainComplex.direct_sum(X, disk(1, FpModule.cyclic(ring, torsion)))
+        Yr = ChainComplex.direct_sum(Y, sphere(0, FpModule.cyclic(ring, torsion)))
+        for A, B in ((X, Y), (Xr, Yr), (Yr, Xr)):
+            gens = chain_hom_gens(A, B)
+            lines.append("hom " + " ".join(_cm(g) for g in gens))
+            H, _ = chain_hom_module(A, B)
+            lines.append("hom-module " + _mat(H.relations))
+            f = sampler.chain_map(A, B)
+            coords = chain_map_coords(gens, A.support, f)
+            lines.append("coords " + ("None" if coords is None else _mat(coords)))
+            # maps into the contractible cone of an identity are null-homotopic
+            C = cone(ChainMap.identity(B))
+            for phi in (f, sampler.chain_map(A, C)):
+                s = is_null_homotopic(phi)
+                lines.append("null " + ("None" if s is None else
+                                        ";".join(f"{n}:{_mat(m.matrix)}"
+                                                 for n, m in sorted(s.maps.items()))))
+            g = sampler.chain_map(B, A)
+            lines.append("tensor " + _cx(tensor_complexes(A, B)))
+            lines.append("tensor-maps " + _cm(tensor_chain_maps(f, g)))
+            lines.append("symmetry " + _cm(tensor_symmetry_iso(A, B)))
+            lines.append("unit " + _cm(tensor_unit_iso_complex(A)))
+        lines.append("assoc " + _cm(tensor_assoc_iso(Xr, Y, Z)))
+    return lines
+
+
+@pytest.mark.parametrize("ring, torsion, digest", [
+    (Integers(), 4,
+     "89f28cf960530b24a0312145d4a2c687a2c3cf409992f5607a7ebb7cd8d35eab"),
+    (IntegersModN(4), 2,
+     "3441ee94a693cbcc6ec33ece8c2dded1c569e23024196b62d1821f0788fc3ea2"),
+    (IntegersModN(12), 6,
+     "023dd8272b7398da712dad8a881d962079c0aa11ce1fd211a3d2e8db80cebc7e"),
+    (PrimeField(3), 0,
+     "d766375309512856ecc2395964a4149953656f02535ce0f674579b0f0d9105fc"),
+], ids=["Z", "Z4", "Z12", "F3"])
+def test_golden_hom_and_tensor_of_complexes(ring, torsion, digest):
+    # recorded before Hom and tensor of complexes each moved into one builder
+    assert sha256("\n".join(_hom_and_tensor_lines(ring, torsion))) == digest

@@ -222,6 +222,37 @@ def test_module_certificates_are_not_asserts(module):
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+
+def _imported_names(tree) -> dict:
+    """{bound name: line} for every import of a module, __future__ aside."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _exported_names(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(Path(modules.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_module_imports_only_names_it_uses(path):
+    # a name re-exported through __all__ counts as used
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(_imported_names(tree)) - used - _exported_names(tree)
+    assert not unused, sorted(unused)
+
 CERTIFICATES_UNDER_O = """
 import sys
 from finhom import Integers, Matrix
