@@ -14,6 +14,13 @@ free modules and random chain maps between them:
 * both factorization axioms, by factoring and re-classifying, with the
   cell certificates recomposed and their pushout squares re-verified.
 
+Each sampled map is factored once per mode, and its factor maps are
+classified once: the lifting and the factorization axioms read the
+same factorization and the same flags.  A factorization or
+classification that raised is raised again wherever it is read, so
+each axiom records the same witness, and the sampler draws the same
+maps, as it would factoring on its own.
+
 ``check_monoidal`` verifies the tensor conditions: flatness of class
 members, closure of the class under tensor, the unit, degreewise purity
 of sampled cofibrations, tensor-closure of the two left-hand complex
@@ -66,6 +73,27 @@ def _direct_sum_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(src, tgt, comps, check=False)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _value(outcome):
+    """The value an ``_outcome`` holds; a held exception is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _factor_flags(fact, spec: ModelStructureSpec):
+    """The flags of both factor maps, as ``solve_lifting`` reads them."""
+    return (classify_map(fact.i, spec, dg_tests=False),
+            classify_map(fact.p, spec, dg_tests=False))
+
+
 def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
     if samples < 1:
         raise PreconditionFailedError("samples must be >= 1")
@@ -115,39 +143,43 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
                    "" if not bad else f"retract lost flags {bad}")
 
     for k, f in enumerate(factor_inputs):
+        # read by both axioms; a held exception is raised at each read
+        facts = {mode: _outcome(factor_map, f, mode, spec)
+                 for mode in (TRIVCOF_THEN_FIB, COF_THEN_TRIVFIB)}
+        flags = {mode: _outcome(_factor_flags, fact, spec)
+                 for mode, fact in facts.items() if not isinstance(fact, Exception)}
+
         tag = f"mc4lift-{k:0{width}d}"
         try:
-            fact_tc = factor_map(f, TRIVCOF_THEN_FIB, spec)
-            fact_cf = factor_map(f, COF_THEN_TRIVFIB, spec)
+            fact_tc = _value(facts[TRIVCOF_THEN_FIB])
+            fact_cf = _value(facts[COF_THEN_TRIVFIB])
             # square 1: trivial cofibration against a fibration
             i1 = fact_tc.i
             p1 = fact_tc.p
             h = sampler.chain_map(i1.target, p1.source)
             prob = LiftProblem(i1, p1, h.compose(i1), p1.compose(h))
-            lift = solve_lifting(prob, spec)
+            lift = solve_lifting(prob, spec, _value(flags[TRIVCOF_THEN_FIB]))
             ok1 = lift.compose(i1).equals(prob.top) and p1.compose(lift).equals(prob.bottom)
             # square 2: cofibration against a trivial fibration
             i2 = fact_cf.i
             p2 = fact_cf.p
             h2 = sampler.chain_map(i2.target, p2.source)
             prob2 = LiftProblem(i2, p2, h2.compose(i2), p2.compose(h2))
-            lift2 = solve_lifting(prob2, spec)
+            lift2 = solve_lifting(prob2, spec, _value(flags[COF_THEN_TRIVFIB]))
             ok2 = lift2.compose(i2).equals(prob2.top) and p2.compose(lift2).equals(prob2.bottom)
             report.add(tag, ok1 and ok2, "" if ok1 and ok2 else "lift identities failed")
         except Exception as exc:  # a failed lift is a violation, not a crash
             report.add(tag, False, f"{type(exc).__name__}: {exc}")
 
-    for k, f in enumerate(factor_inputs):
         tag = f"mc5factor-{k:0{width}d}"
         try:
             problems = []
             for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
-                fact = factor_map(f, mode, spec)
+                fact = _value(facts[mode])
                 if not fact.p.compose(fact.i).equals(f):
                     problems.append(f"{mode}: composite differs from f")
                     continue
-                fi = classify_map(fact.i, spec, dg_tests=False)
-                fp = classify_map(fact.p, spec, dg_tests=False)
+                fi, fp = _value(flags[mode])
                 if mode == COF_THEN_TRIVFIB and not (fi.cof and fp.triv_fib):
                     problems.append(f"{mode}: reclassification failed")
                 if mode == TRIVCOF_THEN_FIB and not (fi.triv_cof and fp.fib):

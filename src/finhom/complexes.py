@@ -197,9 +197,21 @@ class ChainMap:
             lo = min(source.lo, target.lo)
             hi = max(source.hi, target.hi)
             for n in range(lo, hi + 1):
-                left = _component(comps, source, target, n - 1).compose(source.diff(n))
-                right = target.diff(n).compose(_component(comps, source, target, n))
-                if not left.equals(right):
+                # f_{n-1} d_n = d'_n f_n; a composite through a missing
+                # component or differential is zero, and none is built
+                f1, d = comps.get(n - 1), source.differentials.get(n)
+                d1, f = target.differentials.get(n), comps.get(n)
+                left = f1.compose(d) if f1 is not None and d is not None else None
+                right = d1.compose(f) if d1 is not None and f is not None else None
+                if left is None and right is None:
+                    continue
+                if left is None:
+                    ok = right.is_zero_map()
+                elif right is None:
+                    ok = left.is_zero_map()
+                else:
+                    ok = left.equals(right)
+                if not ok:
                     raise ValidationError(f"chain map does not commute with d at degree {n}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -132,7 +132,11 @@ class MatrixEquationSolver:
 
         out = {}
         for h, meta, off in zip(self._unknowns, self._unknown_meta, offs):
-            m = Matrix.unvec(self.ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
+            # vec holds reduced entries, column by column: row i of the
+            # unknown is every h.rows-th entry of its slice from i on
+            part = vec[off: off + h.rows * h.cols]
+            m = Matrix._reduced(self.ring, h.rows, h.cols,
+                                tuple(part[i::h.rows] for i in range(h.rows)))
             if meta is not None:
                 out[h] = ModuleMap(meta[0], meta[1], m, check=False)
             else:
@@ -143,18 +147,13 @@ class MatrixEquationSolver:
 
     def solve(self):
         """One deterministic solution as {handle: ModuleMap|Matrix}, or None."""
-        A, b, offs, total = self._build()
+        A, b, offs, _ = self._build()
         x = solve_linear(A, b)
         if x is None:
             return None
-        return self._extract([x.entries[i][0] for i in range(total)], offs)
+        return self._extract(x.col(0), offs)
 
     def solution_basis(self):
         """Generators of the homogeneous solution module (rhs forced to 0)."""
-        A, _, offs, total = self._build()
-        K = kernel_basis(A)
-        out = []
-        for j in range(K.cols):
-            col = [K.entries[i][j] for i in range(total)]
-            out.append(self._extract(col, offs))
-        return out
+        A, _, offs, _ = self._build()
+        return [self._extract(col, offs) for col in kernel_basis(A).transpose().entries]

@@ -27,7 +27,7 @@ characteristic of the target.  Those cases raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
     ChainComplex,
@@ -656,11 +656,18 @@ class LiftProblem:
             raise ValidationError("lifting square does not commute")
 
 
-def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec) -> ChainMap:
+def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
+                  flags: Optional[Tuple[MapFlags, MapFlags]] = None) -> ChainMap:
     """A diagonal h with h i = top and p h = bottom, found by one global
-    linear solve; preconditions per the lifting axiom are enforced."""
-    flags_i = classify_map(prob.i, spec, dg_tests=False)
-    flags_p = classify_map(prob.p, spec, dg_tests=False)
+    linear solve; preconditions per the lifting axiom are enforced.
+
+    ``flags`` are the flags of i and p as ``classify_map(..., dg_tests=False)``
+    gives them, for a caller that already holds them; by default they
+    are computed here."""
+    if flags is None:
+        flags = (classify_map(prob.i, spec, dg_tests=False),
+                 classify_map(prob.p, spec, dg_tests=False))
+    flags_i, flags_p = flags
     ok = (flags_i.triv_cof and flags_p.fib) or (flags_i.cof and flags_p.triv_fib)
     if not ok:
         raise PreconditionFailedError(

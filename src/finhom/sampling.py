@@ -10,12 +10,16 @@ Complexes are sampled with free entries: a support interval, a rank per
 degree, and differentials drawn from the solution lattice of
 d o d = 0 (rows of each new differential from the kernel of the
 transpose of the previous one).  Chain maps are random combinations of
-the generators of the chain-map module.
+the generators of the chain-map module: one coefficient is drawn per
+generator, in order, and each component is summed over the generators
+with a nonzero coefficient in one pass over their entries and reduced
+once, with no intermediate chain map.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul as _times
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, chain_hom_gens
@@ -84,12 +88,22 @@ class DeterministicSampler:
         if not gens:
             return ChainMap.zero_map(X, Y)
         hi = 3 if ring.modulus is None else ring.modulus - 1
-        out = ChainMap.zero_map(X, Y)
-        for g in gens:
-            c = self.rng.randint(0, hi)
-            if c:
-                out = out + g.scale(c)
-        return out
+        coeffs = [self.rng.randint(0, hi) for _ in gens]
+        terms = [(c, g) for c, g in zip(coeffs, gens) if c]
+        if not terms:
+            return ChainMap.zero_map(X, Y)
+        cs = [c for c, _ in terms]
+        norm = ring.normalize
+        comps = {}
+        # every generator has a component in the same degrees
+        for n, f in terms[0][1].components.items():
+            M = f.matrix
+            data = tuple(
+                tuple(norm(sum(map(_times, cs, column))) for column in zip(*rows))
+                for rows in zip(*(g.components[n].matrix.entries for _, g in terms)))
+            comps[n] = ModuleMap(f.source, f.target,
+                                 Matrix._reduced(ring, M.rows, M.cols, data), check=False)
+        return ChainMap(X, Y, comps, check=False)
 
     # -- modules over finite rings -------------------------------------------------
 

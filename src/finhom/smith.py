@@ -27,7 +27,7 @@ missing pivot counts as n over Z/n, and as 0 over Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
@@ -37,13 +37,19 @@ from .matrix import Matrix
 from .rings import Ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmithForm:
     """U A V = D with U, V invertible over the ring and D diagonal, d_i | d_{i+1}."""
 
     U: Matrix
     D: Matrix
     V: Matrix
+    # the diagonal with each zero read as n over Z/n (0 over Z)
+    _pivot_row: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.D.ring.modulus or 0
+        object.__setattr__(self, "_pivot_row", tuple(d or n for d in self.diagonal))
 
     @property
     def diagonal(self) -> tuple:
@@ -57,10 +63,10 @@ class SmithForm:
     def pivots(self, count: int) -> tuple:
         """The first ``count`` pivots; a zero or missing one counts as n
         over Z/n and as 0 over Z."""
-        D = self.D
-        n = D.ring.modulus or 0
-        k = min(D.rows, D.cols)
-        return tuple((D.entries[i][i] if i < k else 0) or n for i in range(count))
+        row = self._pivot_row
+        if count <= len(row):
+            return row[:count]
+        return row + (self.D.ring.modulus or 0,) * (count - len(row))
 
 
 @lru_cache(maxsize=1 << 15)

@@ -27,6 +27,7 @@ from finhom.complexes import (
     tensor_chain_maps,
     tensor_complexes,
 )
+from finhom.errors import ValidationError
 from finhom.functors import ext_n, tensor_modules
 from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
@@ -284,6 +285,95 @@ def test_chain_hom_gens_are_the_module_generators(ring):
     for _ in range(8):
         X, Y = sampler.free_complex(ring), sampler.free_complex(ring)
         assert chain_hom_gens(X, Y) == chain_hom_module(X, Y)[1]
+
+
+def _commutes_reference(X, Y, comps):
+    """Every square f_{n-1} d_n = d'_n f_n, with zero maps built for the
+    missing components and differentials."""
+    f = ChainMap(X, Y, comps, check=False)
+    return all(f.component_at(n - 1).compose(X.diff(n))
+               .equals(Y.diff(n).compose(f.component_at(n)))
+               for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1))
+
+
+def test_chain_map_check_reads_one_sided_squares():
+    R1 = FpModule.free(ZZ, 1)
+    ident = ModuleMap.identity(R1)
+    # S^1(Z) -> D^1(Z), identity in degree 1: f_0 d_1 runs through the
+    # missing differential of S^1, while d_1 f_1 = id is not zero
+    with pytest.raises(ValidationError):
+        ChainMap(sphere(1, R1), disk(1, R1), {1: ident})
+    # D^1(Z) -> S^0(Z), identity in degree 0: d_1 f_1 runs through the
+    # missing component f_1, while f_0 d_1 = id is not zero
+    with pytest.raises(ValidationError):
+        ChainMap(disk(1, R1), sphere(0, R1), {0: ident})
+    # the one composite is zero modulo the target's relations: Z -> Z/2 by 2
+    Z2 = zmod(2)
+    ChainMap(sphere(1, R1), disk(1, Z2), {1: ModuleMap(R1, Z2, Matrix.from_rows(ZZ, [[2]]))})
+    # both composites run through missing maps: S^0 -> D^1 and D^1 -> S^1
+    i, p = disk_sphere_sequence(1, R1)
+    assert i.components and p.components
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z4, PrimeField(3)], ids=str)
+def test_chain_map_check_matches_the_squares(ring):
+    # sampled chain maps with a component dropped or replaced at random
+    sampler = DeterministicSampler(11)
+    rng = random.Random(f"chain-map-check-{ring}")
+    verdicts = set()
+    for _ in range(40):
+        X, Y = sampler.free_complex(ring), sampler.free_complex(ring)
+        comps = dict(sampler.chain_map(X, Y).components)
+        for n in set(X.support) & set(Y.support):
+            S, T = X.module_at(n), Y.module_at(n)
+            if not (S.gens and T.gens) or rng.random() < 0.5:
+                continue
+            if rng.random() < 0.5:
+                comps.pop(n, None)
+            else:
+                comps[n] = ModuleMap(S, T, Matrix(ring, T.gens, S.gens, [
+                    [rng.randint(-1, 1) for _ in range(S.gens)] for _ in range(T.gens)]))
+        want = _commutes_reference(X, Y, comps)
+        verdicts.add(want)
+        try:
+            ChainMap(X, Y, comps)
+            got = True
+        except ValidationError:
+            got = False
+        assert got == want
+    assert verdicts == {True, False}
+
+
+def reference_chain_map(sampler, X, Y):
+    """``DeterministicSampler.chain_map`` as it was written before the one-pass
+    combination: one ``scale`` and one ``__add__`` per drawn generator."""
+    ring = X.ring
+    gens = chain_hom_gens(X, Y)
+    if not gens:
+        return ChainMap.zero_map(X, Y)
+    hi = 3 if ring.modulus is None else ring.modulus - 1
+    out = ChainMap.zero_map(X, Y)
+    for g in gens:
+        c = sampler.rng.randint(0, hi)
+        if c:
+            out = out + g.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z4, IntegersModN(12), PrimeField(3)], ids=str)
+def test_sampled_chain_map_matches_reference(ring):
+    torsion = FpModule.cyclic(ring, 2) if ring.modulus in (None, 4, 12) else None
+    for seed in range(60):
+        ours, ref = DeterministicSampler(seed), DeterministicSampler(seed)
+        X, Y = ours.free_complex(ring), ours.free_complex(ring)
+        assert (X, Y) == (ref.free_complex(ring), ref.free_complex(ring))
+        if torsion is not None and seed % 2:
+            Y = ChainComplex.direct_sum(Y, sphere(Y.lo, torsion))
+        got, want = ours.chain_map(X, Y), reference_chain_map(ref, X, Y)
+        assert sorted(got.components) == sorted(want.components)
+        assert all(got.components[n].matrix == want.components[n].matrix
+                   for n in got.components)
+        assert ours.rng.random() == ref.rng.random()
 
 
 def test_ext1_complexes_examples():

@@ -7,6 +7,7 @@ import pytest
 
 from finhom import Integers, IntegersModN, Matrix
 from finhom.linsolve import MatrixEquationSolver
+from finhom.smith import kernel_basis, solve_linear
 
 
 def kronecker_build(solver):
@@ -62,3 +63,22 @@ def test_build_matches_kronecker_assembly(ring):
         A_ref, b_ref = kronecker_build(solver)
         assert A.entries == A_ref.entries and (A.rows, A.cols) == (A_ref.rows, total)
         assert b.entries == b_ref.entries and b.rows == b_ref.rows
+
+
+@pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)
+def test_unknowns_are_read_from_their_solution_slices(ring):
+    # each unknown of a solution, and of every solution basis element, is
+    # Matrix.unvec of its slice of the solution vector (column-stacked)
+    rng = random.Random(f"linsolve-extract-{ring}")
+    for _ in range(200):
+        solver = random_solver(rng, ring)
+        A, b, offs, _ = solver._build()
+        x = solve_linear(A, b)
+        sol = solver.solve()
+        assert (sol is None) == (x is None)
+        found = [] if x is None else [(sol, x.col(0))]
+        found += zip(solver.solution_basis(), kernel_basis(A).columns())
+        for got, vec in found:
+            for h, off in zip(solver._unknowns, offs):
+                want = Matrix.unvec(ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
+                assert got[h] == want

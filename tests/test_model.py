@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
@@ -30,7 +32,10 @@ from finhom.model import (
     pushout_product,
     solve_lifting,
 )
+from finhom import checks, model
+from finhom.checks import check_model_axioms
 from finhom.modules import FpModule, ModuleMap
+from finhom.sampling import DeterministicSampler
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -225,3 +230,79 @@ def test_injective_structure_requires_qf_ring():
     s = ChainMap.zero_map(ChainComplex.zero(Z4), sphere(0, FpModule.cyclic(Z4, 2)))
     flags = classify_map(s, spec)
     assert flags.cof and not flags.weq
+
+
+def test_model_check_factors_and_classifies_each_sample_once(monkeypatch):
+    # per sample: one factorization per mode, read by both the lifting and
+    # the factorization axiom; the flags of its factor maps, read by
+    # solve_lifting and the reclassification; and the two retract flags
+    calls = {"factor_map": 0, "classify_map": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(checks, "factor_map", counted("factor_map", factor_map))
+    classify = counted("classify_map", classify_map)
+    monkeypatch.setattr(checks, "classify_map", classify)
+    monkeypatch.setattr(model, "classify_map", classify)
+    report = check_model_axioms(model_structure(PROJECTIVE_STRUCTURE, Z4), seed=3, samples=2)
+    assert report.all_pass
+    assert calls == {"factor_map": 2 * 2, "classify_map": 6 * 2}
+
+
+@pytest.mark.parametrize("refused", [COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB])
+def test_model_check_reports_a_refused_factorization_in_both_axioms(monkeypatch, refused):
+    # the factorization of the first sample (the only one with a source in
+    # degree -1) is refused in one mode; both axioms report it for that
+    # sample, and the later samples draw the same lifting squares
+    def refusing(f, mode, spec):
+        if mode == refused and f.source.lo < 0:
+            raise FactorizationObstructedError(f"{mode} refused on a sampled map")
+        return factor_map(f, mode, spec)
+
+    drawn = []
+    chain_map = DeterministicSampler.chain_map
+
+    def recorded(self, X, Y):
+        g = chain_map(self, X, Y)
+        drawn.append(sorted((n, c.matrix.entries) for n, c in g.components.items()))
+        return g
+
+    monkeypatch.setattr(checks, "factor_map", refusing)
+    monkeypatch.setattr(DeterministicSampler, "chain_map", recorded)
+    report = check_model_axioms(model_structure(PROJECTIVE_STRUCTURE, Z4), seed=3, samples=3)
+    witness = f"FactorizationObstructedError: {refused} refused on a sampled map"
+    got = {c.name: (c.passed, c.witness) for c in report.sorted_checks()
+           if c.name.startswith(("mc4lift", "mc5factor"))}
+    # recorded with the separate lifting and factorization loops
+    assert got == {"mc4lift-0": (False, witness), "mc4lift-1": (True, ""),
+                   "mc4lift-2": (True, ""), "mc5factor-0": (False, witness),
+                   "mc5factor-1": (True, ""), "mc5factor-2": (True, "")}
+    assert hashlib.sha256(report.to_machine().encode()).hexdigest() == {
+        COF_THEN_TRIVFIB: "45ca9e01978d8d14b0363dec657d1fc99a9e9bf187f1df454860c28d9df85d16",
+        TRIVCOF_THEN_FIB: "f98188e8dac8df73ca76afb14b0bab52fb17d8b9bc5a7ec7107136f9cd16fea6",
+    }[refused]
+    # 9 maps sampled up front, then two lifting squares for each of samples 1 and 2
+    assert len(drawn) == 13
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == \
+        "29b35b745e351c78a7dce05a5e0f50011dcab9d877c583d73ddef86c1f4914d7"
+
+
+def test_solve_lifting_enforces_its_precondition_on_given_flags():
+    # flags handed in are held to the same precondition as computed ones
+    spec = model_structure(PROJECTIVE_STRUCTURE, Z4)
+    R1 = FpModule.free(Z4, 1)
+    i = ChainMap.zero_map(ChainComplex.zero(Z4), disk(1, R1))
+    p = ChainMap.identity(disk(1, R1))
+    prob = LiftProblem(i, p, ChainMap.zero_map(i.source, p.source),
+                       ChainMap.zero_map(i.target, p.target))
+    flags = (classify_map(i, spec, dg_tests=False), classify_map(p, spec, dg_tests=False))
+    assert solve_lifting(prob, spec, flags).equals(solve_lifting(prob, spec))
+    no_flags = model.MapFlags(weq=False, cof=False, fib=False, triv_cof=False, triv_fib=False)
+    with pytest.raises(PreconditionFailedError):
+        solve_lifting(prob, spec, (no_flags, flags[1]))
+    with pytest.raises(PreconditionFailedError):
+        solve_lifting(prob, spec, (flags[0], no_flags))

@@ -492,3 +492,20 @@ def test_kernel_basis_matches_column_construction(ring):
                 cols.append([ring.normalize(ann * x) for x in form.V.col(j)])
         want = Matrix(ring, c, len(cols), zip(*cols)) if cols else Matrix.zero(ring, c, 0)
         assert kernel_basis(A) == want
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)], ids=str)
+def test_pivots_read_the_diagonal_rule(ring):
+    # a zero or missing pivot counts as n over Z/n and as 0 over Z, for
+    # counts below, at and past the diagonal, on repeated reads of a form
+    rng = random.Random(f"pivots-{ring}")
+    n = ring.modulus or 0
+    for _ in range(40):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        A = Matrix(ring, r, c, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        form = snf(A)
+        D = form.D
+        k = min(r, c)
+        for count in (r, c, 0, k, k + 2, r, c):
+            want = tuple((D.entries[i][i] if i < k else 0) or n for i in range(count))
+            assert form.pivots(count) == want
