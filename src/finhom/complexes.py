@@ -48,6 +48,25 @@ def _zero_module(ring: Ring) -> FpModule:
     return FpModule.zero(ring)
 
 
+def _check_complex(ring: Ring, objects: Dict[int, FpModule],
+                   diffs: Dict[int, ModuleMap], dd_degrees) -> None:
+    """Raise ValidationError unless every module is over ``ring``, every
+    differential runs between the modules of its degrees, and
+    d_n o d_{n+1} = 0 for each n in ``dd_degrees``."""
+    for n in sorted(objects):
+        if objects[n].ring != ring:
+            raise ValidationError(f"degree {n} module is over the wrong ring")
+    for n, d in diffs.items():
+        if d.source != objects[n] or d.target != objects[n - 1]:
+            raise ValidationError(f"differential at degree {n} has wrong endpoints")
+    for n in dd_degrees:
+        dn = diffs.get(n)
+        dn1 = diffs.get(n + 1)
+        if dn is not None and dn1 is not None:
+            if not dn.compose(dn1).is_zero_map():
+                raise ValidationError(f"d o d is nonzero at degree {n + 1}")
+
+
 class ChainComplex:
     __slots__ = ("ring", "lo", "hi", "objects", "differentials")
 
@@ -64,19 +83,7 @@ class ChainComplex:
             if lo < n <= hi and n in objects and (n - 1) in objects:
                 diffs[n] = d
         if check:
-            for n in range(lo, hi + 1):
-                M = objects.get(n)
-                if M is not None and M.ring != ring:
-                    raise ValidationError(f"degree {n} module is over the wrong ring")
-            for n, d in diffs.items():
-                if d.source != objects[n] or d.target != objects[n - 1]:
-                    raise ValidationError(f"differential at degree {n} has wrong endpoints")
-            for n in range(lo, hi + 1):
-                dn = diffs.get(n)
-                dn1 = diffs.get(n + 1)
-                if dn is not None and dn1 is not None:
-                    if not dn.compose(dn1).is_zero_map():
-                        raise ValidationError(f"d o d is nonzero at degree {n + 1}")
+            _check_complex(ring, objects, diffs, range(lo, hi + 1))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -623,8 +630,11 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
     A degree whose generator matrix equals that inclusion's component
     keeps the earlier module and inclusion; a differential is kept only
     when both of its degrees are.  Everything else is built as without
-    ``extends``, so the result is the same either way, and d o d = 0 is
-    still checked on all of S.
+    ``extends``, so the result is the same either way.  The modules and
+    differentials of S are checked as ``ChainComplex`` checks them, but
+    d o d = 0 only where at least one of the two differentials is new: a
+    pair of kept ones was checked on the same modules when the earlier
+    stage was built.
     """
     ring = X.ring
     if extends is not None and extends.target != X:
@@ -642,11 +652,13 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
             objs[n] = incl.source
             incls[n] = incl
     diffs = {}
+    kept_diffs = set()
     for n in sorted(objs):
         if n in kept and (n - 1) in kept:
             # closure and the differential were settled when built before
             if (n - 1) in objs:
                 diffs[n] = extends.source.differentials[n]
+                kept_diffs.add(n)
             continue
         moved = X.diff(n).matrix * incls[n].matrix
         if (n - 1) not in objs:
@@ -658,7 +670,9 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
         if coords is None:
             raise ValidationError("generators are not closed under d")
         diffs[n] = ModuleMap(objs[n], objs[n - 1], coords, check=False)
-    S = ChainComplex(ring, objs, diffs)
+    S = ChainComplex(ring, objs, diffs, check=False)
+    _check_complex(ring, S.objects, S.differentials,
+                   [n for n in S.support if not {n, n + 1} <= kept_diffs])
     incl = ChainMap(S, X, incls, check=False)
     return S, incl
 

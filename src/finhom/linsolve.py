@@ -9,9 +9,11 @@ which vectorize to one exact linear system over the base ring via
 vec(A U B) = (B^T kron A) vec(U).  The system is written directly from
 the entries of A and B, with no identity, transpose or Kronecker matrix
 formed.  Working modulo a relation span adds a slack unknown per
-equation.  The combined system is handed to
-``solve_linear`` (one deterministic solution) or ``kernel_basis`` (the
-full solution module of the homogeneous problem).
+equation.  The combined system is eliminated once, by ``eliminate``,
+for one deterministic solution (``SmithForm.solve``, the rule of
+``solve_linear``) or the full solution module of the homogeneous problem
+(``SmithForm.kernel``, the rule of ``kernel_basis``).  Each call builds
+a fresh system that is read once, so its Smith form is not memoized.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .matrix import Matrix
 from .rings import Ring
-from .smith import kernel_basis, solve_linear
+from .smith import eliminate
 
 
 def _nonzero(M: Matrix) -> list:
@@ -148,7 +150,7 @@ class MatrixEquationSolver:
     def solve(self):
         """One deterministic solution as {handle: ModuleMap|Matrix}, or None."""
         A, b, offs, _ = self._build()
-        x = solve_linear(A, b)
+        x = eliminate(A).solve(b)
         if x is None:
             return None
         return self._extract(x.col(0), offs)
@@ -156,4 +158,4 @@ class MatrixEquationSolver:
     def solution_basis(self):
         """Generators of the homogeneous solution module (rhs forced to 0)."""
         A, _, offs, _ = self._build()
-        return [self._extract(col, offs) for col in kernel_basis(A).transpose().entries]
+        return [self._extract(col, offs) for col in eliminate(A).kernel().transpose().entries]

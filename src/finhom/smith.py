@@ -17,8 +17,15 @@ large and sparse, so their work follows the nonzero entries: the pivot
 search skips zeros, and each elimination pass updates only the positions
 where the pivot row (of A and U) or the pivot column (of V, and over Z
 of A) is nonzero.  The CRT join of the parts runs only when n has two or
-more prime factors, and U, D and V, whose entries are already reduced,
-are built by the trusted ``Matrix._reduced``.
+more prime factors, and U and V, whose entries are already reduced, are
+built by the trusted ``Matrix._reduced``.
+
+A form keeps U, V and the diagonal of D; D itself is built only when
+asked for.  ``snf`` memoizes forms, for the matrices the library reads
+again and again: relation matrices, and the kernel, cokernel and
+coordinate systems.  ``eliminate`` computes a form afresh, for systems
+that are built once and read once, such as those of the linear solvers
+in ``linsolve``.
 
 One rule reads the diagonal everywhere (``SmithForm.pivots``): a zero or
 missing pivot counts as n over Z/n, and as 0 over Z.
@@ -27,7 +34,7 @@ missing pivot counts as n over Z/n, and as 0 over Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
@@ -39,22 +46,30 @@ from .rings import Ring
 
 @dataclass(frozen=True, slots=True)
 class SmithForm:
-    """U A V = D with U, V invertible over the ring and D diagonal, d_i | d_{i+1}."""
+    """U A V = D with U, V invertible over the ring and D diagonal, d_i | d_{i+1}.
+
+    Only U, V and ``pivot_row`` are kept: the diagonal of D, each zero
+    read as n over Z/n (0 over Z).  ``D`` and ``diagonal`` are built from
+    it when asked for.
+    """
 
     U: Matrix
-    D: Matrix
     V: Matrix
-    # the diagonal with each zero read as n over Z/n (0 over Z)
-    _pivot_row: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.D.ring.modulus or 0
-        object.__setattr__(self, "_pivot_row", tuple(d or n for d in self.diagonal))
+    pivot_row: tuple
 
     @property
     def diagonal(self) -> tuple:
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entries[i][i] for i in range(n))
+        n = self.U.ring.modulus
+        return tuple(d % n for d in self.pivot_row) if n else self.pivot_row
+
+    @property
+    def D(self) -> Matrix:
+        rows, cols = self.U.rows, self.V.rows
+        zero = (0,) * cols
+        diag = self.diagonal
+        return Matrix._reduced(self.U.ring, rows, cols, tuple(
+            zero[:t] + (diag[t],) + zero[t + 1:] if t < len(diag) else zero
+            for t in range(rows)))
 
     @property
     def rank(self) -> int:
@@ -63,13 +78,61 @@ class SmithForm:
     def pivots(self, count: int) -> tuple:
         """The first ``count`` pivots; a zero or missing one counts as n
         over Z/n and as 0 over Z."""
-        row = self._pivot_row
+        row = self.pivot_row
         if count <= len(row):
             return row[:count]
-        return row + (self.D.ring.modulus or 0,) * (count - len(row))
+        return row + (self.U.ring.modulus or 0,) * (count - len(row))
+
+    def solve(self, B: Matrix) -> Matrix | None:
+        """One exact solution X of A X = B, for the A of this form, or
+        None if some column of B has none.
+
+        Deterministic choice, column by column: in Smith coordinates,
+        bound coordinates take the canonical quotient and free coordinates
+        are zero.  So column j of X is the solution for column j of B
+        alone.
+        """
+        U, V = self.U, self.V
+        rows, cols = U.rows, V.rows
+        if B.rows != rows:
+            raise DimensionMismatchError(f"rhs must have {rows} rows")
+        if U.ring != B.ring:
+            raise DimensionMismatchError("matrix/rhs ring mismatch")
+        Y = [(0,) * B.cols] * cols
+        for i, (row, d) in enumerate(zip((U * B).entries, self.pivots(rows))):
+            if d == 0:
+                if any(row):
+                    return None
+            elif any(c % d for c in row):
+                return None
+            elif i < cols:
+                Y[i] = tuple(c // d for c in row)
+        return V * Matrix._reduced(U.ring, cols, B.cols, tuple(Y))
+
+    def kernel(self) -> Matrix:
+        """Columns generating {x : A x = 0} over the ring, for the A of
+        this form.
+
+        Smith coordinate j contributes column j of V times the annihilator
+        of its pivot d_j: n / d_j over Z/n, which generates the torsion
+        directions too; over Z, 1 for a zero pivot and 0 otherwise, which
+        leaves a lattice basis of the kernel.  Zero contributions are
+        dropped.
+        """
+        ring = self.V.ring
+        n = ring.modulus or 0
+        cols = self.V.rows
+        vcols = self.V.transpose().entries
+        out = []
+        for j, d in enumerate(self.pivots(cols)):
+            ann = ring.normalize(n // d if d else 1)
+            if ann:
+                out.append([ring.normalize(ann * x) for x in vcols[j]])
+        if not out:
+            return Matrix.zero(ring, cols, 0)
+        return Matrix._reduced(ring, cols, len(out), tuple(zip(*out)))
 
 
-@lru_cache(maxsize=1 << 15)
 def _snf_integer(A: Matrix) -> SmithForm:
     """Smith normal form over Z by elementary row/column operations.
 
@@ -89,9 +152,10 @@ def _snf_integer(A: Matrix) -> SmithForm:
     V, is that of the dense elimination kept as the reference in the
     tests.
 
-    Entries grow without bound (no size reduction of U and V).  Matrices
-    are immutable values, so forms are memoized; the linear solvers hit
-    the same system matrix over and over."""
+    Entries grow without bound (no size reduction of U and V).  Not
+    memoized: ``snf`` memoizes the matrices read again, and the systems
+    of the linear solvers, each built and read once, come through
+    ``eliminate``."""
     rows, cols = A.rows, A.cols
     a = [list(r) for r in A.entries]
     u = [[0] * rows for _ in range(rows)]
@@ -194,22 +258,27 @@ def _snf_integer(A: Matrix) -> SmithForm:
             raise ValidationError(
                 "certificate failed: _snf_integer: the diagonal is a divisor chain")
     zz = A.ring
-    return SmithForm(
-        U=Matrix._reduced(zz, rows, rows, tuple(map(tuple, u))),
-        D=Matrix._reduced(zz, rows, cols, tuple(map(tuple, a))),
-        V=Matrix._reduced(zz, cols, cols, tuple(zip(*vt))),
-    )
+    return SmithForm(Matrix._reduced(zz, rows, rows, tuple(map(tuple, u))),
+                     Matrix._reduced(zz, cols, cols, tuple(zip(*vt))), tuple(diag))
 
 
-def snf(A: Matrix) -> SmithForm:
-    """Smith normal form over the matrix's own ring: ``_snf_integer``
-    over Z, ``_snf_modular`` over Z/n and F_p."""
+def eliminate(A: Matrix) -> SmithForm:
+    """Smith normal form over the matrix's own ring, computed afresh:
+    ``_snf_integer`` over Z, ``_snf_modular`` over Z/n and F_p.  For a
+    matrix built once and read once; ``snf`` is the memoized form."""
     if A.ring.kind == Ring.INTEGERS:
         return _snf_integer(A)
     return _snf_modular(A)
 
 
 @lru_cache(maxsize=1 << 15)
+def snf(A: Matrix) -> SmithForm:
+    """Smith normal form over the matrix's own ring, memoized: matrices
+    are immutable values, and relation matrices and the kernel, cokernel
+    and coordinate systems of the library recur."""
+    return eliminate(A)
+
+
 def _snf_modular(A: Matrix) -> SmithForm:
     """Smith form over Z/n (F_p is the case n = p) by elimination over
     local rings.
@@ -220,16 +289,18 @@ def _snf_modular(A: Matrix) -> SmithForm:
     Scaled by a unit to exactly p^e, it clears its column and its row in
     one pass each.  The systems met here are large and sparse, so the
     work follows the nonzero entries: the pivot search skips zeros at C
-    speed, and each pass reads the nonzero entries of the pivot row of
-    A and of U (row pass) or of the pivot column of V (column pass) once
-    and updates only those positions.
+    speed, and rows found zero from the pivot column on, which no pass
+    writes to again, are not searched again; each pass reads the nonzero
+    entries of the pivot row of A and of U (row pass) or of the pivot
+    column of V (column pass) once and updates only those positions.
 
     For n = p^k the one part is the answer.  Otherwise the parts are
     joined by the CRT idempotents, each pivot row scaled by a unit so
     that the diagonal holds the divisors of n in a chain
     d_1 | d_2 | ... | n (n itself is stored as 0); over Z/1 there is no
-    part and U, D and V are zero.  Every entry ends in [0, n), so the
-    results are built by the trusted ``Matrix._reduced``.
+    part and U, D and V are zero.  Every entry ends in [0, n), so U and
+    V are built by the trusted ``Matrix._reduced``.  Not memoized, like
+    ``_snf_integer``.
     """
     ring = A.ring
     n = ring.modulus
@@ -249,12 +320,20 @@ def _snf_modular(A: Matrix) -> SmithForm:
         for j, r in enumerate(vt):
             r[j] = 1
         diag = [q] * m
+        # live[i]: row i may be nonzero from column t on.  A row that is
+        # zero there has a zero in every pivot column to come, so no row
+        # pass touches it, and column swaps only permute its zeros.
+        live = [True] * rows
         for t in range(m):
             g, pi, pj = q, -1, -1
-            for i in range(t, rows):
+            for i in compress(range(t, rows), live[t:]):
                 row = a[i]
+                tail = row[t:]
+                if not any(tail):
+                    live[i] = False
+                    continue
                 # only the nonzero entries of the row can be the pivot
-                for j in compress(range(t, cols), row[t:]):
+                for j in compress(range(t, cols), tail):
                     if row[j] % g:  # gcd(row[j], q) < g
                         g, pi, pj = math.gcd(row[j], q), i, j
                         if g == 1:
@@ -265,6 +344,7 @@ def _snf_modular(A: Matrix) -> SmithForm:
                 break
             a[t], a[pi] = a[pi], a[t]
             u[t], u[pi] = u[pi], u[t]
+            live[t], live[pi] = live[pi], live[t]
             if pj != t:
                 # rows above t are zero in every column from t on
                 for r in a[t:]:
@@ -298,8 +378,7 @@ def _snf_modular(A: Matrix) -> SmithForm:
 
     if len(parts) == 1:
         # n = p^k: the CRT idempotent is 1 and every row scale is 1
-        _, U, Vt, diag = parts[0]
-        d = [x % n for x in diag]
+        _, U, Vt, d = parts[0]
     else:  # two or more primes, or none (Z/1, where everything is 0)
         d = [math.prod(part[3][t] for part in parts) for t in range(m)]
         U = [[0] * rows for _ in range(rows)]
@@ -313,76 +392,35 @@ def _snf_modular(A: Matrix) -> SmithForm:
                 Vt[j] = [x + e * y for x, y in zip(Vt[j], vt[j])]
         U = [[x % n for x in r] for r in U]
         Vt = [[x % n for x in r] for r in Vt]
-        d = [x % n for x in d]
-    zero = (0,) * cols
-    return SmithForm(
-        U=Matrix._reduced(ring, rows, rows, tuple(map(tuple, U))),
-        D=Matrix._reduced(ring, rows, cols, tuple(
-            zero[:t] + (d[t],) + zero[t + 1:] if t < m else zero for t in range(rows))),
-        V=Matrix._reduced(ring, cols, cols, tuple(zip(*Vt))),
-    )
+    # d holds the pivots in [1, n]: n is the zero of D
+    return SmithForm(Matrix._reduced(ring, rows, rows, tuple(map(tuple, U))),
+                     Matrix._reduced(ring, cols, cols, tuple(zip(*Vt))), tuple(d))
 
 
 def inverse(U: Matrix) -> Matrix:
     """Two-sided inverse of a square matrix over its ring.
 
     If U' U V' = I is the Smith form of U, then U^{-1} = V' U'.  Raises
-    PreconditionFailedError when U is not invertible (D is not I).
+    PreconditionFailedError when U is not invertible (a pivot is not 1).
     """
     if U.rows != U.cols:
         raise DimensionMismatchError("inverse needs a square matrix")
     form = snf(U)
-    if form.D != Matrix.identity(U.ring, U.rows):
+    if any(d != 1 for d in form.pivots(U.rows)):
         raise PreconditionFailedError(f"matrix is not invertible over {U.ring}")
     return form.V * form.U
 
 
 def solve_linear(A: Matrix, B: Matrix) -> Matrix | None:
     """One exact solution X of A X = B, or None if some column of B has
-    none.
-
-    Deterministic choice, column by column: in Smith coordinates, bound
-    coordinates take the canonical quotient and free coordinates are
-    zero.  So column j of X is the solution for column j of B alone; the
-    Smith form of A is taken once for all of them.
-    """
-    if B.rows != A.rows:
-        raise DimensionMismatchError(f"rhs must have {A.rows} rows")
-    if A.ring != B.ring:
-        raise DimensionMismatchError("matrix/rhs ring mismatch")
-    form = snf(A)
-    Y = [(0,) * B.cols] * A.cols
-    for i, (row, d) in enumerate(zip((form.U * B).entries, form.pivots(A.rows))):
-        if d == 0:
-            if any(row):
-                return None
-        elif any(c % d for c in row):
-            return None
-        elif i < A.cols:
-            Y[i] = tuple(c // d for c in row)
-    return form.V * Matrix._reduced(A.ring, A.cols, B.cols, tuple(Y))
+    none (``SmithForm.solve`` on the memoized form of A)."""
+    return snf(A).solve(B)
 
 
 def kernel_basis(A: Matrix) -> Matrix:
-    """Columns generating {x : A x = 0} over A's ring.
-
-    Smith coordinate j contributes column j of V times the annihilator
-    of its pivot d_j: n / d_j over Z/n, which generates the torsion
-    directions too; over Z, 1 for a zero pivot and 0 otherwise, which
-    leaves a lattice basis of the kernel.  Zero contributions are dropped.
-    """
-    ring = A.ring
-    n = ring.modulus or 0
-    form = snf(A)
-    vcols = form.V.transpose().entries
-    cols = []
-    for j, d in enumerate(form.pivots(A.cols)):
-        ann = ring.normalize(n // d if d else 1)
-        if ann:
-            cols.append([ring.normalize(ann * x) for x in vcols[j]])
-    if not cols:
-        return Matrix.zero(ring, A.cols, 0)
-    return Matrix._reduced(ring, A.cols, len(cols), tuple(zip(*cols)))
+    """Columns generating {x : A x = 0} over A's ring
+    (``SmithForm.kernel`` on the memoized form of A)."""
+    return snf(A).kernel()
 
 
 def invariant_factors_of(A: Matrix) -> tuple:

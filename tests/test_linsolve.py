@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from finhom import Integers, IntegersModN, Matrix
+from finhom import Integers, IntegersModN, Matrix, smith
 from finhom.linsolve import MatrixEquationSolver
+from finhom.modules import FpModule
 from finhom.smith import kernel_basis, solve_linear
 
 
@@ -82,3 +83,24 @@ def test_unknowns_are_read_from_their_solution_slices(ring):
             for h, off in zip(solver._unknowns, offs):
                 want = Matrix.unvec(ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
                 assert got[h] == want
+
+
+@pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)
+def test_solver_systems_stay_out_of_the_smith_memo(ring):
+    # each solve() and solution_basis() builds a fresh system and reads
+    # its Smith form once, so the form is not memoized
+    rng = random.Random(f"linsolve-memo-{ring}")
+    smith.snf.cache_clear()
+    for _ in range(50):
+        solver = random_solver(rng, ring)
+        solver.solve()
+        solver.solution_basis()
+        assert smith.snf.cache_info().currsize == 0
+    # relation matrices are still memoized: an equal one is a hit
+    rows = [[2, 0, 1], [0, 0, 2]]
+    assert not FpModule(ring, 2, Matrix.from_rows(ring, rows)).element_is_zero([1, 0])
+    info = smith.snf.cache_info()
+    assert info.currsize == 1
+    assert not FpModule(ring, 2, Matrix.from_rows(ring, rows)).element_is_zero([1, 0])
+    after = smith.snf.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (info.hits + 1, info.misses, 1)

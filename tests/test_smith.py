@@ -6,7 +6,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField, kernel_basis, snf, solve_linear
+from finhom import (
+    Integers, IntegersModN, Matrix, PrimeField, SmithForm, kernel_basis, snf, solve_linear)
 from finhom.errors import PreconditionFailedError
 from finhom.smith import _snf_integer, _snf_modular, invariant_factors_of, inverse
 
@@ -127,10 +128,36 @@ def test_snf_residue_rings(ring):
             assert invariant_factors_of(A) == ()
 
 
-@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4)])
+NON_UNITS = {"Z": (2, 0, -6), "Z/4": (2, 0), "Z/12": (2, 3, 6, 0), "F3": (0, 3)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)])
 def test_inverse_rejects_singular(ring):
-    with pytest.raises(PreconditionFailedError):
-        inverse(Matrix.from_rows(ring, [[2]]))
+    # inverse reads the pivots: any pivot other than 1 is singular, also
+    # a non-unit pivot after a unit one ([[1, 1], [1, 1 + c]] has pivots
+    # 1 and c); an invertible matrix still inverts
+    for c in NON_UNITS[str(ring)]:
+        for rows in ([[c]], [[1, 0], [0, c]], [[1, 1], [1, 1 + c]], [[c, 1], [0, 0]]):
+            with pytest.raises(PreconditionFailedError):
+                inverse(Matrix.from_rows(ring, rows))
+    M = Matrix.from_rows(ring, [[1, 1], [1, 2]])
+    assert inverse(M) * M == Matrix.identity(ring, 2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)], ids=str)
+def test_smith_form_keeps_no_dense_D(ring):
+    # a form holds U, V and the pivot row; D is built when asked for
+    assert "D" not in SmithForm.__slots__
+    rng = random.Random(f"no-dense-D-{ring}")
+    for _ in range(20):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        A = Matrix(ring, r, c, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        form = snf(A)
+        held = [getattr(form, name) for name in SmithForm.__slots__]
+        assert [type(x) for x in held] == [Matrix, Matrix, tuple]
+        assert len(form.pivot_row) == min(r, c)
+        assert form.U * A * form.V == form.D
+        assert (form.D.rows, form.D.cols) == (r, c)
 
 
 def test_solve_linear_basic():
@@ -342,6 +369,30 @@ def test_snf_modular_matches_dense_reference_on_sparse_systems():
         A = Matrix(Z4, r, c, [[rng.randrange(1, 4) if rng.random() < density else 0
                                for _ in range(c)] for _ in range(r)])
         assert_matches_dense(A)
+
+
+@pytest.mark.parametrize("ring", [IntegersModN(4), IntegersModN(8), IntegersModN(12),
+                                  PrimeField(3)], ids=str)
+def test_snf_modular_matches_dense_reference_on_tall_systems_with_zero_rows(ring):
+    # rows zero from the start, rows that repeat or scale an earlier row
+    # (zero once their pivot column is cleared), and a zero block on top
+    rng = random.Random(f"smith-reference-tall-{ring}")
+    n = ring.modulus
+    for _ in range(12):
+        r, c = rng.randint(60, 120), rng.randint(8, 30)
+        density = rng.uniform(0.03, 0.2)
+        rows = []
+        for i in range(r):
+            kind = rng.random()
+            if kind < 0.3 or i < 5:
+                rows.append([0] * c)
+            elif kind < 0.5 and rows:
+                f = rng.randrange(n)
+                rows.append([f * x for x in rng.choice(rows)])
+            else:
+                rows.append([rng.randrange(n) if rng.random() < density else 0
+                             for _ in range(c)])
+        assert_matches_dense(Matrix(ring, r, c, rows))
 
 
 def dense_snf_integer(A):
