@@ -6,8 +6,8 @@ and zero ends are trimmed so equal supports are canonical.  Outside the
 support every degree is the zero module.
 
 Alongside the basic calculus (homology, spheres and disks, tensor
-products with the Koszul sign, pushouts and pullbacks, kernels and
-cokernels of chain maps) this module provides the mapping cone and
+products with the Koszul sign, kernels and cokernels of chain maps)
+this module provides pushouts and pullbacks, the mapping cone and
 cylinder, disk covers, the module of chain maps between two complexes,
 null-homotopy solving, and Ext^1 of complexes via resolutions by disks
 on free modules (projective objects of the bounded complex category).
@@ -19,6 +19,13 @@ are its solutions.  ``_tensor_layout`` alone knows the order, offsets
 and widths of the pieces X_i ox Y_j of X ox Y; the differential, the
 tensor of chain maps and the symmetry and associativity isomorphisms
 place their blocks by it.
+
+Pushouts and pullbacks are a cokernel and a kernel through the direct
+sum: the pushout of B <- A -> C is the cokernel of (f, -g): A -> B (+) C,
+the pullback of B -> D <- C the kernel of (f, -g): B (+) C -> D.
+``_stacked_map`` builds every map into or out of a direct sum by stacking
+component matrices: the glue, the injections and projections, the
+universal maps, and the disk padding of ``model.factor_map``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .modules import (
     FpModule,
     ModuleMap,
     _certify,
+    combination_system,
     submodule,
     submodule_coordinates,
     subquotient,
@@ -232,7 +240,10 @@ class ChainMap:
         return self.source.ring
 
     def component_at(self, n: int) -> ModuleMap:
-        return _component(self.components, self.source, self.target, n)
+        f = self.components.get(n)
+        if f is not None:
+            return f
+        return ModuleMap.zero_map(self.source.module_at(n), self.target.module_at(n))
 
     # -- constructors --------------------------------------------------------
 
@@ -261,26 +272,32 @@ class ChainMap:
                      tuple(sorted((n, f.matrix) for n, f in self.components.items()))))
 
     def equals(self, other: "ChainMap") -> bool:
+        """Equality as chain maps; a component only one side has must be zero."""
         if self.source != other.source or self.target != other.target:
             return False
-        degrees = set(self.components) | set(other.components)
-        return all(self.component_at(n).equals(other.component_at(n)) for n in degrees)
+        mine, theirs = self.components, other.components
+        if not all(f.equals(theirs[n]) if n in theirs else f.is_zero_map()
+                   for n, f in mine.items()):
+            return False
+        return all(f.is_zero_map() for n, f in theirs.items() if n not in mine)
 
     def is_zero_map(self) -> bool:
         return all(f.is_zero_map() for f in self.components.values())
 
     def compose(self, first: "ChainMap") -> "ChainMap":
+        """self o first; a degree where either map has no component is zero."""
         if first.target != self.source:
             raise DimensionMismatchError("chain map composition mismatch")
-        comps = {}
-        for n in set(first.components) | set(self.components):
-            comps[n] = self.component_at(n).compose(first.component_at(n))
+        comps = {n: self.components[n].compose(f) for n, f in first.components.items()
+                 if n in self.components}
         return ChainMap(first.source, self.target, comps, check=False)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            comps[n] = self.component_at(n) + other.component_at(n)
+        if self.source != other.source or self.target != other.target:
+            raise DimensionMismatchError("chain map addition mismatch")
+        comps = dict(self.components)
+        for n, f in other.components.items():
+            comps[n] = comps[n] + f if n in comps else f
         return ChainMap(self.source, self.target, comps, check=False)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
@@ -293,10 +310,13 @@ class ChainMap:
     # -- structural tests -----------------------------------------------------------
 
     def is_mono(self) -> bool:
-        return all(self.component_at(n).is_mono() for n in self.source.support)
+        # a missing component out of a nonzero module is zero, so not mono
+        return all(n in self.components and self.components[n].is_mono()
+                   for n in self.source.objects)
 
     def is_epi(self) -> bool:
-        return all(self.component_at(n).is_epi() for n in self.target.support)
+        return all(n in self.components and self.components[n].is_epi()
+                   for n in self.target.objects)
 
     def is_iso(self) -> bool:
         return self.is_mono() and self.is_epi()
@@ -327,13 +347,6 @@ class ChainMap:
         proj = ChainMap(self.target, C,
                         {n: projs[n] for n in C.support if n in projs}, check=False)
         return C, proj
-
-
-def _component(comps, source, target, n) -> ModuleMap:
-    f = comps.get(n)
-    if f is not None:
-        return f
-    return ModuleMap.zero_map(source.module_at(n), target.module_at(n))
 
 
 # -- homology -----------------------------------------------------------------
@@ -575,9 +588,11 @@ def cylinder(f: ChainMap) -> CylinderData:
     """
     X, Y = f.source, f.target
     ring = f.ring
+    # X_{n-1} in degree n: only its modules are read, as block sizes
+    Xs = ChainComplex(ring, {n + 1: M for n, M in X.objects.items()}, {}, check=False)
     objs = {}
     for n in range(min(X.lo, Y.lo), max(X.hi + 1, Y.hi) + 1):
-        m = FpModule.direct_sum(X.module_at(n), X.module_at(n - 1), Y.module_at(n))
+        m = FpModule.direct_sum(X.module_at(n), Xs.module_at(n), Y.module_at(n))
         if not m.is_zero_module():
             objs[n] = m
     diffs = {}
@@ -596,24 +611,10 @@ def cylinder(f: ChainMap) -> CylinderData:
         diffs[n] = ModuleMap(objs[n], objs[n - 1], row1.vstack(row2).vstack(row3),
                              check=False)
     cyl = ChainComplex(ring, objs, diffs)
-
-    front_comps = {}
-    proj_comps = {}
-    for n in cyl.support:
-        xn, xm1, yn = X.module_at(n), X.module_at(n - 1), Y.module_at(n)
-        total = cyl.module_at(n)
-        fm = Matrix.identity(ring, xn.gens).vstack(
-            Matrix.zero(ring, xm1.gens, xn.gens)).vstack(
-            Matrix.zero(ring, yn.gens, xn.gens))
-        if xn.gens:
-            front_comps[n] = ModuleMap(xn, total, fm, check=False)
-        pm = f.component_at(n).matrix.hstack(
-            Matrix.zero(ring, yn.gens, xm1.gens)).hstack(
-            Matrix.identity(ring, yn.gens))
-        if total.gens and yn.gens:
-            proj_comps[n] = ModuleMap(total, yn, pm, check=False)
-    front = ChainMap(X, cyl, front_comps)
-    proj = ChainMap(cyl, Y, proj_comps)
+    front = _stacked_map(X, cyl, [ChainMap.identity(X), ChainMap.zero_map(X, Xs),
+                                  ChainMap.zero_map(X, Y)], into_sum=True)
+    proj = _stacked_map(cyl, Y, [f, ChainMap.zero_map(Xs, Y), ChainMap.identity(Y)],
+                        into_sum=False)
     return CylinderData(cyl, front, proj)
 
 
@@ -680,8 +681,29 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
 # -- pushouts and pullbacks --------------------------------------------------------
 
 
+def _stacked_map(source: ChainComplex, target: ChainComplex, parts, *, into_sum: bool,
+                 check: bool = True) -> ChainMap:
+    """The chain map source -> target whose degree-n matrix stacks the
+    degree-n matrices of the chain maps ``parts``: one above another for
+    a map into a direct sum, side by side for a map out of one.  The sum
+    end may be a quotient presented on the sum's generators, as a pushout
+    is; ``check`` checks the components and the result."""
+    comps = {}
+    for n in source.support:
+        S, T = source.module_at(n), target.module_at(n)
+        if S.gens and T.gens:
+            blocks = [p.components[n].matrix if n in p.components else
+                      Matrix.zero(source.ring, p.target.module_at(n).gens,
+                                  p.source.module_at(n).gens) for p in parts]
+            m = functools.reduce(Matrix.vstack if into_sum else Matrix.hstack, blocks)
+            comps[n] = ModuleMap(S, T, m, check=check)
+    return ChainMap(source, target, comps, check=check)
+
+
 def pushout_chainmaps(f: ChainMap, g: ChainMap):
-    """Degreewise pushout of B <- A -> C.
+    """Pushout of B <- A -> C: the cokernel of (f, -g): A -> B (+) C, so
+    P_n is presented on the generators of B_n (+) C_n by the relations
+    [R_B (+) R_C | glue].
 
     Returns (P, inj_B, inj_C, universal) where universal(u, v) produces
     the induced map P -> D from u: B -> D, v: C -> D with u f = v g.
@@ -689,106 +711,52 @@ def pushout_chainmaps(f: ChainMap, g: ChainMap):
     if f.source != g.source:
         raise PreconditionFailedError("pushout needs a common source")
     A, B, C = f.source, f.target, g.target
-    ring = f.ring
-    objs = {}
-    injb = {}
-    injc = {}
-    for n in sorted(set(B.support) | set(C.support) | set(A.support)):
-        bn, cn = B.module_at(n), C.module_at(n)
-        bc = FpModule.direct_sum(bn, cn)
-        glue = f.component_at(n).matrix.vstack(g.component_at(n).matrix.scale(-1))
-        P = FpModule(ring, bc.gens, bc.relations.hstack(glue))
-        if P.is_zero_module():
-            continue
-        objs[n] = P
-        injb[n] = ModuleMap(bn, P, Matrix.identity(ring, bn.gens).vstack(
-            Matrix.zero(ring, cn.gens, bn.gens)), check=False)
-        injc[n] = ModuleMap(cn, P, Matrix.zero(ring, bn.gens, cn.gens).vstack(
-            Matrix.identity(ring, cn.gens)), check=False)
-    diffs = {}
-    for n in sorted(objs):
-        if (n - 1) not in objs:
-            continue
-        blocks = Matrix.block_diagonal(ring, [B.diff(n).matrix, C.diff(n).matrix])
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], blocks, check=False)
-    P = ChainComplex(ring, objs, diffs)
-    inj_b = ChainMap(B, P, {n: injb[n] for n in P.support if n in injb}, check=False)
-    inj_c = ChainMap(C, P, {n: injc[n] for n in P.support if n in injc}, check=False)
+    S = ChainComplex.direct_sum(B, C)
+    P, _ = _stacked_map(A, S, [f, g.scale(-1)], into_sum=True, check=False).cokernel_complex()
+    _check_complex(P.ring, P.objects, P.differentials, P.support)
+    # P shares its generators with B (+) C, so the sum's injections land in P
+    inj_b = _stacked_map(B, P, [ChainMap.identity(B), ChainMap.zero_map(B, C)],
+                         into_sum=True, check=False)
+    inj_c = _stacked_map(C, P, [ChainMap.zero_map(C, B), ChainMap.identity(C)],
+                         into_sum=True, check=False)
     if f.is_mono():
         _certify(inj_c.is_mono(), "pushout_chainmaps: the pushout of a mono is a mono")
 
     def universal(u: ChainMap, v: ChainMap) -> ChainMap:
         if not u.compose(f).equals(v.compose(g)):
             raise PreconditionFailedError("cocone does not commute")
-        comps = {}
-        for n in P.support:
-            if n not in objs:
-                continue
-            m = u.component_at(n).matrix.hstack(v.component_at(n).matrix)
-            comps[n] = ModuleMap(objs[n], u.target.module_at(n), m)
-        return ChainMap(P, u.target, comps)
+        return _stacked_map(P, u.target, [u, v], into_sum=False)
 
     return P, inj_b, inj_c, universal
 
 
 def pullback_chainmaps(f: ChainMap, g: ChainMap):
-    """Degreewise pullback of B -> D <- C.
+    """Pullback of B -> D <- C: the kernel of (f, -g): B (+) C -> D.
 
     Returns (P, proj_B, proj_C, universal).
     """
     if f.target != g.target:
         raise PreconditionFailedError("pullback needs a common target")
     B, C = f.source, g.source
-    ring = f.ring
-    objs = {}
-    projb = {}
-    projc = {}
-    incl_mats = {}
-    for n in sorted(set(B.support) | set(C.support)):
-        bn, cn = B.module_at(n), C.module_at(n)
-        bc = FpModule.direct_sum(bn, cn)
-        tom = ModuleMap(bc, f.target.module_at(n),
-                        f.component_at(n).matrix.hstack(g.component_at(n).matrix.scale(-1)),
-                        check=False)
-        zgens = tom.kernel_gens()
-        P, incl = submodule(bc, zgens)
-        if P.is_zero_module():
-            continue
-        objs[n] = P
-        incl_mats[n] = incl.matrix
-        projb[n] = ModuleMap(P, bn, incl.matrix.submatrix(range(bn.gens), range(P.gens)),
-                             check=False)
-        projc[n] = ModuleMap(P, cn, incl.matrix.submatrix(
-            range(bn.gens, bn.gens + cn.gens), range(P.gens)), check=False)
-    diffs = {}
-    for n in sorted(objs):
-        if (n - 1) not in objs:
-            continue
-        # differential restricted to the pullback, expressed in its generators
-        bc_prev_gens = incl_mats[n - 1]
-        dmat = Matrix.block_diagonal(ring, [B.diff(n).matrix, C.diff(n).matrix])
-        moved = dmat * incl_mats[n]
-        amb_prev = FpModule.direct_sum(B.module_at(n - 1), C.module_at(n - 1))
-        mat = submodule_coordinates(amb_prev, bc_prev_gens, moved)
-        _certify(mat is not None, "pullback_chainmaps: the pullback is closed under d")
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], mat, check=False)
-    P = ChainComplex(ring, objs, diffs)
-    proj_b = ChainMap(P, B, {n: projb[n] for n in P.support if n in projb}, check=False)
-    proj_c = ChainMap(P, C, {n: projc[n] for n in P.support if n in projc}, check=False)
+    S = ChainComplex.direct_sum(B, C)
+    P, incl = _stacked_map(S, f.target, [f, g.scale(-1)], into_sum=False,
+                           check=False).kernel_subcomplex()
+    proj_b = _stacked_map(S, B, [ChainMap.identity(B), ChainMap.zero_map(C, B)],
+                          into_sum=False, check=False).compose(incl)
+    proj_c = _stacked_map(S, C, [ChainMap.zero_map(B, C), ChainMap.identity(C)],
+                          into_sum=False, check=False).compose(incl)
 
     def universal(u: ChainMap, v: ChainMap) -> ChainMap:
         if not f.compose(u).equals(g.compose(v)):
             raise PreconditionFailedError("cone does not commute")
+        uv_map = _stacked_map(u.source, S, [u, v], into_sum=True, check=False)
         comps = {}
-        for n in P.support:
-            if n not in objs:
-                continue
-            W = u.source.module_at(n)
-            amb = FpModule.direct_sum(B.module_at(n), C.module_at(n))
-            uv = u.component_at(n).matrix.vstack(v.component_at(n).matrix)
-            mat = submodule_coordinates(amb, incl_mats[n], uv)
-            _certify(mat is not None, "pullback_chainmaps: the cone lands in the pullback")
-            comps[n] = ModuleMap(W, objs[n], mat)
+        for n, uv in uv_map.components.items():
+            if n in P.objects:
+                mat = submodule_coordinates(S.module_at(n), incl.components[n].matrix,
+                                            uv.matrix)
+                _certify(mat is not None, "pullback_chainmaps: the cone lands in the pullback")
+                comps[n] = ModuleMap(uv.source, P.objects[n], mat)
         return ChainMap(u.source, P, comps)
 
     return P, proj_b, proj_c, universal
@@ -878,16 +846,11 @@ def chain_hom_gens(X: ChainComplex, Y: ChainComplex) -> list:
 
 
 def _combination_system(gens, X: ChainComplex, Y: ChainComplex, degrees) -> Matrix:
-    """[vec(gens) | relations] over the given degrees: a vector in its
-    kernel gives coefficients whose combination of the chain maps gens
-    X -> Y is zero, with the multiples of Y's relations that show it."""
-    ring = X.ring
-    cols = [Matrix.column(ring, [x for n in degrees for x in g.component_at(n).matrix.vec()])
-            for g in gens]
-    relations = [Y.module_at(n).relations for n in degrees
-                 for _ in range(X.module_at(n).gens)]
-    return Matrix.hstack_all(ring, cols[0].rows, cols).hstack(
-        Matrix.block_diagonal(ring, relations))
+    """``combination_system`` for the chain maps gens X -> Y over the
+    given degrees, their components flattened degree after degree."""
+    return combination_system(
+        X.ring, [[x for n in degrees for x in g.component_at(n).matrix.vec()] for g in gens],
+        [Y.module_at(n).relations for n in degrees for _ in range(X.module_at(n).gens)])
 
 
 def chain_hom_module(X: ChainComplex, Y: ChainComplex):

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ChainComplex,
     ChainMap,
+    _stacked_map,
     cycles,
     cylinder,
     disk_cover,
@@ -202,21 +203,10 @@ def _factor_trivcof_fib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
     disk cover of Y: the first map's cokernel is a sum of disks on frees
     (exact with free cycles), the second is a degreewise epi."""
     X, Y = f.source, f.target
-    ring = spec.ring
     D, sigma = disk_cover(Y)
     Q = ChainComplex.direct_sum(X, D)
-    icomps = {}
-    pcomps = {}
-    for n in Q.support:
-        xn, dn, qn = X.module_at(n), D.module_at(n), Q.module_at(n)
-        im = Matrix.identity(ring, xn.gens).vstack(Matrix.zero(ring, dn.gens, xn.gens))
-        if xn.gens:
-            icomps[n] = ModuleMap(xn, qn, im, check=False)
-        pm = f.component_at(n).matrix.hstack(sigma.component_at(n).matrix)
-        if Y.module_at(n).gens:
-            pcomps[n] = ModuleMap(qn, Y.module_at(n), pm, check=False)
-    i = ChainMap(X, Q, icomps)
-    p = ChainMap(Q, Y, pcomps)
+    i = _stacked_map(X, Q, [ChainMap.identity(X), ChainMap.zero_map(X, D)], into_sum=True)
+    p = _stacked_map(Q, Y, [f, sigma], into_sum=False)
     _certify(p.compose(i).equals(f), "factor_map (trivial cofibration): p o i = f")
 
     coker, _ = i.cokernel_complex()
@@ -344,21 +334,10 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
             # squares of the generating (trivial) cofibrations 0 -> D^n
             D, sigma = disk_cover(Y)
             Q2 = ChainComplex.direct_sum(Q, D)
-            icomps = {}
-            pcomps = {}
-            for n in Q2.support:
-                qn, dn = Q.module_at(n), D.module_at(n)
-                im = Matrix.identity(ring, qn.gens).vstack(
-                    Matrix.zero(ring, dn.gens, qn.gens))
-                if qn.gens:
-                    icomps[n] = ModuleMap(qn, Q2.module_at(n), im, check=False)
-                pm = p.component_at(n).matrix.hstack(sigma.component_at(n).matrix)
-                if Y.module_at(n).gens:
-                    pcomps[n] = ModuleMap(Q2.module_at(n), Y.module_at(n), pm,
-                                          check=False)
-            step = ChainMap(Q, Q2, icomps, check=False)
+            step = _stacked_map(Q, Q2, [ChainMap.identity(Q), ChainMap.zero_map(Q, D)],
+                                into_sum=True, check=False)
             i = step.compose(i)
-            p = ChainMap(Q2, Y, pcomps)
+            p = _stacked_map(Q2, Y, [p, sigma], into_sum=False)
             Q = Q2
             cells += sum(1 for n in Y.support if Y.module_at(n).gens)
             continue

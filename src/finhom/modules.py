@@ -509,6 +509,17 @@ def find_retraction(i: ModuleMap) -> Optional[ModuleMap]:
                          pre_compose=(i, ModuleMap.identity(i.source)))
 
 
+def combination_system(ring: Ring, vectors, relations) -> Matrix:
+    """[vectors | block_diag(relations)]: one column per vector, then each
+    relation matrix beside the rows of its block.  The vectors are maps
+    flattened column by column, one relation matrix per column of a map,
+    so a kernel vector gives coefficients whose combination of the maps
+    is zero, with the multiples of the relations that show it."""
+    cols = [Matrix.column(ring, list(v)) for v in vectors]
+    return Matrix.hstack_all(ring, sum(r.rows for r in relations), cols).hstack(
+        Matrix.block_diagonal(ring, relations))
+
+
 def hom_module(M: FpModule, N: FpModule):
     """Hom_R(M, N) as an FpModule together with its generating maps.
 
@@ -526,12 +537,8 @@ def hom_module(M: FpModule, N: FpModule):
     if not gens_maps:
         return FpModule.zero(ring), []
     # relations: coefficient vectors making the combination the zero map
-    vecs = Matrix.hstack_all(
-        ring, N.gens * M.gens, [Matrix.column(ring, list(g.matrix.vec())) for g in gens_maps]
-    )
-    # zero as a map means: each column of the combination lies in relspan(N)
-    relblock = Matrix.block_diagonal(ring, [N.relations] * M.gens)
-    K = kernel_basis(vecs.hstack(relblock))
+    K = kernel_basis(combination_system(ring, [g.matrix.vec() for g in gens_maps],
+                                        [N.relations] * M.gens))
     rel = K.submatrix(range(len(gens_maps)), range(K.cols))
     H = FpModule(ring, len(gens_maps), rel)
     return H, gens_maps

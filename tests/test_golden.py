@@ -24,6 +24,8 @@ from finhom.complexes import (
     cone,
     disk,
     is_null_homotopic,
+    pullback_chainmaps,
+    pushout_chainmaps,
     sphere,
     tensor_assoc_iso,
     tensor_chain_maps,
@@ -31,7 +33,15 @@ from finhom.complexes import (
     tensor_symmetry_iso,
     tensor_unit_iso_complex,
 )
-from finhom.model import FLAT_STRUCTURE, PROJECTIVE_STRUCTURE, model_structure
+from finhom.errors import FactorizationObstructedError
+from finhom.model import (
+    COF_THEN_TRIVFIB,
+    FLAT_STRUCTURE,
+    PROJECTIVE_STRUCTURE,
+    TRIVCOF_THEN_FIB,
+    factor_map,
+    model_structure,
+)
 from finhom.modules import FpModule
 from finhom.sampling import DeterministicSampler
 
@@ -142,3 +152,71 @@ def _hom_and_tensor_lines(ring, torsion):
 def test_golden_hom_and_tensor_of_complexes(ring, torsion, digest):
     # recorded before Hom and tensor of complexes each moved into one builder
     assert sha256("\n".join(_hom_and_tensor_lines(ring, torsion))) == digest
+
+
+# -- pushouts and pullbacks of complexes -------------------------------------------
+
+def _pushout_and_pullback_lines(ring, torsion):
+    """One line per output of the pushout and pullback builders: the
+    complex P, its two injections or projections, and universal maps."""
+    sampler = DeterministicSampler(11)
+    T = FpModule.cyclic(ring, torsion)
+    lines = []
+    for _ in range(6):
+        A = sampler.free_complex(ring, max_support=3, max_rank=2)
+        # summands with relations, so P carries torsion on both sides
+        B = ChainComplex.direct_sum(sampler.free_complex(ring, max_support=3, max_rank=2),
+                                    disk(1, T))
+        C = ChainComplex.direct_sum(sampler.free_complex(ring, max_support=3, max_rank=2),
+                                    sphere(0, T))
+        f, g = sampler.chain_map(A, B), sampler.chain_map(A, C)
+        P, ib, ic, universal = pushout_chainmaps(f, g)
+        lines.append(f"pushout {_cx(P)} {_cm(ib)} {_cm(ic)}")
+        lines.append("universal " + _cm(universal(ib, ic)))
+        # a sampled map out of P is what its cocone induces
+        w = sampler.chain_map(P, C)
+        lines.append("universal " + _cm(universal(w.compose(ib), w.compose(ic))))
+
+        D = ChainComplex.direct_sum(sampler.free_complex(ring, max_support=3, max_rank=2),
+                                    sphere(1, T))
+        f = sampler.chain_map(B, D)
+        for g in (sampler.chain_map(C, D), sampler.chain_map(B, D)):
+            P, pb, pc, universal = pullback_chainmaps(f, g)
+            lines.append(f"pullback {_cx(P)} {_cm(pb)} {_cm(pc)}")
+            lines.append("universal " + _cm(universal(pb, pc)))
+            # a sampled map into P is what its cone induces
+            w = sampler.chain_map(A, P)
+            lines.append("universal " + _cm(universal(pb.compose(w), pc.compose(w))))
+
+    # the pushout squares of the cells that factorizations glue
+    spec = model_structure(PROJECTIVE_STRUCTURE, ring)
+    for _ in range(4):
+        X = sampler.free_complex(ring, max_support=3, max_rank=2)
+        Y = sampler.free_complex(ring, max_support=3, max_rank=2)
+        f = sampler.chain_map(X, Y)
+        for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
+            try:
+                fact = factor_map(f, mode, spec)
+            except FactorizationObstructedError:
+                lines.append("obstructed")
+                continue
+            for cell in fact.cell_chain.cells:
+                P, ib, ic, universal = pushout_chainmaps(cell.generating_mono, cell.attaching)
+                lines.append(f"cell {_cx(P)} {_cm(ib)} {_cm(ic)}")
+                lines.append("universal " + _cm(universal(cell.image, cell.step_inclusion)))
+    return lines
+
+
+@pytest.mark.parametrize("ring, torsion, digest", [
+    (Integers(), 4,
+     "aac25c61a961866b0390ff76fab4a8e3c3f5d7a58119937a3b6f91c61f3a290e"),
+    (IntegersModN(4), 2,
+     "bdb702e77c247577ae0d54f2efcac05b8a912c3e593a73ba94b64034035421b7"),
+    (IntegersModN(12), 6,
+     "7270c8acb1fc7e828227335ad690fb2c691ea0e00d3e790972eb9641f79fcaff"),
+    (PrimeField(3), 0,
+     "50ee5852d9e4f2210581007c2b6c2e0c394fa2b90fac99ba94d214da529c8c48"),
+], ids=["Z", "Z4", "Z12", "F3"])
+def test_golden_pushout_and_pullback(ring, torsion, digest):
+    # recorded before pushouts and pullbacks became a cokernel and a kernel
+    assert sha256("\n".join(_pushout_and_pullback_lines(ring, torsion))) == digest

@@ -10,11 +10,14 @@ from finhom.complexes import (
     disk,
     is_exact,
     sphere,
+    sphere_into_disk,
     subcomplex_from_gens,
 )
 from finhom.cotorsion import ObjectClass
 from finhom.errors import FactorizationObstructedError, NotInClassError
 from finhom.kaplansky import (
+    Cell,
+    CellChain,
     KaplanskyConfig,
     FiltrationChain,
     find_small_surjecting_sub,
@@ -205,6 +208,73 @@ def test_icell_generic_slices():
     assert chain2.verify()
     assert len(chain2.cells) == 2
 
+
+
+# -- squares that commute but are not pushouts -----------------------------------
+
+
+def _map(X, Y, rows_by_degree):
+    """The chain map X -> Y with the given matrix rows in each degree."""
+    return ChainMap(X, Y, {n: ModuleMap(X.module_at(n), Y.module_at(n),
+                                        Matrix.from_rows(X.ring, rows))
+                           for n, rows in rows_by_degree.items()})
+
+
+def _one_cell_verdicts(mono, attaching, step, image):
+    """verify_pushout of the square and verify of its one-cell chain."""
+    cell = Cell(mono, attaching, step, image, "hand-built")
+    chain = CellChain(step, [step.source, step.target], [cell],
+                      ChainMap.identity(step.target))
+    return cell.verify_pushout(), chain.verify()
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["pushout", "extra-summand"])
+def test_verify_pushout_rejects_an_extra_free_summand(extra):
+    # S^0(Z) -> D^1(Z) glued along the identity of S^0(Z) gives D^1(Z);
+    # a next stage with one more free summand in degree 0 is too big
+    R1 = FpModule.free(ZZ, 1)
+    mono = sphere_into_disk(1, R1)
+    X, D = mono.source, mono.target
+    if extra:
+        Q = ChainComplex.direct_sum(D, X)
+        step = _map(X, Q, {0: [[1], [0]]})
+        image = _map(D, Q, {1: [[1]], 0: [[1], [0]]})
+    else:
+        step, image = mono, ChainMap.identity(D)
+    assert _one_cell_verdicts(mono, ChainMap.identity(X), step, image) == (not extra,) * 2
+
+
+@pytest.mark.parametrize("c, onto", [(1, None), (2, None), (1, 2)],
+                         ids=["mono", "times-2", "onto-Z/2"])
+def test_verify_pushout_rejects_a_step_that_is_not_mono_over_z4(c, onto):
+    # 0 -> D^1(R) glued to S^0(R) along zero gives S^0(R) (+) D^1(R); a
+    # step inclusion multiplying by 2 over Z/4 has a kernel, and so has
+    # one onto R/2 in place of S^0(R), though the canonical map is onto
+    R = IntegersModN(4)
+    R1 = FpModule.free(R, 1)
+    X, D = sphere(0, R1), disk(1, R1)
+    zero = ChainComplex.zero(R)
+    Q = ChainComplex.direct_sum(X if onto is None else sphere(0, FpModule.cyclic(R, onto)), D)
+    step = _map(X, Q, {0: [[c], [0]]})
+    image = _map(D, Q, {1: [[1]], 0: [[0], [1]]})
+    verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
+                                  step, image)
+    assert verdicts == (c == 1 and onto is None,) * 2
+
+
+@pytest.mark.parametrize("c", [1, 2], ids=["onto", "misses-a-generator"])
+def test_verify_pushout_rejects_a_cell_image_that_misses_a_generator(c):
+    # as above over Z, with the disk sent to twice its summand: the
+    # generators of that summand are not reached
+    R1 = FpModule.free(ZZ, 1)
+    X, D = sphere(0, R1), disk(1, R1)
+    zero = ChainComplex.zero(ZZ)
+    Q = ChainComplex.direct_sum(X, D)
+    step = _map(X, Q, {0: [[1], [0]]})
+    image = _map(D, Q, {1: [[c]], 0: [[0], [c]]})
+    verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
+                                  step, image)
+    assert verdicts == (c == 1,) * 2
 
 # -- stages built as extensions ------------------------------------------------
 
