@@ -81,8 +81,6 @@ def _common_flags(p: argparse.ArgumentParser, workspace=False):
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--gamma", type=int, default=3)
     p.add_argument("--step-budget", type=int, default=64)
-    p.add_argument("--window", type=str, default="0..2",
-                   help="degree window lo..hi for generating families")
     p.add_argument("--out", type=str, default=None,
                    help="write the machine-readable report to this file")
     p.add_argument("--emit", choices=("text", "machine"), default="text")

@@ -55,10 +55,9 @@ class ObjectClass:
     INJECTIVE = "Injective"
     PERP = "PerpOfFamily"
 
-    def __init__(self, class_id: str, family=(), size_bound: int = 3):
+    def __init__(self, class_id: str, family=()):
         self.class_id = class_id
         self.family = tuple(family)
-        self.size_bound = size_bound
         if class_id == ObjectClass.PERP and not self.family:
             raise ValidationError("a perp class needs a nonempty family")
 

@@ -17,6 +17,8 @@ over finite data:
 * ``icell_decompose``: exhibits a mono of complexes with suitable
   cokernel as a finite chain of pushouts of generating monomorphisms
   (cells), each square carrying a verified universal-property witness.
+  A cell is plain data, (label, generating mono, where the generators
+  land), and ``grow_cell_chain`` builds every square by one rule.
 """
 
 from __future__ import annotations
@@ -473,33 +475,8 @@ def _sphere_cells(Q: ChainComplex, coker: ChainComplex):
             # lift the j-th canonical basis vector; the cokernel shares
             # its generators with Q_n
             v = fro.matrix.submatrix(range(C.gens), [j])
-            dv = Q.diff(n).matrix * v
-
-            def attach(prev, prev_gens, stage, step, n=n, dv=dv, gen_mono=gen_mono):
-                # the attaching map S^{n-1}(R) -> prev sends 1 to dv
-                below = prev_gens.get(n - 1)
-                coords = None
-                if below is not None and Q.module_at(n - 1).gens:
-                    coords = submodule_coordinates(Q.module_at(n - 1), below, dv)
-                    _certify(coords is not None,
-                             "icell_decompose: the boundary lies in the lower stage")
-                attach_comps = {}
-                if coords is not None and not prev.module_at(n - 1).is_zero_module():
-                    attach_comps[n - 1] = ModuleMap(R1, prev.module_at(n - 1), coords,
-                                                    check=False)
-                attaching = ChainMap(gen_mono.source, prev, attach_comps, check=False)
-                D = gen_mono.target
-                wn = stage.module_at(n).gens
-                comps = {n: ModuleMap(D.module_at(n), stage.module_at(n),
-                                      Matrix.zero(Q.ring, wn - 1, 1).vstack(
-                                          Matrix.identity(Q.ring, 1)), check=False)}
-                if coords is not None and not stage.module_at(n - 1).is_zero_module():
-                    boundary = step.component_at(n - 1).matrix * coords
-                    comps[n - 1] = ModuleMap(D.module_at(n - 1), stage.module_at(n - 1),
-                                             boundary, check=False)
-                return attaching, ChainMap(D, stage, comps, check=False)
-
-            yield {n: v}, f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono, attach
+            yield (f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono,
+                   {n: v, n - 1: Q.diff(n).matrix * v})
 
 
 def disk_cell(n: int, top_cols: Matrix, bottom_cols: Matrix):
@@ -507,37 +484,27 @@ def disk_cell(n: int, top_cols: Matrix, bottom_cols: Matrix):
     ``top_cols`` of the target in degree n and ``bottom_cols`` in degree
     n-1 (their images under d) are glued on along the zero map."""
     ring = top_cols.ring
-    r = top_cols.cols
-    D = disk(n, FpModule.free(ring, r))
-    zero_cx = ChainComplex.zero(ring)
-
-    def attach(prev, prev_gens, stage, step):
-        # the cell image sends the disk onto the appended generators
-        comps = {}
-        for k in (n, n - 1):
-            w = stage.module_at(k).gens
-            comps[k] = ModuleMap(D.module_at(k), stage.module_at(k),
-                                 Matrix.zero(ring, w - r, r).vstack(
-                                     Matrix.identity(ring, r)), check=False)
-        return ChainMap.zero_map(zero_cx, prev), ChainMap(D, stage, comps, check=False)
-
-    return ({n: top_cols, n - 1: bottom_cols}, f"0 -> D^{n}(R^{r})",
-            ChainMap.zero_map(zero_cx, D), attach)
+    D = disk(n, FpModule.free(ring, top_cols.cols))
+    return (f"0 -> D^{n}(R^{top_cols.cols})", ChainMap.zero_map(ChainComplex.zero(ring), D),
+            {n: top_cols, n - 1: bottom_cols})
 
 
 def grow_cell_chain(f: ChainMap, cells) -> CellChain:
     """The cell chain of a mono f: X -> Q, one pushout stage per cell.
 
-    Each cell is (appended, label, generating mono, attach): ``appended``
-    maps degrees to element columns of Q added after the previous
-    stage's generators, which start as the columns of f.  The stage is
-    the subcomplex of Q on the grown generators, built as an extension
-    of the previous stage (``subcomplex_from_gens(..., extends=...)``),
-    so only the degrees a cell touches are recomputed.  The step
-    inclusion keeps the previous generators first;
-    ``attach(prev, prev_gens, stage, step)`` returns the attaching map
-    and the cell image.  The last stage's inclusion into Q must be an
-    isomorphism, and it is the chain's final map.
+    Each cell is (label, generating mono S -> D, gen_cols): ``gen_cols``
+    maps each degree k of D to the columns of Q that the generators of
+    D_k land on.  The previous stage's generators start as the columns
+    of f.  One rule builds every square: where S_k is zero the columns
+    are new generators, appended after the previous ones, and the image
+    is [0; I]; elsewhere the mono is the identity of S_k = D_k, the
+    columns must lie in the previous stage, their coordinates there are
+    the attaching map, and the image is the step inclusion times them.
+    The stage is the subcomplex of Q on the grown generators, built as
+    an extension of the previous stage (``subcomplex_from_gens(...,
+    extends=...)``), so only the degrees a cell touches are recomputed.
+    The last stage's inclusion into Q must be an isomorphism, and it is
+    the chain's final map.
     """
     Q = f.target
     ring = f.ring
@@ -545,11 +512,18 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
     stages = [f.source]
     chain_cells: List[Cell] = []
     incl = None
-    for appended, label, gen_mono, attach in cells:
+    for label, gen_mono, gen_cols in cells:
         prev = stages[-1]
+        S, D = gen_mono.source, gen_mono.target
         new_gens = dict(gens)
-        for n, cols in appended.items():
-            new_gens[n] = gens.get(n, Matrix.zero(ring, Q.module_at(n).gens, 0)).hstack(cols)
+        coords = {}
+        for k, cols in gen_cols.items():
+            if not S.module_at(k).gens:
+                new_gens[k] = gens.get(k, Matrix.zero(ring, Q.module_at(k).gens, 0)).hstack(cols)
+            elif Q.module_at(k).gens:
+                coords[k] = submodule_coordinates(Q.module_at(k), gens[k], cols)
+                _certify(coords[k] is not None,
+                         "grow_cell_chain: the attaching columns lie in the previous stage")
         stage, incl = subcomplex_from_gens(Q, new_gens, extends=incl)
         # step inclusion: previous generators sit first in the new lists
         comps = {}
@@ -559,7 +533,20 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
                 Matrix.zero(ring, new_gens[n].cols - old, old))
             comps[n] = ModuleMap(prev.module_at(n), stage.module_at(n), m, check=False)
         step = ChainMap(prev, stage, comps, check=False)
-        attaching, image = attach(prev, gens, stage, step)
+        attach_comps, image_comps = {}, {}
+        for k, cols in gen_cols.items():
+            if not S.module_at(k).gens:
+                m = Matrix.zero(ring, stage.module_at(k).gens - cols.cols, cols.cols).vstack(
+                    Matrix.identity(ring, cols.cols))
+            elif k in coords and not prev.module_at(k).is_zero_module():
+                attach_comps[k] = ModuleMap(S.module_at(k), prev.module_at(k), coords[k],
+                                            check=False)
+                m = step.component_at(k).matrix * coords[k]
+            else:
+                continue
+            image_comps[k] = ModuleMap(D.module_at(k), stage.module_at(k), m, check=False)
+        attaching = ChainMap(S, prev, attach_comps, check=False)
+        image = ChainMap(D, stage, image_comps, check=False)
         chain_cells.append(Cell(gen_mono, attaching, step, image, label))
         stages.append(stage)
         gens = new_gens

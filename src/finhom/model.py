@@ -178,16 +178,10 @@ class Factorization:
     def revalidate(self, spec: ModelStructureSpec) -> bool:
         if not self.p.compose(self.i).equals(self.original):
             return False
-        coker, _ = self.i.cokernel_complex()
-        ker, _ = self.p.kernel_subcomplex()
+        ok, _, _ = _factor_certificates(self.i, self.p, self.mode, spec)
         if self.mode == COF_THEN_TRIVFIB:
-            ok1, _ = complex_class_member(coker, DG_F_LEFT, spec.pair, test_family=[])
-            ok2, _ = complex_class_member(ker, CTILDE, spec.pair)
-            ok2 = ok2 and is_quasi_iso(self.p)
-        else:
-            ok1, _ = complex_class_member(coker, FTILDE, spec.pair)
-            ok2, _ = complex_class_member(ker, DG_C_RIGHT, spec.pair, test_family=[])
-        return ok1 and ok2 and self.i.is_mono() and self.p.is_epi()
+            ok = ok and is_quasi_iso(self.p)
+        return ok and self.i.is_mono() and self.p.is_epi()
 
 
 def factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec) -> Factorization:
@@ -196,6 +190,24 @@ def factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec) -> Factorizatio
     if mode == TRIVCOF_THEN_FIB:
         return _factor_trivcof_fib(f, spec)
     raise PreconditionFailedError(f"unknown factorization mode {mode}")
+
+
+def _factor_certificates(i: ChainMap, p: ChainMap, mode: str, spec: ModelStructureSpec):
+    """(ok, cokernel certificate, kernel certificate) of factor maps i, p.
+
+    A cofibration then trivial fibration needs a dg-left cokernel and a
+    right-exact kernel; a trivial cofibration then fibration a
+    left-exact cokernel and a dg-right kernel.  The dg classes are
+    tested degreewise, without a test family."""
+    coker_cls, ker_cls = ((DG_F_LEFT, CTILDE) if mode == COF_THEN_TRIVFIB
+                          else (FTILDE, DG_C_RIGHT))
+    coker, _ = i.cokernel_complex()
+    ok_coker, coker_cert = complex_class_member(coker, coker_cls, spec.pair,
+                                                test_family=[], gamma=spec.cfg.gamma)
+    ker, _ = p.kernel_subcomplex()
+    ok_ker, ker_cert = complex_class_member(ker, ker_cls, spec.pair,
+                                            test_family=[], gamma=spec.cfg.gamma)
+    return ok_coker and ok_ker, coker_cert, ker_cert
 
 
 def _factor_trivcof_fib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
@@ -209,13 +221,8 @@ def _factor_trivcof_fib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
     p = _stacked_map(Q, Y, [f, sigma], into_sum=False)
     _certify(p.compose(i).equals(f), "factor_map (trivial cofibration): p o i = f")
 
-    coker, _ = i.cokernel_complex()
-    ok_coker, coker_cert = complex_class_member(coker, FTILDE, spec.pair,
-                                                gamma=spec.cfg.gamma)
-    ker, _ = p.kernel_subcomplex()
-    ok_ker, ker_cert = complex_class_member(ker, DG_C_RIGHT, spec.pair,
-                                            test_family=[], gamma=spec.cfg.gamma)
-    if not ok_coker or not ok_ker:
+    ok, coker_cert, ker_cert = _factor_certificates(i, p, TRIVCOF_THEN_FIB, spec)
+    if not ok:
         raise FactorizationObstructedError(
             "disk padding failed its certificates: "
             + coker_cert.describe() + " / " + ker_cert.describe())
@@ -232,26 +239,16 @@ def _disk_padding_cells(i: ChainMap, X: ChainComplex, Y: ChainComplex,
     generator count of Y_m; each stage glues one whole disk summand
     (both of its degrees) along the zero map, so every square is a
     genuine pushout of a generating trivial cofibration."""
-    ring = Q.ring
-    rank = {m: Y.module_at(m).gens for m in Y.support}
-
-    def unit_cols(width, offset, r):
-        rows = [[0] * r for _ in range(width)]
-        for k in range(r):
-            rows[offset + k][k] = ring.one
-        return Matrix(ring, width, r, rows)
-
     cells = []
-    for m in sorted(rank):
-        r = rank[m]
+    for m in Y.support:
+        r = Y.module_at(m).gens
         if r == 0:
             continue
-        # degree-m block of Q: [X_m | tops r_m | bottoms r_{m+1}]; the
-        # bottoms of D^m sit after the tops of D^{m-1} in degree m-1
-        tops = unit_cols(Q.module_at(m).gens, X.module_at(m).gens, r)
-        bottoms = unit_cols(Q.module_at(m - 1).gens,
-                            X.module_at(m - 1).gens + rank.get(m - 1, 0), r)
-        cells.append(disk_cell(m, tops, bottoms))
+        # degree-m block of Q: [X_m | tops r_m | bottoms r_{m+1}]; d of Q
+        # sends the tops of D^m onto its bottoms
+        w, x = Q.module_at(m).gens, X.module_at(m).gens
+        tops = Matrix.identity(Q.ring, w).submatrix(range(w), range(x, x + r))
+        cells.append(disk_cell(m, tops, Q.diff(m).matrix * tops))
     return grow_cell_chain(i, cells)
 
 
@@ -274,13 +271,8 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
         Q = P
     _certify(p.compose(i).equals(f), "factor_map (cofibration): p o i = f")
 
-    coker, _ = i.cokernel_complex()
-    ok_coker, coker_cert = complex_class_member(coker, DG_F_LEFT, spec.pair,
-                                                test_family=[], gamma=spec.cfg.gamma)
-    ker, _ = p.kernel_subcomplex()
-    ok_ker, ker_cert = complex_class_member(ker, CTILDE, spec.pair,
-                                            gamma=spec.cfg.gamma)
-    if not ok_coker or not ok_ker:
+    ok, coker_cert, ker_cert = _factor_certificates(i, p, COF_THEN_TRIVFIB, spec)
+    if not ok:
         raise FactorizationObstructedError(
             "cylinder factorization failed its certificates: "
             + coker_cert.describe() + " / " + ker_cert.describe())

@@ -34,6 +34,8 @@ from finhom.complexes import (
     tensor_unit_iso_complex,
 )
 from finhom.errors import FactorizationObstructedError
+from finhom.kaplansky import icell_decompose
+from finhom.matrix import Matrix
 from finhom.model import (
     COF_THEN_TRIVFIB,
     FLAT_STRUCTURE,
@@ -42,7 +44,7 @@ from finhom.model import (
     factor_map,
     model_structure,
 )
-from finhom.modules import FpModule
+from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
 
 # modules over Z/12, so the queries go through both CRT parts of the
@@ -220,3 +222,59 @@ def _pushout_and_pullback_lines(ring, torsion):
 def test_golden_pushout_and_pullback(ring, torsion, digest):
     # recorded before pushouts and pullbacks became a cokernel and a kernel
     assert sha256("\n".join(_pushout_and_pullback_lines(ring, torsion))) == digest
+
+
+# -- cell chains -------------------------------------------------------------------
+
+def _cell_chain_lines(ring):
+    """One line per cell square of the chains that icell_decompose and
+    factor_map build: its label, attaching map, image and step inclusion."""
+    lines = []
+
+    def cells(chain):
+        for cell in chain.cells:
+            lines.append(f"cell {cell.label} {_cm(cell.attaching)} {_cm(cell.image)} "
+                         f"{_cm(cell.step_inclusion)}")
+
+    zero = ChainComplex.zero(ring)
+    R1, R2 = FpModule.free(ring, 1), FpModule.free(ring, 2)
+    # zero-source maps onto literal disk sums, then onto twisted complexes
+    twisted = ChainComplex(ring, {1: R1, 0: R1},
+                           {1: ModuleMap(R1, R1, Matrix.from_rows(ring, [[2]]))})
+    sampler = DeterministicSampler(23)
+    targets = [ChainComplex.direct_sum(disk(1, R2), disk(0, R1)),
+               ChainComplex.direct_sum(disk(2, R1), disk(-1, R2)),
+               twisted, ChainComplex.direct_sum(twisted, sphere(0, R1))]
+    targets += [sampler.free_complex(ring, max_support=4, max_rank=3) for _ in range(4)]
+    for Q in targets:
+        lines.append("zero-source")
+        cells(icell_decompose(ChainMap.zero_map(zero, Q)))
+
+    # both factorizations in the flat structure, as the factor suite runs them
+    spec = model_structure(FLAT_STRUCTURE, ring)
+    for _ in range(6):
+        X = sampler.free_complex(ring, max_support=4, max_rank=3)
+        Y = sampler.free_complex(ring, max_support=4, max_rank=3)
+        f = sampler.chain_map(X, Y)
+        for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
+            try:
+                fact = factor_map(f, mode, spec)
+            except FactorizationObstructedError:
+                lines.append("obstructed")
+                continue
+            lines.append(mode)
+            cells(fact.cell_chain)
+    return lines
+
+
+@pytest.mark.parametrize("ring, digest", [
+    (Integers(),
+     "0b35244d820894be2e9ff88069bb7ea50a2dd2749218ad6ff598103ba8e34971"),
+    (IntegersModN(4),
+     "1f42df7ce81224b582715e96bef6bf8c78cbc089091d146450674ac66dc46c02"),
+    (PrimeField(3),
+     "55ee62185fe1834b9e265514b3a8bd5013b7027c7b2144e85cf31db33fd2ab0b"),
+], ids=["Z", "Z4", "F3"])
+def test_golden_cell_chains(ring, digest):
+    # recorded before each cell became (label, mono, columns)
+    assert sha256("\n".join(_cell_chain_lines(ring))) == digest

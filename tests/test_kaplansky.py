@@ -14,7 +14,7 @@ from finhom.complexes import (
     subcomplex_from_gens,
 )
 from finhom.cotorsion import ObjectClass
-from finhom.errors import FactorizationObstructedError, NotInClassError
+from finhom.errors import FactorizationObstructedError, NotInClassError, ValidationError
 from finhom.kaplansky import (
     Cell,
     CellChain,
@@ -22,6 +22,7 @@ from finhom.kaplansky import (
     FiltrationChain,
     find_small_surjecting_sub,
     flat_subcomplex_envelope,
+    grow_cell_chain,
     icell_decompose,
     kaplansky_filtration,
     kaplansky_witness,
@@ -275,6 +276,25 @@ def test_verify_pushout_rejects_a_cell_image_that_misses_a_generator(c):
     verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
                                   step, image)
     assert verdicts == (c == 1,) * 2
+
+
+# -- cells attached outside the previous stage ----------------------------------
+
+def test_grow_cell_chain_refuses_a_cell_attached_outside_the_previous_stage():
+    # S^0(Z) -> D^1(Z) glued onto 0 -> D^1(Z): the boundary d e = e of the
+    # top generator is not in the empty previous stage; gluing the bottom
+    # generator first, as 0 -> S^0(Z), puts it there
+    R1 = FpModule.free(ZZ, 1)
+    e = Matrix.identity(ZZ, 1)
+    zero = ChainComplex.zero(ZZ)
+    f = ChainMap.zero_map(zero, disk(1, R1))
+    sphere_cell = ("S^0(R) -> D^1(R) cell", sphere_into_disk(1, R1), {1: e, 0: e})
+    with pytest.raises(ValidationError,
+                       match="grow_cell_chain: the attaching columns lie in the previous stage"):
+        grow_cell_chain(f, [sphere_cell])
+    first = ("0 -> S^0(R)", ChainMap.zero_map(zero, sphere(0, R1)), {0: e})
+    assert grow_cell_chain(f, [first, sphere_cell]).verify()
+
 
 # -- stages built as extensions ------------------------------------------------
 

@@ -256,7 +256,7 @@ def test_module_imports_only_names_it_uses(path):
 CERTIFICATES_UNDER_O = """
 import sys
 from finhom import Integers, Matrix
-from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover
+from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover, sphere_into_disk
 from finhom.errors import ValidationError
 from finhom.kaplansky import disk_cell, grow_cell_chain
 from finhom.modules import FpModule, ModuleMap
@@ -277,6 +277,10 @@ Q = ChainComplex.direct_sum(disk(1, R1), disk(0, R1))
 f = ChainMap.zero_map(ChainComplex.zero(ZZ), Q)
 one_cell = [disk_cell(1, Matrix.identity(ZZ, 1), Q.diff(1).matrix)]
 expect_certificate("cell-chain", lambda: grow_cell_chain(f, one_cell))
+# a sphere cell whose boundary is not in the empty previous stage
+off_stage = [("S^0(R) -> D^1(R) cell", sphere_into_disk(1, R1),
+              {1: Matrix.identity(ZZ, 1), 0: Q.diff(1).matrix})]
+expect_certificate("sphere-cell", lambda: grow_cell_chain(f, off_stage))
 # an inverse whose certificate is forced to fail
 ModuleMap.is_identity = lambda self: False
 expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
@@ -295,8 +299,10 @@ def test_certificates_survive_python_O():
     assert lines[0] == "optimize 1"
     assert lines[1].startswith(
         "cell-chain certificate failed: grow_cell_chain: the stages exhaust the target")
-    assert lines[2].startswith("inverse certificate failed: ModuleMap.inverse")
-    assert lines[3].startswith("disk-cover certificate failed: disk_cover")
+    assert lines[2] == ("sphere-cell certificate failed: grow_cell_chain: the attaching "
+                        "columns lie in the previous stage")
+    assert lines[3].startswith("inverse certificate failed: ModuleMap.inverse")
+    assert lines[4].startswith("disk-cover certificate failed: disk_cover")
 
 
 def test_failed_certificate_raises_validation_error(monkeypatch):
