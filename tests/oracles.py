@@ -1,0 +1,158 @@
+"""Oracles kept outside the library: they check finhom from outside and
+cannot drift with the code they check.
+
+* ``pushout_oracle``: a cell square is a pushout when the canonical map
+  from the pushout built by ``pushout_chainmaps`` to the next stage is an
+  isomorphism of complexes.  ``Cell.verify_pushout`` decides the same
+  question degree by degree without building the pushout.
+* ``soa_factor_map``: the budgeted literal small object argument, which
+  glues cells from the generating families round by round; its
+  factorizations are compared with ``model.factor_map``.
+"""
+
+from dataclasses import dataclass
+
+from finhom.complexes import (
+    ChainComplex,
+    ChainMap,
+    _stacked_map,
+    disk_cover,
+    homology,
+    pushout_chainmaps,
+)
+from finhom.cotorsion import CTILDE, DG_C_RIGHT, complex_class_member
+from finhom.errors import BudgetExceededError, FactorizationObstructedError
+from finhom.kaplansky import Cell
+from finhom.matrix import Matrix
+from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
+from finhom.modules import FpModule, ModuleMap
+
+
+def pushout_oracle(cell: Cell) -> bool:
+    """Universal-property check: the square commutes and the canonical
+    map from the computed pushout to the next stage is an isomorphism."""
+    if not cell.step_inclusion.compose(cell.attaching).equals(
+            cell.image.compose(cell.generating_mono)):
+        return False
+    P, inj_src, inj_new, universal = pushout_chainmaps(
+        cell.generating_mono, cell.attaching)
+    theta = universal(cell.image, cell.step_inclusion)
+    return theta.is_iso()
+
+
+@dataclass
+class SOAFactorization:
+    """Output of the budgeted literal small-object-argument mode: the
+    same contract as the deterministic path, plus the round count."""
+
+    original: ChainMap
+    i: ChainMap
+    p: ChainMap
+    mode: str
+    rounds: int
+    cells_attached: int
+
+
+def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
+                   round_budget: int = 16) -> SOAFactorization:
+    """Factor f by literally gluing cells from the windowed generating
+    families, one round at a time, until the right-hand certificate
+    holds.
+
+    Kept for demonstration and cross-validation against the deterministic
+    path (the i-parts have isomorphic cokernel homology, not necessarily
+    equal complexes).  Termination is a budget, not a theorem: over
+    rings without finite free resolutions the rounds can provably never
+    close and the budget surfaces as an error.
+    """
+    X, Y = f.source, f.target
+    ring = spec.ring
+    Q = X
+    i = ChainMap.identity(X)
+    p = f
+    cells = 0
+    for rnd in range(1, round_budget + 1):
+        if not p.is_epi():
+            # glue one disk cell per target generator: the canonical
+            # squares of the generating (trivial) cofibrations 0 -> D^n
+            D, sigma = disk_cover(Y)
+            Q2 = ChainComplex.direct_sum(Q, D)
+            step = _stacked_map(Q, Q2, [ChainMap.identity(Q), ChainMap.zero_map(Q, D)],
+                                into_sum=True, check=False)
+            i = step.compose(i)
+            p = _stacked_map(Q2, Y, [p, sigma], into_sum=False)
+            Q = Q2
+            cells += sum(1 for n in Y.support if Y.module_at(n).gens)
+            continue
+        K, kincl = p.kernel_subcomplex()
+        if mode == TRIVCOF_THEN_FIB:
+            ok, _ = complex_class_member(K, DG_C_RIGHT, spec.pair, test_family=[])
+            if ok:
+                return SOAFactorization(f, i, p, mode, rnd, cells)
+            raise FactorizationObstructedError(
+                "SOA rounds cannot repair a degreewise kernel class failure")
+        # CofThenTrivFib: the kernel must become exact with right-class
+        # cycles; kill the lowest nonvanishing kernel homology
+        defect = None
+        for n in range(K.lo, K.hi + 1):
+            H = homology(K, n)
+            if not H.is_zero_module():
+                defect = n
+                break
+        if defect is None:
+            ok, _ = complex_class_member(K, CTILDE, spec.pair)
+            if ok:
+                return SOAFactorization(f, i, p, mode, rnd, cells)
+            raise FactorizationObstructedError(
+                "SOA rounds cannot repair a kernel cycle class failure")
+        n = defect
+        zgens = K.diff(n).kernel_gens()
+        H = homology(K, n)
+        canonH, _, fro = H.canonical_form()
+        reps = []
+        for j in range(canonH.gens):
+            coeff = fro.matrix.submatrix(range(H.gens), [j])
+            in_k = zgens * coeff     # a cycle of K at degree n
+            in_q = kincl.component_at(n).matrix * in_k
+            reps.append(tuple(in_q.col(0)))
+        if not reps:
+            continue
+        z = Matrix(ring, Q.module_at(n).gens, len(reps),
+                   [list(r) for r in zip(*reps)])
+        # glue S^n(R^k) -> D^{n+1}(R^k) along the cycle representatives
+        objs = dict(Q.objects)
+        free_k = FpModule.free(ring, z.cols)
+        top = FpModule.direct_sum(Q.module_at(n + 1), free_k)
+        objs[n + 1] = top
+        diffs = dict(Q.differentials)
+        diffs[n + 1] = ModuleMap(top, Q.module_at(n),
+                                 Q.diff(n + 1).matrix.hstack(z), check=False)
+        if (n + 2) in Q.differentials:
+            up = Q.diff(n + 2)
+            diffs[n + 2] = ModuleMap(up.source, top, up.matrix.vstack(
+                Matrix.zero(ring, z.cols, up.source.gens)), check=False)
+        Q2 = ChainComplex(ring, objs, diffs)
+        icomps = {}
+        for m in Q.support:
+            qm = Q.module_at(m)
+            if m == n + 1:
+                icomps[m] = ModuleMap(qm, top, Matrix.identity(ring, qm.gens).vstack(
+                    Matrix.zero(ring, z.cols, qm.gens)), check=False)
+            elif qm.gens:
+                icomps[m] = ModuleMap(qm, Q2.module_at(m),
+                                      Matrix.identity(ring, qm.gens), check=False)
+        step = ChainMap(Q, Q2, icomps, check=False)
+        pcomps = {}
+        for m in Q2.support:
+            pm = p.component_at(m).matrix
+            if m == n + 1 and Y.module_at(m).gens:
+                pm = pm.hstack(Matrix.zero(ring, Y.module_at(m).gens, z.cols))
+            if Y.module_at(m).gens:
+                pcomps[m] = ModuleMap(Q2.module_at(m), Y.module_at(m), pm,
+                                      check=False)
+        i = step.compose(i)
+        p = ChainMap(Q2, Y, pcomps)
+        Q = Q2
+        cells += z.cols
+    raise BudgetExceededError(
+        f"small object argument did not close within {round_budget} rounds")

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # called from tests only, on purpose
 TEST_ONLY = {
-    "soa_factor_map",
     "DeterministicSampler.small_module",
     "DeterministicSampler.short_exact_seq",
     "Report.from_machine",
@@ -47,16 +46,30 @@ def _definitions():
                         yield f"{node.name}.{sub.name}", sub.name
 
 
+def _names_in(tree):
+    """The names a syntax tree reads: bare names it loads, not ones it
+    only assigns, and every attribute name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def _names_read():
     names = set()
     for top in ("src", "demos"):
         for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+            names |= _names_in(ast.parse(path.read_text(encoding="utf-8")))
     return names
+
+
+def test_a_stored_name_is_not_a_read():
+    # a local that shares a definition's name must not mark it as used
+    tree = ast.parse("columns = 2\nfor rows in range(3):\n    total = rows + 1\n")
+    assert _names_in(tree) == {"range", "rows"}
 
 
 def test_every_definition_is_referenced():

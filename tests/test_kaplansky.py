@@ -44,6 +44,7 @@ from finhom.modules import (
 )
 from finhom.sampling import DeterministicSampler
 from finhom.smith import snf
+from oracles import pushout_oracle
 
 ZZ = Integers()
 Z6 = IntegersModN(6)
@@ -222,11 +223,12 @@ def _map(X, Y, rows_by_degree):
 
 
 def _one_cell_verdicts(mono, attaching, step, image):
-    """verify_pushout of the square and verify of its one-cell chain."""
+    """verify_pushout of the square, the pushout oracle's verdict on it
+    and verify of its one-cell chain."""
     cell = Cell(mono, attaching, step, image, "hand-built")
     chain = CellChain(step, [step.source, step.target], [cell],
                       ChainMap.identity(step.target))
-    return cell.verify_pushout(), chain.verify()
+    return cell.verify_pushout(), pushout_oracle(cell), chain.verify()
 
 
 @pytest.mark.parametrize("extra", [False, True], ids=["pushout", "extra-summand"])
@@ -242,7 +244,7 @@ def test_verify_pushout_rejects_an_extra_free_summand(extra):
         image = _map(D, Q, {1: [[1]], 0: [[1], [0]]})
     else:
         step, image = mono, ChainMap.identity(D)
-    assert _one_cell_verdicts(mono, ChainMap.identity(X), step, image) == (not extra,) * 2
+    assert _one_cell_verdicts(mono, ChainMap.identity(X), step, image) == (not extra,) * 3
 
 
 @pytest.mark.parametrize("c, onto", [(1, None), (2, None), (1, 2)],
@@ -260,7 +262,7 @@ def test_verify_pushout_rejects_a_step_that_is_not_mono_over_z4(c, onto):
     image = _map(D, Q, {1: [[1]], 0: [[0], [1]]})
     verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
                                   step, image)
-    assert verdicts == (c == 1 and onto is None,) * 2
+    assert verdicts == (c == 1 and onto is None,) * 3
 
 
 @pytest.mark.parametrize("c", [1, 2], ids=["onto", "misses-a-generator"])
@@ -275,7 +277,56 @@ def test_verify_pushout_rejects_a_cell_image_that_misses_a_generator(c):
     image = _map(D, Q, {1: [[c]], 0: [[0], [c]]})
     verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
                                   step, image)
-    assert verdicts == (c == 1,) * 2
+    assert verdicts == (c == 1,) * 3
+
+
+def _into_quotient_by_two(cell):
+    """The square with its next stage E replaced by E/2E: the canonical
+    map is followed by the projection E ->> E/2E, which is onto and is
+    mono only where 2E = 0."""
+    E = cell.image.target
+    ring = E.ring
+    mods = {n: FpModule(ring, M.gens, M.relations.hstack(Matrix.identity(ring, M.gens).scale(2)))
+            for n, M in E.objects.items()}
+    E2 = ChainComplex(ring, mods, {n: ModuleMap(mods[n], mods[n - 1], d.matrix, check=False)
+                                   for n, d in E.differentials.items()})
+
+    def onto(f):
+        return ChainMap(f.source, E2, {n: ModuleMap(c.source, E2.objects[n], c.matrix,
+                                                    check=False)
+                                       for n, c in f.components.items() if n in E2.objects})
+
+    return Cell(cell.generating_mono, cell.attaching, onto(cell.step_inclusion),
+                onto(cell.image), cell.label)
+
+
+@pytest.mark.parametrize("ring, structure", [
+    (ZZ, FLAT_STRUCTURE),
+    (IntegersModN(4), PROJECTIVE_STRUCTURE),
+    (IntegersModN(4), FLAT_STRUCTURE),
+    (PrimeField(3), PROJECTIVE_STRUCTURE),
+], ids=["flat-Z", "projective-Z/4", "flat-Z/4", "F3"])
+def test_verify_pushout_agrees_with_the_pushout_oracle(ring, structure):
+    # every cell of factor_map in both modes, and two commuting squares
+    # made from it: the step and image times 2 (a pushout only where 2 is
+    # a unit), and the next stage replaced by its quotient by 2
+    spec = model_structure(structure, ring)
+    sampler = DeterministicSampler(29)
+    seen = set()
+    for _ in range(20):
+        X = sampler.free_complex(ring, max_support=4, max_rank=3)
+        Y = sampler.free_complex(ring, max_support=4, max_rank=3)
+        f = sampler.chain_map(X, Y)
+        for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
+            for cell in factor_map(f, mode, spec).cell_chain.cells:
+                doubled = Cell(cell.generating_mono, cell.attaching,
+                               cell.step_inclusion.scale(2), cell.image.scale(2), cell.label)
+                squares = (cell, doubled, _into_quotient_by_two(cell))
+                verdicts = [square.verify_pushout() for square in squares]
+                assert verdicts == [pushout_oracle(square) for square in squares]
+                assert verdicts[0], (mode, cell.label)
+                seen.update(verdicts)
+    assert seen == {True, False}
 
 
 # -- cells attached outside the previous stage ----------------------------------

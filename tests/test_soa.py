@@ -13,10 +13,10 @@ from finhom.model import (
     TRIVCOF_THEN_FIB,
     factor_map,
     model_structure,
-    soa_factor_map,
 )
 from finhom.modules import FpModule
 from finhom.sampling import DeterministicSampler
+from oracles import soa_factor_map
 
 ZZ = Integers()
 
