@@ -20,6 +20,14 @@ and widths of the pieces X_i ox Y_j of X ox Y; the differential, the
 tensor of chain maps and the symmetry and associativity isomorphisms
 place their blocks by it.
 
+The complexes put together from whole complexes, shifted and side by
+side, are built by one block rule, ``_sum_complex``: each piece puts its
+modules in the sum, shifted, with its own differential, signed, on its
+diagonal block, and each link adds a signed chain map from one piece to
+the piece one degree below it.  Direct sums, the mapping cone and
+cylinder, disk covers and the Cartan-Eilenberg total complex of
+``model.ce_trivial_fibration`` are all built so.
+
 Pushouts and pullbacks are a cokernel and a kernel through the direct
 sum: the pushout of B <- A -> C is the cokernel of (f, -g): A -> B (+) C,
 the pullback of B -> D <- C the kernel of (f, -g): B (+) C -> D.
@@ -31,6 +39,7 @@ universal maps, and the disk padding of ``model.factor_map``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -151,22 +160,7 @@ class ChainComplex:
 
     @staticmethod
     def direct_sum(*summands: "ChainComplex") -> "ChainComplex":
-        ring = summands[0].ring
-        degrees = set()
-        for X in summands:
-            degrees.update(X.support)
-        objs = {}
-        diffs = {}
-        for n in sorted(degrees | {d + 1 for d in degrees}):
-            mods = [X.module_at(n) for X in summands]
-            if all(m.is_zero_module() for m in mods):
-                continue
-            objs[n] = FpModule.direct_sum(*mods)
-        for n in sorted(degrees):
-            if n in objs and (n - 1) in objs:
-                blocks = Matrix.block_diagonal(ring, [X.diff(n).matrix for X in summands])
-                diffs[n] = ModuleMap(objs[n], objs[n - 1], blocks, check=False)
-        return ChainComplex(ring, objs, diffs, check=False)
+        return _sum_complex(summands[0].ring, [(X, 0, 1) for X in summands])
 
 
 def sphere(n: int, M: FpModule) -> ChainComplex:
@@ -420,6 +414,39 @@ def _place_blocks(ring: Ring, rows: int, cols: int, blocks) -> Matrix:
     return Matrix(ring, rows, cols, data)
 
 
+def _sum_complex(ring: Ring, pieces, links=()) -> ChainComplex:
+    """The complex whose degree-n module is the direct sum, in the given
+    order, of its pieces' modules, built unchecked.
+
+    A piece (X, shift, sign) puts X_{n-shift} in degree n and sign * d_X
+    on its own blocks.  A link (a, b, g, sign) adds sign * g, for g a
+    chain map from piece a's complex to piece b's, where piece a sits one
+    degree above piece b.  A missing differential or component is an
+    absent block, and every other block is zero."""
+    objs, offsets = {}, {}
+    for n in sorted({k + s for X, s, _ in pieces for k in X.objects}):
+        mods = [X.module_at(n - s) for X, s, _ in pieces]
+        objs[n] = FpModule.direct_sum(*mods)
+        offsets[n] = list(itertools.accumulate((M.gens for M in mods), initial=0))
+
+    # a piece's own differential is a map from the piece to itself
+    edges = [(k, k, X.differentials, sign) for k, (X, _, sign) in enumerate(pieces)]
+    edges += [(a, b, g.components, sign) for a, b, g, sign in links]
+
+    def blocks(n):
+        for a, b, maps, sign in edges:
+            m = maps.get(n - pieces[a][1])
+            if m is not None:
+                yield (offsets[n - 1][b], offsets[n][a],
+                       m.matrix if sign == 1 else m.matrix.scale(sign))
+
+    diffs = {n: ModuleMap(objs[n], objs[n - 1],
+                          _place_blocks(ring, objs[n - 1].gens, objs[n].gens, blocks(n)),
+                          check=False)
+             for n in objs if (n - 1) in objs}
+    return ChainComplex(ring, objs, diffs, check=False)
+
+
 def _blockwise_chain_map(src: ChainComplex, tgt: ChainComplex, blocks_at) -> ChainMap:
     """The chain map src -> tgt whose degree-k matrix is the sum of the
     blocks ``blocks_at(k)`` yields, checked to commute with d."""
@@ -547,23 +574,9 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: C_n = X_{n-1} (+) Y_n, d(x', y) = (-dx', f x' + dy)."""
-    X, Y = f.source, f.target
-    ring = f.ring
-    objs = {}
-    for n in range(min(X.lo + 1, Y.lo), max(X.hi + 1, Y.hi) + 1):
-        m = FpModule.direct_sum(X.module_at(n - 1), Y.module_at(n))
-        if not m.is_zero_module():
-            objs[n] = m
-    diffs = {}
-    for n in list(objs):
-        if (n - 1) not in objs:
-            continue
-        xm1, yn = X.module_at(n - 1), Y.module_at(n)
-        xm2, ym1 = X.module_at(n - 2), Y.module_at(n - 1)
-        top = X.diff(n - 1).matrix.scale(-1).hstack(Matrix.zero(ring, xm2.gens, yn.gens))
-        bot = f.component_at(n - 1).matrix.hstack(Y.diff(n).matrix)
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], top.vstack(bot), check=False)
-    return ChainComplex(ring, objs, diffs)
+    C = _sum_complex(f.ring, [(f.source, 1, -1), (f.target, 0, 1)], [(0, 1, f, 1)])
+    _check_complex(C.ring, C.objects, C.differentials, C.support)
+    return C
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -588,29 +601,11 @@ def cylinder(f: ChainMap) -> CylinderData:
     """
     X, Y = f.source, f.target
     ring = f.ring
+    cyl = _sum_complex(ring, [(X, 0, 1), (X, 1, -1), (Y, 0, 1)],
+                       [(1, 0, ChainMap.identity(X), -1), (1, 2, f, 1)])
+    _check_complex(ring, cyl.objects, cyl.differentials, cyl.support)
     # X_{n-1} in degree n: only its modules are read, as block sizes
     Xs = ChainComplex(ring, {n + 1: M for n, M in X.objects.items()}, {}, check=False)
-    objs = {}
-    for n in range(min(X.lo, Y.lo), max(X.hi + 1, Y.hi) + 1):
-        m = FpModule.direct_sum(X.module_at(n), Xs.module_at(n), Y.module_at(n))
-        if not m.is_zero_module():
-            objs[n] = m
-    diffs = {}
-    for n in list(objs):
-        if (n - 1) not in objs:
-            continue
-        xn, xm1, yn = X.module_at(n), X.module_at(n - 1), Y.module_at(n)
-        xm2, ym1 = X.module_at(n - 2), Y.module_at(n - 1)
-        row1 = X.diff(n).matrix.hstack(
-            Matrix.identity(ring, xm1.gens).scale(-1)).hstack(
-            Matrix.zero(ring, xm1.gens, yn.gens))
-        row2 = Matrix.zero(ring, xm2.gens, xn.gens).hstack(
-            X.diff(n - 1).matrix.scale(-1)).hstack(Matrix.zero(ring, xm2.gens, yn.gens))
-        row3 = Matrix.zero(ring, ym1.gens, xn.gens).hstack(
-            f.component_at(n - 1).matrix).hstack(Y.diff(n).matrix)
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], row1.vstack(row2).vstack(row3),
-                             check=False)
-    cyl = ChainComplex(ring, objs, diffs)
     front = _stacked_map(X, cyl, [ChainMap.identity(X), ChainMap.zero_map(X, Xs),
                                   ChainMap.zero_map(X, Y)], into_sum=True)
     proj = _stacked_map(cyl, Y, [f, ChainMap.zero_map(Xs, Y), ChainMap.identity(Y)],
@@ -892,36 +887,17 @@ def disk_cover(X: ChainComplex):
     if X.is_zero_complex():
         Z = ChainComplex.zero(ring)
         return Z, ChainMap.zero_map(Z, X)
-    ranks = {n: X.module_at(n).gens for n in X.support}
-    objs = {}
-    for n in range(X.lo - 1, X.hi + 1):
-        r = ranks.get(n, 0) + ranks.get(n + 1, 0)
-        if r:
-            objs[n] = FpModule.free(ring, r)
-    diffs = {}
-    for n in sorted(objs):
-        if (n - 1) not in objs:
-            continue
-        rn = ranks.get(n, 0)
-        rn1 = ranks.get(n + 1, 0)
-        prev_rn = ranks.get(n - 1, 0)
-        # the disk D^{n}(free^{rn}) maps its top identically onto the
-        # second block of P_{n-1}
-        m = Matrix.zero(ring, prev_rn, rn).hstack(Matrix.zero(ring, prev_rn, rn1))
-        m2 = Matrix.identity(ring, rn).hstack(Matrix.zero(ring, rn, rn1))
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], m.vstack(m2), check=False)
-    P = ChainComplex(ring, objs, diffs, check=False)
-    comps = {}
-    for n in P.support:
-        rn = ranks.get(n, 0)
-        rn1 = ranks.get(n + 1, 0)
-        xn = X.module_at(n)
-        if xn.gens == 0:
-            continue
-        cover = Matrix.identity(ring, rn) if rn else Matrix.zero(ring, xn.gens, 0)
-        second = X.diff(n + 1).matrix if rn1 else Matrix.zero(ring, xn.gens, rn1)
-        comps[n] = ModuleMap(P.module_at(n), xn, cover.hstack(second), check=False)
-    c = ChainMap(P, X, comps)
+    # P_n = [tops of D^n | bottoms of D^{n+1}]; the tops cover X_n, the
+    # bottoms map by d_{n+1}
+    P = ChainComplex.direct_sum(*[disk(n, FpModule.free(ring, X.module_at(n).gens))
+                                  for n in X.support])
+
+    def blocks(n):
+        yield 0, 0, Matrix.identity(ring, X.module_at(n).gens)
+        if (n + 1) in X.differentials:
+            yield 0, X.module_at(n).gens, X.differentials[n + 1].matrix
+
+    c = _blockwise_chain_map(P, X, blocks)
     _certify(c.is_epi(), "disk_cover: the cover is degreewise epi")
     return P, c
 

@@ -14,7 +14,6 @@ requested length, which is all Ext^n/Tor_n up to that degree need.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .errors import PreconditionFailedError, UnsupportedRingError
 from .linsolve import MatrixEquationSolver
@@ -25,7 +24,6 @@ from .modules import (
     ShortExactSeq,
     _certify,
     find_section,
-    hom_module,
     submodule,
     submodule_coordinates,
     subquotient,
@@ -189,33 +187,6 @@ def is_injective(M: FpModule) -> bool:
             "injectivity is only decided over quasi-Frobenius rings (Z/n, F_p)"
         )
     return is_projective(M)
-
-
-def all_module_maps(M: FpModule, N: FpModule):
-    """Every module map M -> N, by brute force.  Finite rings only.
-
-    Enumerates all coefficient combinations of the Hom generators; used
-    as the independent oracle for lift existence.
-    """
-    ring = M.ring
-    if not ring.is_finite:
-        raise UnsupportedRingError("cannot enumerate maps over Z")
-    H, gens = hom_module(M, N)
-    if not gens:
-        yield ModuleMap.zero_map(M, N)
-        return
-    n = ring.modulus
-    seen = set()
-    for coeffs in product(range(n), repeat=len(gens)):
-        m = Matrix.zero(ring, N.gens, M.gens)
-        for c, g in zip(coeffs, gens):
-            if c:
-                m = m + g.matrix.scale(c)
-        key = tuple(N.canonical_element(m.col(j)) for j in range(m.cols))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield ModuleMap(M, N, m, check=False)
 
 
 def lift_through(f: ModuleMap, g: ModuleMap,

@@ -224,19 +224,6 @@ class Matrix:
             c0 += b.cols
         return Matrix._reduced(ring, len(data), cols, tuple(data))
 
-    @staticmethod
-    def from_blocks(ring: Ring, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        """Assemble a matrix from a 2-d grid of compatible blocks."""
-        out = None
-        for brow in grid:
-            row = None
-            for b in brow:
-                row = b if row is None else row.hstack(b)
-            out = row if out is None else out.vstack(row)
-        if out is None:
-            return Matrix.zero(ring, 0, 0)
-        return out
-
     def kronecker(self, other: "Matrix") -> "Matrix":
         """Tensor (Kronecker) product; row-major pairing of indices."""
         self._check_ring(other)

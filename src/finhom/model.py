@@ -32,9 +32,14 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ChainComplex,
     ChainMap,
+    _blockwise_chain_map,
+    _check_complex,
+    _place_blocks,
     _stacked_map,
+    _sum_complex,
     cycles,
     cylinder,
+    disk,
     disk_cover,
     graded_map_solver,
     homology_table,
@@ -42,6 +47,7 @@ from .complexes import (
     is_quasi_iso,
     pullback_chainmaps,
     pushout_chainmaps,
+    sphere,
     tensor_chain_maps,
     tensor_complexes,
 )
@@ -290,6 +296,9 @@ def _degreewise_in_left(C: ChainComplex, spec: ModelStructureSpec) -> bool:
 def _short_free_resolution(M: FpModule):
     """(P0, P1, eps, delta) with P1 -> P0 -> M exact, P robustly free and
     the resolution stopping after one step; obstructed rings raise."""
+    if M.gens == 0:
+        # the relations of a module without generators are vacuous
+        M = FpModule.zero(M.ring)
     res = free_resolution(M, 2)
     if res[2].source.gens != 0:
         leftover = kernel_basis(res[1].matrix)
@@ -304,7 +313,14 @@ def _short_free_resolution(M: FpModule):
 def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
     """(T, t) with T bounded and degreewise free and t: T ->> Y an epi
     quasi-isomorphism: the total complex of a two-row Cartan-Eilenberg
-    resolution, spliced from resolutions of boundaries and homology."""
+    resolution, spliced from resolutions of boundaries and homology.
+
+    Each row PY_j is a sum of disks and spheres on free modules: the disk
+    D^{n+1}(PB_j(n)) on the resolution PB of the boundaries B_n and the
+    sphere S^n(PH_j(n)) on the resolution PH of the homology H_n, top
+    degree first, so PY_j(m) = [PB_j(m) | PH_j(m) | PB_j(m-1)].  The
+    total complex T = PY0 (+) PY1[1] has the vertical maps
+    deltaY: PY1 -> PY0 as its link (``complexes._sum_complex``)."""
     ring = Y.ring
     if Y.is_zero_complex():
         Z = ChainComplex.zero(ring)
@@ -342,9 +358,7 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         Zm = dat["Z"]
         # H shares generators with Z: epsH columns are Z-coordinates
         lift_h = epsH.matrix
-        z0 = FpModule.free(ring, PB0.gens + PH0.gens)
-        epsZ_m = (dat["binclz"].matrix * epsB.matrix).hstack(lift_h)
-        epsZ = ModuleMap(z0, Zm, epsZ_m, check=False)
+        epsZ = (dat["binclz"].matrix * epsB.matrix).hstack(lift_h)
         # tau: PH1 -> PB0 correcting the splice
         cb = submodule_coordinates(Zm, dat["binclz"].matrix, lift_h * deltaH.matrix)
         _certify(cb is not None,
@@ -352,118 +366,51 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         pre = submodule_coordinates(dat["B"], epsB.matrix, cb)
         _certify(pre is not None, "ce_trivial_fibration: epsB reaches the correction")
         tau = pre.scale(-1)
-        z1 = FpModule.free(ring, PB1.gens + PH1.gens)
-        deltaZ_m = Matrix.from_blocks(ring, [
-            [deltaB.matrix, tau],
-            [Matrix.zero(ring, PH0.gens, PB1.gens), deltaH.matrix],
-        ])
-        dat.update(PB0=PB0, PB1=PB1, epsB=epsB, deltaB=deltaB,
-                   PZ0=z0, PZ1=z1, epsZ=epsZ, deltaZ=deltaZ_m)
+        deltaZ = _place_blocks(ring, PB0.gens + PH0.gens, PB1.gens + PH1.gens, [
+            (0, 0, deltaB.matrix), (0, PB1.gens, tau), (PB0.gens, PB1.gens, deltaH.matrix)])
+        dat.update(PB0=PB0, PB1=PB1, PH0=PH0, PH1=PH1, epsB=epsB, deltaB=deltaB,
+                   epsZ=epsZ, deltaZ=deltaZ)
 
-    # second horseshoe: PY = PZ (+) PB(n-1)
+    # second horseshoe: PY_j(n) = PZ_j(n) (+) PB_j(n-1), with
+    # epsY: PY0(n) -> Y_n and deltaY: PY1(n) -> PY0(n)
     for n in Y.support:
         dat = datums[n]
         prev = datums.get(n - 1)
-        Yn = Y.module_at(n)
         z_in_y = dat["zincl"].matrix
-        if prev is None:
-            py0 = dat["PZ0"]
-            epsY_m = z_in_y * dat["epsZ"].matrix
-            py1 = dat["PZ1"]
-            deltaY_m = dat["deltaZ"]
-            bprev0 = bprev1 = 0
-        else:
-            PB0p, PB1p = prev["PB0"], prev["PB1"]
-            bprev0, bprev1 = PB0p.gens, PB1p.gens
-            py0 = FpModule.free(ring, dat["PZ0"].gens + bprev0)
+        epsY = z_in_y * dat["epsZ"]
+        deltaY = dat["deltaZ"]
+        if prev is not None:
             # lift PB0(n-1) generators through the corestriction
             cor = dat["cor"]
             liftB = submodule_coordinates(cor.target, cor.matrix, prev["epsB"].matrix)
             _certify(liftB is not None,
                      "ce_trivial_fibration: the corestriction reaches every generator")
-            epsY_m = (z_in_y * dat["epsZ"].matrix).hstack(liftB)
-            py1 = FpModule.free(ring, dat["PZ1"].gens + bprev1)
+            epsY = epsY.hstack(liftB)
             # tau2: PB1(n-1) -> PZ0(n)
-            cz = submodule_coordinates(Yn, z_in_y, liftB * prev["deltaB"].matrix)
+            cz = submodule_coordinates(Y.module_at(n), z_in_y, liftB * prev["deltaB"].matrix)
             _certify(cz is not None,
                      "ce_trivial_fibration: the horseshoe correction lands in cycles")
-            pre = submodule_coordinates(dat["Z"], dat["epsZ"].matrix, cz)
+            pre = submodule_coordinates(dat["Z"], dat["epsZ"], cz)
             _certify(pre is not None, "ce_trivial_fibration: epsZ reaches the correction")
-            tau2 = pre.scale(-1)
-            deltaY_m = Matrix.from_blocks(ring, [
-                [dat["deltaZ"], tau2],
-                [Matrix.zero(ring, bprev0, dat["PZ1"].gens), prev["deltaB"].matrix],
-            ])
-        dat.update(PY0=py0, PY1=py1, epsY=ModuleMap(py0, Yn, epsY_m, check=False),
-                   deltaY=deltaY_m, bprev0=bprev0, bprev1=bprev1)
+            r, c = deltaY.rows, deltaY.cols
+            deltaY = _place_blocks(ring, r + prev["PB0"].gens, c + prev["PB1"].gens, [
+                (0, 0, deltaY), (0, c, pre.scale(-1)), (r, c, prev["deltaB"].matrix)])
+        dat.update(epsY=epsY, deltaY=deltaY)
 
-    # horizontal differentials: identity of PB(n-1) into its slot in PZ0/PZ1
-    # assemble the total complex T_m = PY0(m) (+) PY1(m-1)
-    objs = {}
-    for m in range(Y.lo, Y.hi + 2):
-        w0 = datums[m]["PY0"].gens if m in datums else 0
-        w1 = datums[m - 1]["PY1"].gens if (m - 1) in datums else 0
-        if w0 + w1:
-            objs[m] = FpModule.free(ring, w0 + w1)
-    diffs = {}
-    for m in sorted(objs):
-        if (m - 1) not in objs:
-            continue
-        w0 = datums[m]["PY0"].gens if m in datums else 0
-        w1 = datums[m - 1]["PY1"].gens if (m - 1) in datums else 0
-        v0 = datums[m - 1]["PY0"].gens if (m - 1) in datums else 0
-        v1 = datums[m - 2]["PY1"].gens if (m - 2) in datums else 0
-        blocks = [[Matrix.zero(ring, v0, w0), Matrix.zero(ring, v0, w1)],
-                  [Matrix.zero(ring, v1, w0), Matrix.zero(ring, v1, w1)]]
-        if m in datums and (m - 1) in datums:
-            blocks[0][0] = _horizontal_block(datums, m, 0)
-        if (m - 1) in datums:
-            # vertical: deltaY(m-1): PY1(m-1) -> PY0(m-1)
-            blocks[0][1] = datums[m - 1]["deltaY"]
-        if (m - 1) in datums and (m - 2) in datums:
-            blocks[1][1] = _horizontal_block(datums, m - 1, 1).scale(-1)
-        diffs[m] = ModuleMap(objs[m], objs[m - 1],
-                             Matrix.from_blocks(ring, blocks), check=False)
-    T = ChainComplex(ring, objs, diffs)
-
-    tcomps = {}
-    for m in T.support:
-        if m not in datums:
-            continue
-        Ym = Y.module_at(m)
-        if Ym.gens == 0:
-            continue
-        w1 = datums[m - 1]["PY1"].gens if (m - 1) in datums else 0
-        mat = datums[m]["epsY"].matrix.hstack(Matrix.zero(ring, Ym.gens, w1))
-        tcomps[m] = ModuleMap(T.module_at(m), Ym, mat, check=False)
-    t = ChainMap(T, Y, tcomps)
+    PY0, PY1 = (ChainComplex.direct_sum(*[
+        C for n in reversed(Y.support)
+        for C in (disk(n + 1, datums[n][f"PB{j}"]), sphere(n, datums[n][f"PH{j}"]))])
+        for j in (0, 1))
+    delta = ChainMap(PY1, PY0, {n: ModuleMap(PY1.module_at(n), PY0.module_at(n),
+                                             datums[n]["deltaY"], check=False)
+                                for n in Y.support}, check=False)
+    T = _sum_complex(ring, [(PY0, 0, 1), (PY1, 1, -1)], [(1, 0, delta, 1)])
+    _check_complex(ring, T.objects, T.differentials, T.support)
+    t = _blockwise_chain_map(T, Y, lambda m: [(0, 0, datums[m]["epsY"])])
     _certify(t.is_epi(), "ce_trivial_fibration: t is epi")
     K, _ = t.kernel_subcomplex()
     _certify(is_exact(K), "ce_trivial_fibration: the kernel of t is exact")
     return T, t
-
-
-def _horizontal_block(datums, m, j):
-    """PY_j(m) -> PY_j(m-1): the PB(m-1) block mapped identically into
-    its slot inside PZ_j(m-1)."""
-    ring = datums[m]["Z"].ring
-    src = datums[m]["PY0"].gens if j == 0 else datums[m]["PY1"].gens
-    tgt = datums[m - 1]["PY0"].gens if j == 0 else datums[m - 1]["PY1"].gens
-    if j == 0:
-        bcols = datums[m]["bprev0"]
-        zpart = datums[m]["PZ0"].gens
-        bslot = datums[m - 1]["PB0"].gens
-    else:
-        bcols = datums[m]["bprev1"]
-        zpart = datums[m]["PZ1"].gens
-        bslot = datums[m - 1]["PB1"].gens
-    out = [[0] * src for _ in range(tgt)]
-    for k in range(bcols):
-        # column zpart + k maps to row k (the PB slot leads PZ's blocks)
-        out[k][zpart + k] = ring.one
-    _certify(bcols == bslot or bcols == 0,
-             "ce_trivial_fibration: the PB block fills its slot")
-    return Matrix(ring, tgt, src, out)
 
 
 # -- replacements --------------------------------------------------------------------------

@@ -8,9 +8,13 @@ cannot drift with the code they check.
 * ``soa_factor_map``: the budgeted literal small object argument, which
   glues cells from the generating families round by round; its
   factorizations are compared with ``model.factor_map``.
+* ``all_module_maps``: every module map between two modules over a
+  finite ring, by brute force; lifts found by the library are compared
+  with the ones it enumerates.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from finhom.complexes import (
     ChainComplex,
@@ -21,11 +25,11 @@ from finhom.complexes import (
     pushout_chainmaps,
 )
 from finhom.cotorsion import CTILDE, DG_C_RIGHT, complex_class_member
-from finhom.errors import BudgetExceededError, FactorizationObstructedError
+from finhom.errors import BudgetExceededError, FactorizationObstructedError, UnsupportedRingError
 from finhom.kaplansky import Cell
 from finhom.matrix import Matrix
 from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
-from finhom.modules import FpModule, ModuleMap
+from finhom.modules import FpModule, ModuleMap, hom_module
 
 
 def pushout_oracle(cell: Cell) -> bool:
@@ -156,3 +160,30 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
         cells += z.cols
     raise BudgetExceededError(
         f"small object argument did not close within {round_budget} rounds")
+
+
+def all_module_maps(M: FpModule, N: FpModule):
+    """Every module map M -> N, by brute force.  Finite rings only.
+
+    Enumerates all coefficient combinations of the Hom generators; used
+    as the independent oracle for lift existence.
+    """
+    ring = M.ring
+    if not ring.is_finite:
+        raise UnsupportedRingError("cannot enumerate maps over Z")
+    H, gens = hom_module(M, N)
+    if not gens:
+        yield ModuleMap.zero_map(M, N)
+        return
+    n = ring.modulus
+    seen = set()
+    for coeffs in product(range(n), repeat=len(gens)):
+        m = Matrix.zero(ring, N.gens, M.gens)
+        for c, g in zip(coeffs, gens):
+            if c:
+                m = m + g.matrix.scale(c)
+        key = tuple(N.canonical_element(m.col(j)) for j in range(m.cols))
+        if key in seen:
+            continue
+        seen.add(key)
+        yield ModuleMap(M, N, m, check=False)

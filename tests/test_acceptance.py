@@ -27,7 +27,7 @@ from finhom.cotorsion import (
     flat_pair,
     projective_pair,
 )
-from finhom.functors import all_module_maps, lift_through, tor_n
+from finhom.functors import lift_through, tor_n
 from finhom.kaplansky import KaplanskyConfig, flat_subcomplex_envelope
 from finhom.linsolve import MatrixEquationSolver
 from finhom.model import (
@@ -51,6 +51,7 @@ from finhom.quiver import (
 )
 from finhom.report import Report
 from finhom.sampling import DeterministicSampler
+from oracles import all_module_maps
 
 ZZ = Integers()
 Z4 = IntegersModN(4)

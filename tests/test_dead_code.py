@@ -22,7 +22,6 @@ TEST_ONLY = {
     "Ring.is_field",
     "Matrix.unvec",
     "tensor_unit_iso",
-    "all_module_maps",
     # coherence isomorphisms and module facts the invariant tests check
     "tensor_unit_iso_complex",
     "tensor_symmetry_iso",

@@ -5,7 +5,6 @@ import pytest
 from finhom import Integers, IntegersModN, Matrix, PrimeField
 from finhom.errors import PreconditionFailedError, UnsupportedRingError
 from finhom.functors import (
-    all_module_maps,
     ext_n,
     free_resolution,
     is_flat,
@@ -18,6 +17,7 @@ from finhom.functors import (
     tor_n,
 )
 from finhom.modules import FpModule, ModuleMap, ShortExactSeq, element_in_submodule
+from oracles import all_module_maps
 
 ZZ = Integers()
 Z4 = IntegersModN(4)

@@ -22,7 +22,9 @@ from finhom.complexes import (
     chain_hom_module,
     chain_map_coords,
     cone,
+    cylinder,
     disk,
+    disk_cover,
     is_null_homotopic,
     pullback_chainmaps,
     pushout_chainmaps,
@@ -41,6 +43,7 @@ from finhom.model import (
     FLAT_STRUCTURE,
     PROJECTIVE_STRUCTURE,
     TRIVCOF_THEN_FIB,
+    ce_trivial_fibration,
     factor_map,
     model_structure,
 )
@@ -278,3 +281,59 @@ def _cell_chain_lines(ring):
 def test_golden_cell_chains(ring, digest):
     # recorded before each cell became (label, mono, columns)
     assert sha256("\n".join(_cell_chain_lines(ring))) == digest
+
+
+# -- complexes built as direct sums ------------------------------------------------
+
+def _sum_complex_lines(ring, torsion):
+    """One line per output of the constructions whose degree-n module is
+    a direct sum: cones, cylinders, direct sums and disk covers, and over
+    Z the Cartan-Eilenberg trivial fibration and the factorizations that
+    pull it back."""
+    sampler = DeterministicSampler(31)
+    T = FpModule.cyclic(ring, torsion)
+    lines = []
+    for _ in range(6):
+        X = sampler.free_complex(ring, max_support=3, max_rank=3)
+        Y = sampler.free_complex(ring, max_support=3, max_rank=2)
+        # summands with relations, so every block carries them
+        Xr = ChainComplex.direct_sum(X, disk(1, T))
+        Yr = ChainComplex.direct_sum(Y, sphere(0, T), disk(2, T))
+        for A, B in ((X, Y), (Xr, Yr), (Yr, Xr)):
+            f = sampler.chain_map(A, B)
+            lines.append("cone " + _cx(cone(f)))
+            data = cylinder(f)
+            lines.append(f"cylinder {_cx(data.complex)} {_cm(data.front)} "
+                         f"{_cm(data.projection)}")
+            lines.append("sum " + _cx(ChainComplex.direct_sum(A, B, A)))
+            # a kernel subcomplex, whose modules have relations of their own
+            K, _ = f.kernel_subcomplex()
+            for Z in (A, B, K):
+                P, c = disk_cover(Z)
+                lines.append(f"disk-cover {_cx(P)} {_cm(c)}")
+    if ring.modulus is None:
+        spec = model_structure(PROJECTIVE_STRUCTURE, ring)
+        for k in range(4):
+            X = sampler.free_complex(ring, max_support=3, max_rank=2)
+            Y = ChainComplex.direct_sum(sampler.free_complex(ring, max_support=3, max_rank=2),
+                                        sphere(k % 2, T))
+            Tc, t = ce_trivial_fibration(Y, spec)
+            lines.append(f"ce {_cm(t)}")
+            fact = factor_map(sampler.chain_map(X, Y), COF_THEN_TRIVFIB, spec)
+            lines.append(f"factor {_cm(fact.i)} {_cm(fact.p)}")
+    return lines
+
+
+@pytest.mark.parametrize("ring, torsion, digest", [
+    (Integers(), 4,
+     "a107aa9e7117e62c2272fba314b06b46f1bc2af2b3e37045ed018bf83c54bf0f"),
+    (IntegersModN(4), 2,
+     "43a49d1d2addf9e47c4171162958efc21b3ea4bf03fc6b6d90becb7b3960d5a3"),
+    (IntegersModN(12), 6,
+     "7092453afe0553a6e381f526f520350208806304c81f8f573d74c1fbdc2cb7bf"),
+    (PrimeField(3), 0,
+     "057670faf15831e80fff262ce3bad68cc51d0d3afbf4a707fbdab433365c600b"),
+], ids=["Z", "Z4", "Z12", "F3"])
+def test_golden_sum_complexes(ring, torsion, digest):
+    # recorded before these complexes were built by one block rule
+    assert sha256("\n".join(_sum_complex_lines(ring, torsion))) == digest

@@ -17,9 +17,10 @@ from finhom.complexes import (
     tensor_unit_iso_complex,
 )
 from finhom.cotorsion import injective_pair, projective_pair, right_perp_member
-from finhom.functors import all_module_maps, is_projective
+from finhom.functors import is_projective
 from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
+from oracles import all_module_maps
 
 Z4 = IntegersModN(4)
 ZZ = Integers()

@@ -218,7 +218,8 @@ def test_factorization_obstruction_over_z4():
     spec = model_structure(PROJECTIVE_STRUCTURE, Z4)
     f = ChainMap.zero_map(ChainComplex.zero(Z4),
                           sphere(0, FpModule.cyclic(Z4, 2)))
-    with pytest.raises(FactorizationObstructedError):
+    # the module named is the homology Z/2, not the boundaries B_0 = 0
+    with pytest.raises(FactorizationObstructedError, match="Z/4/2"):
         factor_map(f, COF_THEN_TRIVFIB, spec)
 
 

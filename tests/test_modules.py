@@ -256,9 +256,10 @@ def test_module_imports_only_names_it_uses(path):
 CERTIFICATES_UNDER_O = """
 import sys
 from finhom import Integers, Matrix
-from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover, sphere_into_disk
+from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover, sphere, sphere_into_disk
 from finhom.errors import ValidationError
 from finhom.kaplansky import disk_cell, grow_cell_chain
+from finhom.model import PROJECTIVE_STRUCTURE, ce_trivial_fibration, model_structure
 from finhom.modules import FpModule, ModuleMap
 
 def expect_certificate(label, thunk):
@@ -287,6 +288,9 @@ expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
 # a disk cover whose epi certificate is forced to fail
 ChainMap.is_epi = lambda self: False
 expect_certificate("disk-cover", lambda: disk_cover(disk(1, R1)))
+# and so is the epi certificate of a Cartan-Eilenberg cover
+spec = model_structure(PROJECTIVE_STRUCTURE, ZZ)
+expect_certificate("ce", lambda: ce_trivial_fibration(sphere(0, FpModule.cyclic(ZZ, 2)), spec))
 """
 
 
@@ -303,6 +307,7 @@ def test_certificates_survive_python_O():
                         "columns lie in the previous stage")
     assert lines[3].startswith("inverse certificate failed: ModuleMap.inverse")
     assert lines[4].startswith("disk-cover certificate failed: disk_cover")
+    assert lines[5] == "ce certificate failed: ce_trivial_fibration: t is epi"
 
 
 def test_failed_certificate_raises_validation_error(monkeypatch):
