@@ -79,13 +79,17 @@ CLASSES = {
 def _common_flags(p: argparse.ArgumentParser, workspace=False):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--gamma", type=int, default=3)
-    p.add_argument("--step-budget", type=int, default=64)
     p.add_argument("--out", type=str, default=None,
                    help="write the machine-readable report to this file")
     p.add_argument("--emit", choices=("text", "machine"), default="text")
     if workspace:
         p.add_argument("--workspace", type=str, required=True)
+
+
+def _kaplansky_flags(p: argparse.ArgumentParser):
+    """The generator bound and step budget of the Kaplansky searches."""
+    p.add_argument("--gamma", type=int, default=3)
+    p.add_argument("--step-budget", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,12 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kaplansky-filtrate", help="filtration with small class quotients")
     _common_flags(p, workspace=True)
+    _kaplansky_flags(p)
     p.add_argument("--inclusion", required=True, help="a mono in the workspace")
     p.add_argument("--class", dest="class_id", choices=sorted(CLASSES),
                    default="projective")
 
     p = sub.add_parser("envelope", help="exact subcomplex envelope with class cycles")
     _common_flags(p, workspace=True)
+    _kaplansky_flags(p)
     p.add_argument("--ambient", required=True, help="an exact complex id")
     p.add_argument("--sub", required=True, help="a chainmap inclusion seeding the envelope")
     p.add_argument("--class", dest="class_id", choices=sorted(CLASSES),
@@ -167,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver-check", help="quasi-coherence, flatness, cardinality")
     _common_flags(p, workspace=True)
+    _kaplansky_flags(p)
     p.add_argument("--repmodule", required=True)
     p.add_argument("--witness", action="store_true",
                    help="also search for a Kaplansky witness from the zero seed")
@@ -201,7 +208,6 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
     start = time.monotonic()
     command_echo = "finhom " + " ".join(argv)
     report = Report(command=command_echo, seed=args.seed)
-    cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
 
     if args.command == "resolve":
         ws = _load_workspace(args.workspace)
@@ -225,7 +231,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
     elif args.command == "factor":
         ws = _load_workspace(args.workspace)
         f = ws.chainmaps[args.chainmap]
-        spec = model_structure(STRUCTURES[args.structure], f.ring, cfg)
+        spec = model_structure(STRUCTURES[args.structure], f.ring)
         modes = [args.mode] if args.mode != "both" else \
             [COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB]
         for mode in modes:
@@ -237,7 +243,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
     elif args.command == "lift":
         ws = _load_workspace(args.workspace)
         prob = ws.liftproblems[args.problem]
-        spec = model_structure(STRUCTURES[args.structure], prob.i.ring, cfg)
+        spec = model_structure(STRUCTURES[args.structure], prob.i.ring)
         h = solve_lifting(prob, spec)
         ok = h.compose(prob.i).equals(prob.top) and \
             prob.p.compose(h).equals(prob.bottom)
@@ -245,7 +251,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
     elif args.command == "replace":
         ws = _load_workspace(args.workspace)
         X = ws.complexes[args.complex_id]
-        spec = model_structure(STRUCTURES[args.structure], X.ring, cfg)
+        spec = model_structure(STRUCTURES[args.structure], X.ring)
         from .model import cofibrant_replacement, fibrant_replacement
 
         if args.kind == "cofibrant":
@@ -258,7 +264,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
     elif args.command == "derived-tensor":
         ws = _load_workspace(args.workspace)
         X, Y = ws.complexes[args.a], ws.complexes[args.b]
-        spec = model_structure(STRUCTURES[args.structure], X.ring, cfg)
+        spec = model_structure(STRUCTURES[args.structure], X.ring)
         table, fact = derived_tensor(X, Y, spec)
         if not table:
             report.add("degree-all", True, "0")
@@ -266,7 +272,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
             report.add(f"degree-{n}", True, _invariant_text(table[n]))
     elif args.command == "model-check":
         ring = ring_from_name(args.ring)
-        spec = model_structure(STRUCTURES[args.structure], ring, cfg)
+        spec = model_structure(STRUCTURES[args.structure], ring)
         report = check_model_axioms(spec, args.seed, args.samples)
         report.command = command_echo
     elif args.command == "monoidal-check":
@@ -275,9 +281,9 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
             from .model import ModelStructureSpec
 
             spec = ModelStructureSpec(ring, STRUCTURES[args.structure],
-                                      deliberately_wrong_pair(ring), cfg)
+                                      deliberately_wrong_pair(ring))
         else:
-            spec = model_structure(STRUCTURES[args.structure], ring, cfg)
+            spec = model_structure(STRUCTURES[args.structure], ring)
         report = check_monoidal(spec, args.seed, args.samples)
         report.command = command_echo
     elif args.command == "compat-check":
@@ -287,12 +293,14 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
         for v in rep.verdicts:
             report.add(v.name, v.passed, "; ".join(v.counterexamples))
     elif args.command == "kaplansky-filtrate":
+        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         incl = ws.maps[args.inclusion]
         chain = kaplansky_filtration(incl, ObjectClass(CLASSES[args.class_id]), cfg)
         report.add("filtration", chain.complete and chain.revalidate(cfg.gamma),
                    f"{len(chain.steps)} steps")
     elif args.command == "envelope":
+        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         F = ws.complexes[args.ambient]
         seed_map = ws.chainmaps[args.sub]
@@ -302,6 +310,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
                    "; ".join(f"{n}: {res.generator_counts.get(n, 0)} gens"
                              for n in res.subcomplex.support))
     elif args.command == "quiver-check":
+        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         M = ws.repmodules[args.repmodule]
         qc, bad = is_quasi_coherent(M)

@@ -456,7 +456,7 @@ class CellChain:
         return all(cell.verify_pushout() for cell in self.cells)
 
 
-def icell_decompose(f: ChainMap, cfg: KaplanskyConfig = KaplanskyConfig()) -> CellChain:
+def icell_decompose(f: ChainMap) -> CellChain:
     """Exhibit a mono of bounded complexes as a finite composition of
     pushouts of generating monomorphisms.
 

@@ -71,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .functors import free_resolution
-from .kaplansky import CellChain, KaplanskyConfig, disk_cell, grow_cell_chain, icell_decompose
+from .kaplansky import CellChain, disk_cell, grow_cell_chain, icell_decompose
 from .matrix import Matrix
 from .modules import FpModule, ModuleMap, _certify, submodule, submodule_coordinates
 from .rings import Ring
@@ -87,7 +87,6 @@ class ModelStructureSpec:
     ring: Ring
     structure_id: str
     pair: CotorsionPairData
-    cfg: KaplanskyConfig = KaplanskyConfig()
 
     def __post_init__(self):
         if self.structure_id == INJECTIVE_STRUCTURE and not self.ring.is_quasi_frobenius:
@@ -98,8 +97,7 @@ class ModelStructureSpec:
         return induced_generating_monos(self.pair, window)
 
 
-def model_structure(structure_id: str, ring: Ring,
-                    cfg: KaplanskyConfig = KaplanskyConfig()) -> ModelStructureSpec:
+def model_structure(structure_id: str, ring: Ring) -> ModelStructureSpec:
     if structure_id == PROJECTIVE_STRUCTURE:
         pair = projective_pair(ring)
     elif structure_id == FLAT_STRUCTURE:
@@ -108,7 +106,7 @@ def model_structure(structure_id: str, ring: Ring,
         pair = injective_pair(ring)
     else:
         raise PreconditionFailedError(f"unknown structure {structure_id}")
-    return ModelStructureSpec(ring, structure_id, pair, cfg)
+    return ModelStructureSpec(ring, structure_id, pair)
 
 
 # -- classification ---------------------------------------------------------------------
@@ -128,8 +126,7 @@ class MapFlags:
                 "trivCof": self.triv_cof, "trivFib": self.triv_fib}
 
 
-def classify_map(f: ChainMap, spec: ModelStructureSpec,
-                 dg_tests: bool = True) -> MapFlags:
+def classify_map(f: ChainMap, spec: ModelStructureSpec) -> MapFlags:
     """All five structure flags of a chain map, with class certificates.
 
     The identities trivial-cof = cof and weq, trivial-fib = fib and weq
@@ -140,20 +137,14 @@ def classify_map(f: ChainMap, spec: ModelStructureSpec,
     cof = triv_cof = False
     if mono:
         coker, _ = f.cokernel_complex()
-        family = None if dg_tests else []
-        cof, certs["cokernel-dg-left"] = complex_class_member(
-            coker, DG_F_LEFT, spec.pair, test_family=family, gamma=spec.cfg.gamma)
-        triv_cof, certs["cokernel-left-exact"] = complex_class_member(
-            coker, FTILDE, spec.pair, gamma=spec.cfg.gamma)
+        cof, certs["cokernel-dg-left"] = complex_class_member(coker, DG_F_LEFT, spec.pair)
+        triv_cof, certs["cokernel-left-exact"] = complex_class_member(coker, FTILDE, spec.pair)
     epi = f.is_epi()
     fib = triv_fib = False
     if epi:
         ker, _ = f.kernel_subcomplex()
-        family = None if dg_tests else []
-        fib, certs["kernel-dg-right"] = complex_class_member(
-            ker, DG_C_RIGHT, spec.pair, test_family=family, gamma=spec.cfg.gamma)
-        triv_fib, certs["kernel-right-exact"] = complex_class_member(
-            ker, CTILDE, spec.pair, gamma=spec.cfg.gamma)
+        fib, certs["kernel-dg-right"] = complex_class_member(ker, DG_C_RIGHT, spec.pair)
+        triv_fib, certs["kernel-right-exact"] = complex_class_member(ker, CTILDE, spec.pair)
     _certify(triv_cof == (cof and weq),
              "classify_map: trivial cofibration = cofibration and weak equivalence")
     _certify(triv_fib == (fib and weq),
@@ -189,6 +180,12 @@ class Factorization:
 
 
 def factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec) -> Factorization:
+    """Factor f in the given mode, with class and cell certificates.
+
+    Raises ``FactorizationObstructedError`` when no such factorization
+    exists within bounded finitely presented data, and
+    ``CertificateMissingError`` when its cofibration has no cell
+    certificate."""
     if mode == COF_THEN_TRIVFIB:
         return _factor_cof_trivfib(f, spec)
     if mode == TRIVCOF_THEN_FIB:
@@ -201,16 +198,13 @@ def _factor_certificates(i: ChainMap, p: ChainMap, mode: str, spec: ModelStructu
 
     A cofibration then trivial fibration needs a dg-left cokernel and a
     right-exact kernel; a trivial cofibration then fibration a
-    left-exact cokernel and a dg-right kernel.  The dg classes are
-    tested degreewise, without a test family."""
+    left-exact cokernel and a dg-right kernel."""
     coker_cls, ker_cls = ((DG_F_LEFT, CTILDE) if mode == COF_THEN_TRIVFIB
                           else (FTILDE, DG_C_RIGHT))
     coker, _ = i.cokernel_complex()
-    ok_coker, coker_cert = complex_class_member(coker, coker_cls, spec.pair,
-                                                test_family=[], gamma=spec.cfg.gamma)
+    ok_coker, coker_cert = complex_class_member(coker, coker_cls, spec.pair)
     ker, _ = p.kernel_subcomplex()
-    ok_ker, ker_cert = complex_class_member(ker, ker_cls, spec.pair,
-                                            test_family=[], gamma=spec.cfg.gamma)
+    ok_ker, ker_cert = complex_class_member(ker, ker_cls, spec.pair)
     return ok_coker and ok_ker, coker_cert, ker_cert
 
 
@@ -281,7 +275,7 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
             "cylinder factorization failed its certificates: "
             + coker_cert.describe() + " / " + ker_cert.describe())
     _certify(is_quasi_iso(p), "factor_map (cofibration): p is a quasi-isomorphism")
-    chain = icell_decompose(i, spec.cfg)
+    chain = icell_decompose(i)
     window = (min(Q.lo, Y.lo), max(Q.hi, Y.hi))
     return Factorization(f, i, p, COF_THEN_TRIVFIB, coker_cert, ker_cert, chain, window)
 
@@ -456,12 +450,10 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
     """A diagonal h with h i = top and p h = bottom, found by one global
     linear solve; preconditions per the lifting axiom are enforced.
 
-    ``flags`` are the flags of i and p as ``classify_map(..., dg_tests=False)``
-    gives them, for a caller that already holds them; by default they
+    ``flags`` are the flags of i and p as ``classify_map`` gives them, for a caller that already holds them; by default they
     are computed here."""
     if flags is None:
-        flags = (classify_map(prob.i, spec, dg_tests=False),
-                 classify_map(prob.p, spec, dg_tests=False))
+        flags = (classify_map(prob.i, spec), classify_map(prob.p, spec))
     flags_i, flags_p = flags
     ok = (flags_i.triv_cof and flags_p.fib) or (flags_i.cof and flags_p.triv_fib)
     if not ok:

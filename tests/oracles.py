@@ -11,6 +11,9 @@ cannot drift with the code they check.
 * ``all_module_maps``: every module map between two modules over a
   finite ring, by brute force; lifts found by the library are compared
   with the ones it enumerates.
+* ``dg_family_oracle``: dg-class membership as the degreewise test
+  followed by null-homotopy tests against a finite family of disks; the
+  library decides the dg classes by the degreewise test alone.
 """
 
 from dataclasses import dataclass
@@ -20,11 +23,14 @@ from finhom.complexes import (
     ChainComplex,
     ChainMap,
     _stacked_map,
+    chain_hom_gens,
+    disk,
     disk_cover,
     homology,
+    is_null_homotopic,
     pushout_chainmaps,
 )
-from finhom.cotorsion import CTILDE, DG_C_RIGHT, complex_class_member
+from finhom.cotorsion import CTILDE, DG_C_RIGHT, DG_F_LEFT, complex_class_member
 from finhom.errors import BudgetExceededError, FactorizationObstructedError, UnsupportedRingError
 from finhom.kaplansky import Cell
 from finhom.matrix import Matrix
@@ -90,7 +96,7 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
             continue
         K, kincl = p.kernel_subcomplex()
         if mode == TRIVCOF_THEN_FIB:
-            ok, _ = complex_class_member(K, DG_C_RIGHT, spec.pair, test_family=[])
+            ok, _ = complex_class_member(K, DG_C_RIGHT, spec.pair)
             if ok:
                 return SOAFactorization(f, i, p, mode, rnd, cells)
             raise FactorizationObstructedError(
@@ -187,3 +193,38 @@ def all_module_maps(M: FpModule, N: FpModule):
             continue
         seen.add(key)
         yield ModuleMap(M, N, m, check=False)
+
+
+def dg_family_oracle(X: ChainComplex, cls: str, pair):
+    """(verdict, homotopy tests) of X in DgFLeft or DgCRight, decided by
+    the degreewise test and then, for a degreewise member, by testing
+    that every chain map X -> E (DgFLeft) or E -> X (DgCRight) is
+    null-homotopic, for E running over the disks on the other side's
+    sample modules across X's support widened by one degree each way.
+
+    For DgFLeft the family consists of CTilde members (disks on right
+    class modules); for DgCRight of FTilde members (disks on left class
+    modules).  Each homotopy test is recorded as (repr(E), all null)."""
+    pred = pair.left.contains if cls == DG_F_LEFT else pair.right_member
+    member = True
+    for n in X.support:
+        ok = pred(X.module_at(n))
+        member = member and ok
+    homotopy_tests = []
+    if member:
+        mods = pair.right_samples() if cls == DG_F_LEFT else pair.left_samples()
+        test_family = []
+        for n in range(X.lo - 1, X.hi + 2):
+            for M in mods:
+                D = disk(n, M)
+                if not D.is_zero_complex():
+                    test_family.append(D)
+        for E in test_family:
+            if cls == DG_F_LEFT:
+                gens = chain_hom_gens(X, E)
+            else:
+                gens = chain_hom_gens(E, X)
+            all_null = all(is_null_homotopic(g) is not None for g in gens)
+            homotopy_tests.append((repr(E), all_null))
+            member = member and all_null
+    return member, homotopy_tests

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from finhom import FpModule, IntegersModN
-from finhom.cli import main, run_command
+from finhom.cli import build_parser, main, run_command
 from finhom.errors import ParseError, ValidationError
 from finhom.report import FORMAT_HEADER, Report
 from finhom.workspace import parse_workspace, ring_from_name, serialize_workspace
@@ -166,6 +167,19 @@ def test_cli_entry_point_as_process(tmp_path):
     usage = subprocess.run(cmd[:-2], env=env, capture_output=True, text=True,
                            timeout=120)
     assert usage.returncode == 2
+
+
+def test_cli_kaplansky_flags_only_where_read():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for dest in ("gamma", "step_budget"):
+        takers = {name for name, p in sub.choices.items()
+                  if any(a.dest == dest for a in p._actions)}
+        assert takers == {"kaplansky-filtrate", "envelope", "quiver-check"}
+    with pytest.raises(SystemExit) as exc:
+        run_command(["model-check", "--gamma", "3", "--structure", "projective",
+                     "--ring", "Z"])
+    assert exc.value.code == 2
 
 
 def test_cli_monoidal_sabotage():

@@ -1,7 +1,7 @@
 import pytest
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
-from finhom.complexes import ChainComplex, disk, sphere
+from finhom.complexes import ChainComplex, disk, sphere, tensor_complexes
 from finhom.cotorsion import (
     CTILDE,
     DG_C_RIGHT,
@@ -18,7 +18,10 @@ from finhom.cotorsion import (
     projective_pair,
     right_perp_member,
 )
+from finhom.errors import PreconditionFailedError
 from finhom.modules import FpModule, ModuleMap
+from finhom.sampling import DeterministicSampler
+from oracles import dg_family_oracle
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -68,12 +71,50 @@ def test_dg_membership_bounded_projectives():
                                    Matrix.from_rows(ZZ, [[2]]))})
     ok, cert = complex_class_member(X, DG_F_LEFT, pair)
     assert ok
-    assert cert.scale is not None
-    assert all(null for _, null in cert.homotopy_tests)
+    assert sorted(cert.degree_results) == list(X.support)
+    assert all(cert.degree_results.values())
+    assert "scale" not in cert.describe()
 
     S = sphere(0, zmod(2))
     ok2, _ = complex_class_member(S, DG_F_LEFT, pair)
     assert not ok2  # Z/2 is not projective over Z
+
+
+def test_unknown_object_class_is_rejected():
+    with pytest.raises(PreconditionFailedError):
+        ObjectClass("PerpOfFamily")
+    assert ObjectClass(ObjectClass.FLAT) == ObjectClass(ObjectClass.FLAT)
+
+
+@pytest.mark.parametrize("ring, torsion", [(ZZ, 2), (Z4, 2), (IntegersModN(12), 2),
+                                           (PrimeField(3), None)],
+                         ids=["Z", "Z/4", "Z/12", "F3"])
+def test_dg_classes_agree_with_the_disk_family_oracle(ring, torsion):
+    # the removed disk family never rejected a degreewise member, so the
+    # degreewise verdict is the family's verdict
+    pairs = [projective_pair(ring), flat_pair(ring)]
+    if ring.is_quasi_frobenius:
+        pairs.append(injective_pair(ring))
+    sampler = DeterministicSampler(5)
+    complexes = []
+    for _ in range(4):
+        X = sampler.free_complex(ring, max_support=3, max_rank=2)
+        complexes.append(X)
+        if torsion is not None:
+            complexes.append(tensor_complexes(X, sphere(0, FpModule.cyclic(ring, torsion))))
+    if torsion is not None:
+        complexes.append(sphere(0, FpModule.cyclic(ring, torsion)))
+    verdicts = set()
+    for pair in pairs:
+        for X in complexes:
+            for cls in (DG_F_LEFT, DG_C_RIGHT):
+                expected, tests = dg_family_oracle(X, cls, pair)
+                assert all(null for _, null in tests)
+                ok, cert = complex_class_member(X, cls, pair)
+                assert ok == cert.verdict == expected
+                verdicts.add(ok)
+    if torsion is not None:
+        assert verdicts == {True, False}
 
 
 def test_dg_right_membership():
@@ -106,7 +147,7 @@ def test_induced_generating_monos_window():
         assert f.is_mono()
         C, _ = f.cokernel_complex()
         shapes.append((C.lo, C.hi))
-        ok, _ = complex_class_member(C, DG_F_LEFT, pair, test_family=[])
+        ok, _ = complex_class_member(C, DG_F_LEFT, pair)
         assert ok
     # disk cokernels span two degrees, sphere cokernels one
     assert shapes.count((0, 0)) >= 1 and shapes.count((1, 1)) >= 1

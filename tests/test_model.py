@@ -13,7 +13,7 @@ from finhom.complexes import (
     is_quasi_iso,
     sphere,
 )
-from finhom.errors import FactorizationObstructedError, PreconditionFailedError
+from finhom.errors import FactorizationObstructedError, PreconditionFailedError, ValidationError
 from finhom.functors import tor_n
 from finhom.model import (
     COF_THEN_TRIVFIB,
@@ -300,10 +300,32 @@ def test_solve_lifting_enforces_its_precondition_on_given_flags():
     p = ChainMap.identity(disk(1, R1))
     prob = LiftProblem(i, p, ChainMap.zero_map(i.source, p.source),
                        ChainMap.zero_map(i.target, p.target))
-    flags = (classify_map(i, spec, dg_tests=False), classify_map(p, spec, dg_tests=False))
+    flags = (classify_map(i, spec), classify_map(p, spec))
     assert solve_lifting(prob, spec, flags).equals(solve_lifting(prob, spec))
     no_flags = model.MapFlags(weq=False, cof=False, fib=False, triv_cof=False, triv_fib=False)
     with pytest.raises(PreconditionFailedError):
         solve_lifting(prob, spec, (no_flags, flags[1]))
     with pytest.raises(PreconditionFailedError):
         solve_lifting(prob, spec, (flags[0], no_flags))
+
+
+def test_check_monoidal_skips_only_refused_factorizations(monkeypatch):
+    spec = model_structure(PROJECTIVE_STRUCTURE, ZZ)
+
+    def refuse(*args):
+        raise FactorizationObstructedError("no factorization")
+
+    monkeypatch.setattr(checks, "factor_map", refuse)
+    report = checks.check_monoidal(spec, seed=1, samples=10)
+    assert report.all_pass
+    tags = {c.name.rsplit("-", 1)[0] for c in report.checks}
+    assert tags == {"cond1-flat", "cond2-tensor-closed", "cond3", "condi-purity",
+                    "condii-dg-tensor", "condiii-exact-tensor", "condiv-unit",
+                    "pushout-product"}
+
+    def fail(*args):
+        raise ValidationError("certificate failed: planted")
+
+    monkeypatch.setattr(checks, "factor_map", fail)
+    with pytest.raises(ValidationError, match="planted"):
+        checks.check_monoidal(spec, seed=1, samples=10)
