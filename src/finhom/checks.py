@@ -73,7 +73,7 @@ def _direct_sum_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         if tgt.module_at(n).gens == 0:
             continue
         block = Matrix.block_diagonal(
-            ring, [f.component_at(n).matrix, g.component_at(n).matrix])
+            ring, [f.matrix_at(n), g.matrix_at(n)])
         comps[n] = ModuleMap(src.module_at(n), tgt.module_at(n), block, check=False)
     return ChainMap(src, tgt, comps, check=False)
 

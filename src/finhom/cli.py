@@ -304,7 +304,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
         ws = _load_workspace(args.workspace)
         F = ws.complexes[args.ambient]
         seed_map = ws.chainmaps[args.sub]
-        gens = {n: seed_map.component_at(n).matrix for n in seed_map.source.support}
+        gens = {n: seed_map.matrix_at(n) for n in seed_map.source.support}
         res = flat_subcomplex_envelope(F, gens, ObjectClass(CLASSES[args.class_id]), cfg)
         report.add("envelope", res.inclusion.is_mono(),
                    "; ".join(f"{n}: {res.generator_counts.get(n, 0)} gens"

@@ -5,6 +5,12 @@ differentials d_n: X_n -> X_{n-1}; d o d = 0 is checked on construction
 and zero ends are trimmed so equal supports are canonical.  Outside the
 support every degree is the zero module.
 
+Exactness is decided without building homology: ``is_exact`` asks in
+each degree whether the cycles lie in the boundaries plus the relations,
+one ``subquotient_vanishes`` membership test, and so decides
+``is_quasi_iso`` (exactness of the cone).  ``homology`` still builds the
+subquotient where the module itself is wanted.
+
 Alongside the basic calculus (homology, spheres and disks, tensor
 products with the Koszul sign, kernels and cokernels of chain maps)
 this module provides pushouts and pullbacks, the mapping cone and
@@ -54,6 +60,7 @@ from .modules import (
     submodule,
     submodule_coordinates,
     subquotient,
+    subquotient_vanishes,
 )
 from .rings import Ring
 from .smith import kernel_basis, solve_linear
@@ -121,6 +128,14 @@ class ChainComplex:
         if d is not None:
             return d
         return ModuleMap.zero_map(self.module_at(n), self.module_at(n - 1))
+
+    def diff_matrix(self, n: int) -> Matrix:
+        """The matrix of d_n, a zero matrix where there is no differential;
+        unlike ``diff`` it builds no ModuleMap."""
+        d = self.differentials.get(n)
+        if d is not None:
+            return d.matrix
+        return Matrix.zero(self.ring, self.module_at(n - 1).gens, self.module_at(n).gens)
 
     @property
     def support(self):
@@ -239,6 +254,15 @@ class ChainMap:
             return f
         return ModuleMap.zero_map(self.source.module_at(n), self.target.module_at(n))
 
+    def matrix_at(self, n: int) -> Matrix:
+        """The matrix of f_n, a zero matrix where there is no component;
+        unlike ``component_at`` it builds no ModuleMap."""
+        f = self.components.get(n)
+        if f is not None:
+            return f.matrix
+        return Matrix.zero(self.ring, self.target.module_at(n).gens,
+                           self.source.module_at(n).gens)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -335,7 +359,7 @@ class ChainMap:
         for n in self.target.support:
             if n in objs and (n - 1) in objs and not objs[n].is_zero_module() \
                     and not objs[n - 1].is_zero_module():
-                diffs[n] = ModuleMap(objs[n], objs[n - 1], self.target.diff(n).matrix,
+                diffs[n] = ModuleMap(objs[n], objs[n - 1], self.target.diff_matrix(n),
                                      check=False)
         C = ChainComplex(ring, objs, diffs, check=False)
         proj = ChainMap(self.target, C,
@@ -346,28 +370,43 @@ class ChainMap:
 # -- homology -----------------------------------------------------------------
 
 
+def _cycle_gens(X: ChainComplex, n: int) -> Matrix:
+    """Generators of the kernel of d_n, read as zero where X has no
+    differential, as ``ModuleMap.kernel_gens`` gives them."""
+    K = kernel_basis(X.diff_matrix(n).hstack(X.module_at(n - 1).relations))
+    return K.submatrix(range(X.module_at(n).gens), range(K.cols))
+
+
 def cycles(X: ChainComplex, n: int):
     """(Z_n, inclusion into X_n)."""
-    zgens = X.diff(n).kernel_gens()
-    return submodule(X.module_at(n), zgens)
+    return submodule(X.module_at(n), _cycle_gens(X, n))
 
 
 def boundaries(X: ChainComplex, n: int):
     """(B_n, inclusion into X_n)."""
-    return submodule(X.module_at(n), X.diff(n + 1).matrix)
+    return submodule(X.module_at(n), X.diff_matrix(n + 1))
 
 
 def homology(X: ChainComplex, n: int) -> FpModule:
     """H_n(X) = Z_n / B_n."""
     if n < X.lo - 1 or n > X.hi + 1:
         return FpModule.zero(X.ring)
-    zgens = X.diff(n).kernel_gens()
-    bgens = X.diff(n + 1).matrix
-    return subquotient(X.module_at(n), zgens, bgens)
+    return subquotient(X.module_at(n), _cycle_gens(X, n), X.diff_matrix(n + 1))
 
 
 def is_exact(X: ChainComplex) -> bool:
-    return all(homology(X, n).is_zero_module() for n in X.support)
+    """Whether every homology module vanishes: in each degree the cycles
+    lie in the boundaries plus the relations (``subquotient_vanishes``).
+    A missing d_n leaves all of X_n as cycles, a missing d_{n+1} no
+    boundaries.  d o d = 0 is taken as given, as ``ChainComplex`` checks
+    it: unlike ``homology``, nothing here raises on a non-complex."""
+    for n, Xn in X.objects.items():
+        d, up = X.differentials.get(n), X.differentials.get(n + 1)
+        zgens = d.kernel_gens() if d is not None else Matrix.identity(X.ring, Xn.gens)
+        if not (Xn.columns_vanish(zgens) if up is None
+                else subquotient_vanishes(Xn, zgens, up.matrix)):
+            return False
+    return True
 
 
 def homology_table(X: ChainComplex) -> dict:
@@ -478,11 +517,11 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         below = layout[k - 1][0]
         for (i, j), (coff, _) in layout[k][0].items():
             if (i - 1, j) in below:
-                yield below[(i - 1, j)][0], coff, X.diff(i).matrix.kronecker(
+                yield below[(i - 1, j)][0], coff, X.diff_matrix(i).kronecker(
                     Matrix.identity(ring, Y.module_at(j).gens))
             if (i, j - 1) in below:
                 yield below[(i, j - 1)][0], coff, Matrix.identity(
-                    ring, X.module_at(i).gens).kronecker(Y.diff(j).matrix).scale(
+                    ring, X.module_at(i).gens).kronecker(Y.diff_matrix(j)).scale(
                     -1 if i % 2 else 1)
 
     diffs = {k: ModuleMap(objs[k], objs[k - 1],
@@ -563,7 +602,7 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         for (i, j), (coff, _) in lsrc[k][0].items():
             if (i, j) in tgt_offs:
                 yield (tgt_offs[(i, j)][0], coff,
-                       f.component_at(i).matrix.kronecker(g.component_at(j).matrix))
+                       f.matrix_at(i).kronecker(g.matrix_at(j)))
 
     return _blockwise_chain_map(tensor_complexes(f.source, g.source),
                                 tensor_complexes(f.target, g.target), blocks)
@@ -639,7 +678,7 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
     objs = {}
     incls = {}
     for n, g in gens.items():
-        if extends is not None and extends.component_at(n).matrix == g:
+        if extends is not None and extends.matrix_at(n) == g:
             kept.add(n)
             incl = extends.components.get(n)
         else:
@@ -656,7 +695,7 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
                 diffs[n] = extends.source.differentials[n]
                 kept_diffs.add(n)
             continue
-        moved = X.diff(n).matrix * incls[n].matrix
+        moved = X.diff_matrix(n) * incls[n].matrix
         if (n - 1) not in objs:
             # closure: image of d on the sub must be zero in X_{n-1}
             if not X.module_at(n - 1).columns_vanish(moved):
@@ -807,16 +846,16 @@ def graded_map_solver(X: ChainComplex, Y: ChainComplex, degree: int,
             continue  # the equation holds trivially into or out of zero
         terms = []
         if (n - 1) in handles:
-            terms.append((1, None, handles[n - 1], X.diff(n).matrix))
+            terms.append((1, None, handles[n - 1], X.diff_matrix(n)))
         if n in handles:
-            terms.append((sign, Y.diff(n + degree).matrix, handles[n], None))
+            terms.append((sign, Y.diff_matrix(n + degree), handles[n], None))
         if rhs is None:
             if terms:
                 solver.add_equation(terms, Matrix.zero(ring, tgt.gens, src.gens),
                                     mod_relations=tgt.relations)
         elif terms or not rhs.component_at(n).is_zero_map():
             # with no unknowns, a nonzero rhs leaves the system unsolvable
-            solver.add_equation(terms, rhs.component_at(n).matrix,
+            solver.add_equation(terms, rhs.matrix_at(n),
                                 mod_relations=tgt.relations)
     return solver, handles
 
@@ -844,7 +883,7 @@ def _combination_system(gens, X: ChainComplex, Y: ChainComplex, degrees) -> Matr
     """``combination_system`` for the chain maps gens X -> Y over the
     given degrees, their components flattened degree after degree."""
     return combination_system(
-        X.ring, [[x for n in degrees for x in g.component_at(n).matrix.vec()] for g in gens],
+        X.ring, [[x for n in degrees for x in g.matrix_at(n).vec()] for g in gens],
         [Y.module_at(n).relations for n in degrees for _ in range(X.module_at(n).gens)])
 
 
@@ -869,7 +908,7 @@ def chain_map_coords(gens, handles_degrees, phi: ChainMap):
     if not gens:
         return Matrix.zero(ring, 0, 1) if phi.is_zero_map() else None
     degrees = sorted(handles_degrees)
-    target = Matrix.column(ring, [x for n in degrees for x in phi.component_at(n).matrix.vec()])
+    target = Matrix.column(ring, [x for n in degrees for x in phi.matrix_at(n).vec()])
     sol = solve_linear(_combination_system(gens, phi.source, phi.target, degrees), target)
     if sol is None:
         return None

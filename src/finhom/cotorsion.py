@@ -36,7 +36,7 @@ from .complexes import (
     sphere_into_disk,
 )
 from .errors import PreconditionFailedError, ValidationError
-from .functors import ext_n, is_flat, is_injective, is_projective
+from .functors import ext_vanishes, is_flat, is_injective, is_projective
 from .matrix import Matrix
 from .modules import FpModule, ModuleMap, hom_module
 from .rings import Ring
@@ -44,7 +44,7 @@ from .rings import Ring
 
 def right_perp_member(X: FpModule, family) -> bool:
     """Whether Ext^1(F, X) vanishes for every F in the family."""
-    return all(ext_n(F, X, 1).is_zero_module() for F in family)
+    return all(ext_vanishes(F, X, 1) for F in family)
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,7 @@ def check_compatibility(pair: CotorsionPairData, sample_budget: int = 20,
     for A in left_samples:
         for B in right_samples:
             for n in (1, 2, 3):
-                if not ext_n(A, B, n).is_zero_module():
+                if not ext_vanishes(A, B, n):
                     extv.passed = False
                     extv.counterexamples.append(f"Ext^{n}({A!r}, {B!r}) != 0")
                     break

@@ -27,6 +27,7 @@ from .modules import (
     submodule,
     submodule_coordinates,
     subquotient,
+    subquotient_vanishes,
 )
 from .rings import Ring
 from .smith import kernel_basis
@@ -89,8 +90,9 @@ def _tensor_induced(d: ModuleMap, N: FpModule) -> ModuleMap:
     return ModuleMap(_hom_into(N, d.source.gens), _hom_into(N, d.target.gens), m, check=False)
 
 
-def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
-    """Ext^n(M, N) from a free resolution of M."""
+def _ext_data(M: FpModule, N: FpModule, n: int):
+    """(Hom(F_n, N), cycle generators, boundary generators) of the
+    cochain complex Hom(F, N) at degree n, F a free resolution of M."""
     if n < 0:
         raise PreconditionFailedError("ext degree must be >= 0")
     if M.ring != N.ring:
@@ -103,11 +105,22 @@ def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
         bgens = Matrix.zero(M.ring, ambient.gens, 0)
     else:
         bgens = _hom_induced(res[n], N).matrix
-    return subquotient(ambient, zgens, bgens)
+    return ambient, zgens, bgens
 
 
-def tor_n(M: FpModule, N: FpModule, n: int) -> FpModule:
-    """Tor_n(M, N) from a free resolution of M."""
+def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
+    """Ext^n(M, N) from a free resolution of M."""
+    return subquotient(*_ext_data(M, N, n))
+
+
+def ext_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
+    """Whether Ext^n(M, N) = 0, decided without building the group."""
+    return subquotient_vanishes(*_ext_data(M, N, n))
+
+
+def _tor_data(M: FpModule, N: FpModule, n: int):
+    """(F_n ox N, cycle generators, boundary generators) of the complex
+    F ox N at degree n, F a free resolution of M."""
     if n < 0:
         raise PreconditionFailedError("tor degree must be >= 0")
     if M.ring != N.ring:
@@ -120,7 +133,17 @@ def tor_n(M: FpModule, N: FpModule, n: int) -> FpModule:
     else:
         outgoing = _tensor_induced(res[n], N)
         zgens = outgoing.kernel_gens()
-    return subquotient(ambient, zgens, incoming.matrix)
+    return ambient, zgens, incoming.matrix
+
+
+def tor_n(M: FpModule, N: FpModule, n: int) -> FpModule:
+    """Tor_n(M, N) from a free resolution of M."""
+    return subquotient(*_tor_data(M, N, n))
+
+
+def tor_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
+    """Whether Tor_n(M, N) = 0, decided without building the group."""
+    return subquotient_vanishes(*_tor_data(M, N, n))
 
 
 def tensor_modules(M: FpModule, N: FpModule) -> FpModule:
@@ -168,10 +191,8 @@ def is_flat(M: FpModule) -> bool:
     """
     result = is_projective(M)
     if M.ring.is_finite:
-        tor_check = all(
-            tor_n(M, FpModule.cyclic(M.ring, d), 1).is_zero_module()
-            for d in M.ring.divisors()
-        )
+        tor_check = all(tor_vanishes(M, FpModule.cyclic(M.ring, d), 1)
+                        for d in M.ring.divisors())
         _certify(tor_check == result, "is_flat: the flat and projective tests agree")
     return result
 
@@ -210,7 +231,7 @@ def lift_through(f: ModuleMap, g: ModuleMap,
         raise PreconditionFailedError("g must map the top middle to the bottom quotient")
     if not q.compose(f).equals(g.compose(i)):
         raise PreconditionFailedError("square does not commute")
-    if not ext_n(C, K, 1).is_zero_module():
+    if not ext_vanishes(C, K, 1):
         raise PreconditionFailedError("Ext^1 of (top quotient, bottom sub) does not vanish")
 
     ring = f.ring

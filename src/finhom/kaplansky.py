@@ -349,7 +349,7 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
         c_gens = intersection_gens(Fn, V, zincl.matrix)
         up = seed.get(n + 1)
         if up is not None and up.cols > 0:
-            c_gens = c_gens.hstack(F.diff(n + 1).matrix * up)
+            c_gens = c_gens.hstack(F.diff_matrix(n + 1) * up)
         # express the seed inside the cycle module
         seed_z = submodule_coordinates(Fn, zincl.matrix, c_gens)
         _certify(seed_z is not None,
@@ -449,7 +449,7 @@ class CellChain:
         composite = self.compose()
         f = self.source_map
         same = composite.source == f.source and composite.target == f.target and all(
-            composite.component_at(n).matrix == f.component_at(n).matrix
+            composite.matrix_at(n) == f.matrix_at(n)
             for n in f.source.support)
         if not same:
             return False
@@ -486,7 +486,7 @@ def icell_decompose(f: ChainMap) -> CellChain:
         for n, top_idx in disk_layout:
             top_cols = Matrix.identity(ring, Q.module_at(n).gens).submatrix(
                 range(Q.module_at(n).gens), top_idx)
-            cells.append(disk_cell(n, top_cols, Q.diff(n).matrix * top_cols))
+            cells.append(disk_cell(n, top_cols, Q.diff_matrix(n) * top_cols))
     else:
         cells = _sphere_cells(Q, coker)
     return grow_cell_chain(f, cells)
@@ -508,7 +508,7 @@ def _sphere_cells(Q: ChainComplex, coker: ChainComplex):
             # its generators with Q_n
             v = fro.matrix.submatrix(range(C.gens), [j])
             yield (f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono,
-                   {n: v, n - 1: Q.diff(n).matrix * v})
+                   {n: v, n - 1: Q.diff_matrix(n) * v})
 
 
 def disk_cell(n: int, top_cols: Matrix, bottom_cols: Matrix):
@@ -540,7 +540,7 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
     """
     Q = f.target
     ring = f.ring
-    gens = {n: f.component_at(n).matrix for n in Q.support}
+    gens = {n: f.matrix_at(n) for n in Q.support}
     stages = [f.source]
     chain_cells: List[Cell] = []
     incl = None
@@ -573,7 +573,7 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
             elif k in coords and not prev.module_at(k).is_zero_module():
                 attach_comps[k] = ModuleMap(S.module_at(k), prev.module_at(k), coords[k],
                                             check=False)
-                m = step.component_at(k).matrix * coords[k]
+                m = step.matrix_at(k) * coords[k]
             else:
                 continue
             image_comps[k] = ModuleMap(D.module_at(k), stage.module_at(k), m, check=False)
@@ -602,7 +602,7 @@ def _literal_disk_sum(f: ChainMap, coker: ChainComplex) -> Optional[List[Tuple[i
         if Q.module_at(n).relations.cols != 0:
             return None
     for n in Q.support:
-        d = Q.diff(n).matrix
+        d = Q.diff_matrix(n)
         for j in range(d.cols):
             col = d.col(j)
             nz = [i for i, x in enumerate(col) if x != 0]

@@ -246,7 +246,7 @@ def _disk_padding_cells(i: ChainMap, X: ChainComplex, Y: ChainComplex,
         # sends the tops of D^m onto its bottoms
         w, x = Q.module_at(m).gens, X.module_at(m).gens
         tops = Matrix.identity(Q.ring, w).submatrix(range(w), range(x, x + r))
-        cells.append(disk_cell(m, tops, Q.diff(m).matrix * tops))
+        cells.append(disk_cell(m, tops, Q.diff_matrix(m) * tops))
     return grow_cell_chain(i, cells)
 
 
@@ -326,7 +326,7 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         Yn = Y.module_at(n)
         Zm, zincl = cycles(Y, n)
         # boundaries as a submodule of the cycles
-        b_in_z = submodule_coordinates(Yn, zincl.matrix, Y.diff(n + 1).matrix)
+        b_in_z = submodule_coordinates(Yn, zincl.matrix, Y.diff_matrix(n + 1))
         _certify(b_in_z is not None, "ce_trivial_fibration: boundaries are cycles")
         Bm, bincl_z = submodule(Zm, b_in_z)
         Hm = FpModule(ring, Zm.gens, Zm.relations.hstack(b_in_z))
@@ -468,8 +468,8 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
         if src.gens and Xc.module_at(n).gens:
             terms = []
             if n in handles:
-                terms.append((1, None, handles[n], prob.i.component_at(n).matrix))
-            solver.add_equation(terms, prob.top.component_at(n).matrix,
+                terms.append((1, None, handles[n], prob.i.matrix_at(n)))
+            solver.add_equation(terms, prob.top.matrix_at(n),
                                 mod_relations=Xc.module_at(n).relations)
         elif src.gens:
             _certify(prob.top.component_at(n).is_zero_map(),
@@ -478,8 +478,8 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
         if B.module_at(n).gens and prob.p.target.module_at(n).gens:
             terms = []
             if n in handles:
-                terms.append((1, prob.p.component_at(n).matrix, handles[n], None))
-            solver.add_equation(terms, prob.bottom.component_at(n).matrix,
+                terms.append((1, prob.p.matrix_at(n), handles[n], None))
+            solver.add_equation(terms, prob.bottom.matrix_at(n),
                                 mod_relations=prob.p.target.module_at(n).relations)
     sol = solver.solve()
     _certify(sol is not None, "solve_lifting: a lift exists when the preconditions hold")

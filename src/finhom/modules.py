@@ -16,7 +16,8 @@ Canonical representatives come from the Smith normal form of the relation
 lattice, which also yields the invariant-factor fingerprint used for all
 isomorphism tests.  Whether elements are zero is read from the left
 transform U and the pivots alone (``FpModule.columns_vanish``), which
-decides map equality, zero maps, monos and well-definedness.
+decides map equality, zero maps, monos and well-definedness, and, through
+``subquotient_vanishes``, whether a homology or Ext/Tor group is zero.
 """
 
 from __future__ import annotations
@@ -403,6 +404,14 @@ def subquotient(M: FpModule, zgens: Matrix, bgens: Matrix) -> FpModule:
     if binz is None:
         raise ValidationError("boundaries do not lie inside cycles")
     return FpModule(M.ring, zgens.cols, Z.relations.hstack(binz))
+
+
+def subquotient_vanishes(M: FpModule, zgens: Matrix, bgens: Matrix) -> bool:
+    """Whether ``subquotient(M, zgens, bgens)`` is zero: every column of
+    zgens lies in span(bgens) plus the relations of M.  One memoized
+    Smith form of [relations | bgens] decides it; the containment of
+    bgens in span(zgens) that ``subquotient`` checks is not checked."""
+    return FpModule(M.ring, M.gens, M.relations.hstack(bgens)).columns_vanish(zgens)
 
 
 def intersection_gens(M: FpModule, A: Matrix, B: Matrix) -> Matrix:

@@ -12,29 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from .errors import ParseError
-
 FORMAT_HEADER = "finhom-report 1"
 
 
 def _escape(s: str) -> str:
     return (s.replace("\\", "\\\\").replace("\t", "\\t")
             .replace("\n", "\\n").replace("\r", "\\r"))
-
-
-def _unescape(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -96,33 +79,3 @@ class Report:
         lines.append(f"summary: {self.pass_count} passed, {self.fail_count} failed")
         lines.append(f"wall-time: {self.wall_time:.3f}s")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_machine(text: str) -> "Report":
-        lines = text.splitlines()
-        if not lines or lines[0] != FORMAT_HEADER:
-            raise ParseError("not a machine-readable report", line=1)
-        report = Report(command="", seed=0)
-        summary_seen = False
-        for idx, line in enumerate(lines[1:], start=2):
-            parts = line.split("\t")
-            key = parts[0]
-            if key == "command":
-                report.command = _unescape(parts[1]) if len(parts) > 1 else ""
-            elif key == "seed":
-                report.seed = int(parts[1])
-            elif key == "check":
-                if len(parts) != 4:
-                    raise ParseError("malformed check record", line=idx)
-                report.add(_unescape(parts[1]), parts[2] == "pass", _unescape(parts[3]))
-            elif key == "summary":
-                summary_seen = True
-                declared_pass = int(parts[1].split("=")[1])
-                declared_fail = int(parts[2].split("=")[1])
-                if (declared_pass, declared_fail) != (report.pass_count, report.fail_count):
-                    raise ParseError("summary counts disagree with records", line=idx)
-            else:
-                raise ParseError(f"unknown report line {key!r}", line=idx)
-        if not summary_seen:
-            raise ParseError("report missing its summary line")
-        return report

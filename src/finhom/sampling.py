@@ -23,9 +23,8 @@ from operator import mul as _times
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, chain_hom_gens
-from .errors import UnsupportedRingError
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, ShortExactSeq
+from .modules import FpModule, ModuleMap
 from .rings import Ring
 from .smith import kernel_basis
 
@@ -104,31 +103,3 @@ class DeterministicSampler:
             comps[n] = ModuleMap(f.source, f.target,
                                  Matrix._reduced(ring, M.rows, M.cols, data), check=False)
         return ChainMap(X, Y, comps, check=False)
-
-    # -- modules over finite rings -------------------------------------------------
-
-    def small_module(self, ring: Ring, max_gens: int = 2,
-                     max_size: Optional[int] = 36) -> FpModule:
-        """A random finitely presented module, resampled until its
-        element count fits the bound."""
-        if not ring.is_finite:
-            raise UnsupportedRingError(f"cannot sample bounded-size modules over {ring}")
-        for _ in range(64):
-            g = self.rng.randint(1, max_gens)
-            r = self.rng.randint(0, max_gens)
-            M = FpModule.cokernel_presentation(
-                Matrix(ring, g, r, [[self.entry(ring) for _ in range(r)]
-                                    for _ in range(g)]))
-            if max_size is None or (M.size() or 0) <= max_size:
-                return M
-        return FpModule.cyclic(ring, ring.modulus)
-
-    def short_exact_seq(self, M: FpModule) -> ShortExactSeq:
-        """A short exact sequence with middle M, from a random submodule."""
-        ring = M.ring
-        cols = []
-        for _ in range(self.rng.randint(1, 2)):
-            cols.append([self.entry(ring) for _ in range(M.gens)])
-        gens = (Matrix(ring, M.gens, len(cols), [list(r) for r in zip(*cols)])
-                if cols else Matrix.zero(ring, M.gens, 0))
-        return ShortExactSeq.from_submodule(M, gens)

@@ -1,0 +1,96 @@
+"""Helpers only the tests use: draws of small modules and short exact
+sequences, and the parser that reads a machine report back.
+
+* ``ModuleSampler`` is a ``DeterministicSampler`` that can also draw a
+  small finitely presented module and a short exact sequence through it,
+  for the lifting instances of the acceptance suite.
+* ``report_from_machine`` parses the text ``Report.to_machine`` writes,
+  so a round trip can be checked.
+"""
+
+from typing import Optional
+
+from finhom.errors import ParseError, UnsupportedRingError
+from finhom.matrix import Matrix
+from finhom.modules import FpModule, ShortExactSeq
+from finhom.report import FORMAT_HEADER, Report
+from finhom.rings import Ring
+from finhom.sampling import DeterministicSampler
+
+
+class ModuleSampler(DeterministicSampler):
+    """A ``DeterministicSampler`` that also draws small modules and short
+    exact sequences, from the same random stream."""
+
+    def small_module(self, ring: Ring, max_gens: int = 2,
+                     max_size: Optional[int] = 36) -> FpModule:
+        """A random finitely presented module, resampled until its
+        element count fits the bound."""
+        if not ring.is_finite:
+            raise UnsupportedRingError(f"cannot sample bounded-size modules over {ring}")
+        for _ in range(64):
+            g = self.rng.randint(1, max_gens)
+            r = self.rng.randint(0, max_gens)
+            M = FpModule.cokernel_presentation(
+                Matrix(ring, g, r, [[self.entry(ring) for _ in range(r)]
+                                    for _ in range(g)]))
+            if max_size is None or (M.size() or 0) <= max_size:
+                return M
+        return FpModule.cyclic(ring, ring.modulus)
+
+    def short_exact_seq(self, M: FpModule) -> ShortExactSeq:
+        """A short exact sequence with middle M, from a random submodule."""
+        ring = M.ring
+        cols = []
+        for _ in range(self.rng.randint(1, 2)):
+            cols.append([self.entry(ring) for _ in range(M.gens)])
+        gens = (Matrix(ring, M.gens, len(cols), [list(r) for r in zip(*cols)])
+                if cols else Matrix.zero(ring, M.gens, 0))
+        return ShortExactSeq.from_submodule(M, gens)
+
+
+def _unescape(s: str) -> str:
+    out = []
+    i = 0
+    while i < len(s):
+        c = s[i]
+        if c == "\\" and i + 1 < len(s):
+            nxt = s[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def report_from_machine(text: str) -> Report:
+    """The report a machine-readable text describes: the inverse of
+    ``Report.to_machine``, raising ParseError on malformed input."""
+    lines = text.splitlines()
+    if not lines or lines[0] != FORMAT_HEADER:
+        raise ParseError("not a machine-readable report", line=1)
+    report = Report(command="", seed=0)
+    summary_seen = False
+    for idx, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        key = parts[0]
+        if key == "command":
+            report.command = _unescape(parts[1]) if len(parts) > 1 else ""
+        elif key == "seed":
+            report.seed = int(parts[1])
+        elif key == "check":
+            if len(parts) != 4:
+                raise ParseError("malformed check record", line=idx)
+            report.add(_unescape(parts[1]), parts[2] == "pass", _unescape(parts[3]))
+        elif key == "summary":
+            summary_seen = True
+            declared_pass = int(parts[1].split("=")[1])
+            declared_fail = int(parts[2].split("=")[1])
+            if (declared_pass, declared_fail) != (report.pass_count, report.fail_count):
+                raise ParseError("summary counts disagree with records", line=idx)
+        else:
+            raise ParseError(f"unknown report line {key!r}", line=idx)
+    if not summary_seen:
+        raise ParseError("report missing its summary line")
+    return report

@@ -11,6 +11,9 @@ cannot drift with the code they check.
 * ``all_module_maps``: every module map between two modules over a
   finite ring, by brute force; lifts found by the library are compared
   with the ones it enumerates.
+* ``exact_oracle``: exactness as every homology module built by
+  ``homology`` and found zero; ``is_exact`` decides it by one membership
+  test per degree without building the homology.
 * ``dg_family_oracle``: dg-class membership as the degreewise test
   followed by null-homotopy tests against a finite family of disks; the
   library decides the dg classes by the degreewise test alone.
@@ -166,6 +169,13 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
         cells += z.cols
     raise BudgetExceededError(
         f"small object argument did not close within {round_budget} rounds")
+
+
+def exact_oracle(X: ChainComplex) -> bool:
+    """Whether every homology module of X is zero, each one built as a
+    subquotient; raises ValidationError where the boundaries of a
+    non-complex leave the cycles."""
+    return all(homology(X, n).is_zero_module() for n in X.support)
 
 
 def all_module_maps(M: FpModule, N: FpModule):

@@ -11,6 +11,7 @@ from finhom.cli import build_parser, main, run_command
 from finhom.errors import ParseError, ValidationError
 from finhom.report import FORMAT_HEADER, Report
 from finhom.workspace import parse_workspace, ring_from_name, serialize_workspace
+from helpers import report_from_machine
 
 WORKSPACE = """\
 # a small workspace
@@ -205,7 +206,7 @@ def test_report_roundtrip():
     rep.add("b-check", True, "w1")
     rep.add("a-check", False, "tab\there")
     text = rep.to_machine()
-    back = Report.from_machine(text)
+    back = report_from_machine(text)
     assert back.to_machine() == text
     assert back.fail_count == 1
 

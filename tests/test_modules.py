@@ -255,7 +255,7 @@ def test_module_imports_only_names_it_uses(path):
 
 CERTIFICATES_UNDER_O = """
 import sys
-from finhom import Integers, Matrix
+from finhom import Integers, Matrix, complexes
 from finhom.complexes import ChainComplex, ChainMap, disk, disk_cover, sphere, sphere_into_disk
 from finhom.errors import ValidationError
 from finhom.kaplansky import disk_cell, grow_cell_chain
@@ -286,11 +286,18 @@ expect_certificate("sphere-cell", lambda: grow_cell_chain(f, off_stage))
 ModuleMap.is_identity = lambda self: False
 expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
 # a disk cover whose epi certificate is forced to fail
+real_is_epi = ChainMap.is_epi
 ChainMap.is_epi = lambda self: False
 expect_certificate("disk-cover", lambda: disk_cover(disk(1, R1)))
 # and so is the epi certificate of a Cartan-Eilenberg cover
 spec = model_structure(PROJECTIVE_STRUCTURE, ZZ)
-expect_certificate("ce", lambda: ce_trivial_fibration(sphere(0, FpModule.cyclic(ZZ, 2)), spec))
+ce_input = sphere(0, FpModule.cyclic(ZZ, 2))
+expect_certificate("ce", lambda: ce_trivial_fibration(ce_input, spec))
+# with t epi again, the membership test behind the exactness of its kernel
+# is forced to fail
+ChainMap.is_epi = real_is_epi
+complexes.subquotient_vanishes = lambda M, zgens, bgens: False
+expect_certificate("ce-kernel", lambda: ce_trivial_fibration(ce_input, spec))
 """
 
 
@@ -308,6 +315,8 @@ def test_certificates_survive_python_O():
     assert lines[3].startswith("inverse certificate failed: ModuleMap.inverse")
     assert lines[4].startswith("disk-cover certificate failed: disk_cover")
     assert lines[5] == "ce certificate failed: ce_trivial_fibration: t is epi"
+    assert lines[6] == ("ce-kernel certificate failed: "
+                        "ce_trivial_fibration: the kernel of t is exact")
 
 
 def test_failed_certificate_raises_validation_error(monkeypatch):
