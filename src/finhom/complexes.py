@@ -57,6 +57,8 @@ from .modules import (
     ModuleMap,
     _certify,
     combination_system,
+    kernel_columns,
+    quotient,
     submodule,
     submodule_coordinates,
     subquotient,
@@ -343,7 +345,8 @@ class ChainMap:
 
     def kernel_subcomplex(self):
         """(K, incl) with K the degreewise kernel and induced differentials."""
-        gens = {n: self.component_at(n).kernel_gens() for n in self.source.support}
+        gens = {n: kernel_columns(self.matrix_at(n), self.target.module_at(n))
+                for n in self.source.support}
         return subcomplex_from_gens(self.source, gens)
 
     def cokernel_complex(self):
@@ -352,7 +355,7 @@ class ChainMap:
         objs = {}
         projs = {}
         for n in self.target.support:
-            C, proj = self.component_at(n).cokernel()
+            C, proj = quotient(self.target.module_at(n), self.matrix_at(n))
             objs[n] = C
             projs[n] = proj
         diffs = {}
@@ -373,8 +376,7 @@ class ChainMap:
 def _cycle_gens(X: ChainComplex, n: int) -> Matrix:
     """Generators of the kernel of d_n, read as zero where X has no
     differential, as ``ModuleMap.kernel_gens`` gives them."""
-    K = kernel_basis(X.diff_matrix(n).hstack(X.module_at(n - 1).relations))
-    return K.submatrix(range(X.module_at(n).gens), range(K.cols))
+    return kernel_columns(X.diff_matrix(n), X.module_at(n - 1))
 
 
 def cycles(X: ChainComplex, n: int):

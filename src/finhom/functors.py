@@ -114,7 +114,10 @@ def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
 
 
 def ext_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
-    """Whether Ext^n(M, N) = 0, decided without building the group."""
+    """Whether Ext^n(M, N) = 0, decided without building the group; for
+    n >= 1 it is 0 when M has no relations, since free modules are projective."""
+    if n >= 1 and M.relations.cols == 0 and M.ring == N.ring:
+        return True
     return subquotient_vanishes(*_ext_data(M, N, n))
 
 

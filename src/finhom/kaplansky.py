@@ -561,15 +561,13 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
         comps = {}
         for n in prev.support:
             old = gens[n].cols
-            m = Matrix.identity(ring, old).vstack(
-                Matrix.zero(ring, new_gens[n].cols - old, old))
+            m = Matrix.identity(ring, old, below=new_gens[n].cols - old)
             comps[n] = ModuleMap(prev.module_at(n), stage.module_at(n), m, check=False)
         step = ChainMap(prev, stage, comps, check=False)
         attach_comps, image_comps = {}, {}
         for k, cols in gen_cols.items():
             if not S.module_at(k).gens:
-                m = Matrix.zero(ring, stage.module_at(k).gens - cols.cols, cols.cols).vstack(
-                    Matrix.identity(ring, cols.cols))
+                m = Matrix.identity(ring, cols.cols, above=stage.module_at(k).gens - cols.cols)
             elif k in coords and not prev.module_at(k).is_zero_module():
                 attach_comps[k] = ModuleMap(S.module_at(k), prev.module_at(k), coords[k],
                                             check=False)

@@ -7,17 +7,24 @@ as presentations of free and zero modules.
 
 Invariant: every entry of a Matrix is in normal form for its ring (an
 int in [0, n) over Z/n and F_n, any int over Z).  The public constructor
-establishes it by reducing every entry; operations whose results are
-reduced by construction (slices, sums and products through the ring's
-arithmetic, stacking and block assembly of matrices over the same ring)
-build their results through the trusted ``_reduced`` constructor, which
-only checks the shape.
+establishes it by reducing every entry and checks the shape; operations
+whose results are reduced by construction (slices, sums and products
+through the ring's arithmetic, stacking and block assembly of matrices
+over the same ring) build their results through the trusted ``_reduced``
+constructor, which copies and reduces nothing and checks only the shape:
+as many rows as declared, each as long as the declared column count.
+
+Products are row-sparse: row i of A * B is the sum of a_ik times row k
+of B over the nonzero a_ik of row i of A; B is never transposed.  A zero
+row gives one shared zero row, a row whose only nonzero entry is 1 gives
+row k of B itself, and any other sum is reduced once per entry (mod n
+over Z/n and F_n, not at all over Z).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul as _times
+from operator import add as _plus, itemgetter, mul as _times
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -52,12 +59,12 @@ class Matrix:
             raise DimensionMismatchError(
                 f"expected {rows}x{cols} entries, got {[len(r) for r in data]}"
             )
-        m = object.__new__(Matrix)
-        object.__setattr__(m, "ring", ring)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", data)
-        object.__setattr__(m, "_hash", None)
+        m = _new(Matrix)
+        _set_ring(m, ring)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_entries(m, data)
+        _set_hash(m, None)
         return m
 
     def __setattr__(self, *a):
@@ -76,10 +83,12 @@ class Matrix:
         return Matrix._reduced(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
-    def identity(ring: Ring, n: int) -> "Matrix":
-        one = ring.one
-        return Matrix._reduced(ring, n, n, tuple(
-            (0,) * i + (one,) + (0,) * (n - i - 1) for i in range(n)))
+    def identity(ring: Ring, n: int, above: int = 0, below: int = 0) -> "Matrix":
+        """The n x n identity, under ``above`` and over ``below`` zero rows:
+        the inclusion of a summand into a direct sum."""
+        one, zero = ring.one, (0,) * n
+        return Matrix._reduced(ring, above + n + below, n, (zero,) * above + tuple(
+            (0,) * i + (one,) + (0,) * (n - i - 1) for i in range(n)) + (zero,) * below)
 
     @staticmethod
     def column(ring: Ring, values: Sequence[int]) -> "Matrix":
@@ -127,17 +136,14 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._reduced(self.ring, self.cols, self.rows, data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        e = self.entries
-        return Matrix._reduced(self.ring, len(row_idx), len(col_idx),
-                               tuple(tuple(e[i][j] for j in col_idx) for i in row_idx))
+        e, k = self.entries, len(col_idx)
+        pick = itemgetter(*col_idx) if k > 1 else lambda row: tuple([row[j] for j in col_idx])
+        return Matrix._reduced(self.ring, len(row_idx), k, tuple([pick(e[i]) for i in row_idx]))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -171,11 +177,21 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        norm = self.ring.normalize
-        ot = other.transpose().entries
-        return Matrix._reduced(self.ring, self.rows, other.cols, tuple(
-            tuple(norm(sum(map(_times, ra, rc))) for rc in ot)
-            for ra in self.entries))
+        n = self.ring.modulus
+        rows, zero = other.entries, (0,) * other.cols
+        out = []
+        for ra in self.entries:
+            acc = kept = None
+            for k, a in enumerate(ra):
+                if a:
+                    if acc is None:
+                        kept = a == 1
+                        acc = rows[k] if kept else tuple(map(a.__mul__, rows[k]))
+                    else:
+                        kept, acc = False, tuple(map(_plus, acc, map(a.__mul__, rows[k])))
+            out.append(zero if acc is None else acc if kept or not n
+                       else tuple([x % n for x in acc]))
+        return Matrix._reduced(self.ring, self.rows, other.cols, tuple(out))
 
     def apply(self, vector: Sequence[int]) -> tuple:
         """Matrix times a column vector, returned as a tuple."""
@@ -240,17 +256,16 @@ class Matrix:
         """Column-stacking vectorization: columns concatenated top to bottom."""
         return tuple(self.entries[i][j] for j in range(self.cols) for i in range(self.rows))
 
-    @staticmethod
-    def unvec(ring: Ring, rows: int, cols: int, v: Sequence[int]) -> "Matrix":
-        m = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            for i in range(rows):
-                m[i][j] = v[j * rows + i]
-        return Matrix(ring, rows, cols, m)
-
     def lift_to_integers(self) -> "Matrix":
         from .rings import Integers
         return Matrix(Integers(), self.rows, self.cols, self.entries)
 
     def change_ring(self, ring: Ring) -> "Matrix":
         return Matrix(ring, self.rows, self.cols, self.entries)
+
+
+# the trusted constructor fills a record through its slot descriptors, bound
+# once, since Matrix.__setattr__ refuses every assignment
+_new = object.__new__
+_set_ring, _set_rows, _set_cols, _set_entries, _set_hash = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)

@@ -245,7 +245,7 @@ def _disk_padding_cells(i: ChainMap, X: ChainComplex, Y: ChainComplex,
         # degree-m block of Q: [X_m | tops r_m | bottoms r_{m+1}]; d of Q
         # sends the tops of D^m onto its bottoms
         w, x = Q.module_at(m).gens, X.module_at(m).gens
-        tops = Matrix.identity(Q.ring, w).submatrix(range(w), range(x, x + r))
+        tops = Matrix.identity(Q.ring, r, above=x, below=w - x - r)
         cells.append(disk_cell(m, tops, Q.diff_matrix(m) * tops))
     return grow_cell_chain(i, cells)
 

@@ -324,9 +324,7 @@ class ModuleMap:
 
     def kernel_gens(self) -> Matrix:
         """Generator columns (in source coordinates) of ker(self)."""
-        sys = self.matrix.hstack(self.target.relations)
-        K = kernel_basis(sys)
-        return K.submatrix(range(self.source.gens), range(K.cols))
+        return kernel_columns(self.matrix, self.target)
 
     def kernel(self):
         """(K, incl) with incl a mono onto the kernel submodule."""
@@ -338,9 +336,7 @@ class ModuleMap:
 
     def cokernel(self):
         """(C, proj) with proj the canonical epi from the target."""
-        C = FpModule(self.ring, self.target.gens, self.target.relations.hstack(self.matrix))
-        proj = ModuleMap(self.target, C, Matrix.identity(self.ring, self.target.gens), check=False)
-        return C, proj
+        return quotient(self.target, self.matrix)
 
     def is_mono(self) -> bool:
         K = self.kernel_gens()
@@ -377,16 +373,22 @@ def submodule(M: FpModule, gens: Matrix):
     """
     if gens.rows != M.gens:
         raise DimensionMismatchError("submodule generators must live in M")
-    sys = gens.hstack(M.relations)
-    K = kernel_basis(sys)
-    rel = K.submatrix(range(gens.cols), range(K.cols))
-    S = FpModule(M.ring, gens.cols, rel)
+    S = FpModule(M.ring, gens.cols, kernel_columns(gens, M))
     incl = ModuleMap(S, M, gens, check=False)
     return S, incl
 
 
+def kernel_columns(A: Matrix, M: FpModule) -> Matrix:
+    """Generator columns of {x : A x = 0 in M}, the kernel of the map
+    into M with matrix A, in source coordinates; a zero matrix stands
+    for a missing map."""
+    K = kernel_basis(A.hstack(M.relations))
+    return K.submatrix(range(A.cols), range(K.cols))
+
+
 def quotient(M: FpModule, gens: Matrix):
-    """(M / <gens>, projection)."""
+    """(M / <gens>, projection): the cokernel of the map into M with
+    matrix gens, and its canonical epi."""
     Q = FpModule(M.ring, M.gens, M.relations.hstack(gens))
     proj = ModuleMap(M, Q, Matrix.identity(M.ring, M.gens), check=False)
     return Q, proj

@@ -122,12 +122,11 @@ class SmithForm:
         ring = self.V.ring
         n = ring.modulus or 0
         cols = self.V.rows
-        vcols = self.V.transpose().entries
         out = []
-        for j, d in enumerate(self.pivots(cols)):
+        for d, vcol in zip(self.pivots(cols), zip(*self.V.entries)):
             ann = ring.normalize(n // d if d else 1)
             if ann:
-                out.append([ring.normalize(ann * x) for x in vcols[j]])
+                out.append([ring.normalize(ann * x) for x in vcol])
         if not out:
             return Matrix.zero(ring, cols, 0)
         return Matrix._reduced(ring, cols, len(out), tuple(zip(*out)))

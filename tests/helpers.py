@@ -1,14 +1,17 @@
 """Helpers only the tests use: draws of small modules and short exact
-sequences, and the parser that reads a machine report back.
+sequences, the parser that reads a machine report back, and two matrix
+views.
 
 * ``ModuleSampler`` is a ``DeterministicSampler`` that can also draw a
   small finitely presented module and a short exact sequence through it,
   for the lifting instances of the acceptance suite.
 * ``report_from_machine`` parses the text ``Report.to_machine`` writes,
   so a round trip can be checked.
+* ``columns`` lists a matrix's columns as tuples, and ``unvec`` undoes
+  ``Matrix.vec``, the column-stacking vectorization.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from finhom.errors import ParseError, UnsupportedRingError
 from finhom.matrix import Matrix
@@ -94,3 +97,15 @@ def report_from_machine(text: str) -> Report:
     if not summary_seen:
         raise ParseError("report missing its summary line")
     return report
+
+
+def columns(self: Matrix) -> list:
+    return [self.col(j) for j in range(self.cols)]
+
+
+def unvec(ring: Ring, rows: int, cols: int, v: Sequence[int]) -> Matrix:
+    m = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for i in range(rows):
+            m[i][j] = v[j * rows + i]
+    return Matrix(ring, rows, cols, m)

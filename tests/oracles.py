@@ -17,10 +17,14 @@ cannot drift with the code they check.
 * ``dg_family_oracle``: dg-class membership as the degreewise test
   followed by null-homotopy tests against a finite family of disks; the
   library decides the dg classes by the degreewise test alone.
+* ``dense_product_oracle``: the matrix product as a dot product of every
+  row of A with every column of B, read from B's transpose; ``Matrix``
+  multiplies row-sparsely, without the transpose.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul as _times
 
 from finhom.complexes import (
     ChainComplex,
@@ -34,7 +38,12 @@ from finhom.complexes import (
     pushout_chainmaps,
 )
 from finhom.cotorsion import CTILDE, DG_C_RIGHT, DG_F_LEFT, complex_class_member
-from finhom.errors import BudgetExceededError, FactorizationObstructedError, UnsupportedRingError
+from finhom.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    FactorizationObstructedError,
+    UnsupportedRingError,
+)
 from finhom.kaplansky import Cell
 from finhom.matrix import Matrix
 from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
@@ -238,3 +247,17 @@ def dg_family_oracle(X: ChainComplex, cls: str, pair):
             homotopy_tests.append((repr(E), all_null))
             member = member and all_null
     return member, homotopy_tests
+
+
+def dense_product_oracle(self: Matrix, other: Matrix) -> Matrix:
+    """self * other, each entry a dot product with a column of other."""
+    self._check_ring(other)
+    if self.cols != other.rows:
+        raise DimensionMismatchError(
+            f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+        )
+    norm = self.ring.normalize
+    ot = other.transpose().entries
+    return Matrix._reduced(self.ring, self.rows, other.cols, tuple(
+        tuple(norm(sum(map(_times, ra, rc))) for rc in ot)
+        for ra in self.entries))

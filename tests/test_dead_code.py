@@ -18,7 +18,6 @@ TEST_ONLY = {
     "FpModule.cokernel_presentation",
     "FpModule.element_is_zero",
     "Ring.is_field",
-    "Matrix.unvec",
     "tensor_unit_iso",
     # coherence isomorphisms and module facts the invariant tests check
     "tensor_unit_iso_complex",
@@ -26,7 +25,6 @@ TEST_ONLY = {
     "tensor_assoc_iso",
     "boundaries",
     "map_factorization",
-    "Matrix.columns",
 }
 
 

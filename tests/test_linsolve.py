@@ -9,6 +9,7 @@ from finhom import Integers, IntegersModN, Matrix, smith
 from finhom.linsolve import MatrixEquationSolver
 from finhom.modules import FpModule
 from finhom.smith import kernel_basis, solve_linear
+from helpers import columns, unvec
 
 
 def kronecker_build(solver):
@@ -69,7 +70,7 @@ def test_build_matches_kronecker_assembly(ring):
 @pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)
 def test_unknowns_are_read_from_their_solution_slices(ring):
     # each unknown of a solution, and of every solution basis element, is
-    # Matrix.unvec of its slice of the solution vector (column-stacked)
+    # unvec of its slice of the solution vector (column-stacked)
     rng = random.Random(f"linsolve-extract-{ring}")
     for _ in range(200):
         solver = random_solver(rng, ring)
@@ -78,10 +79,10 @@ def test_unknowns_are_read_from_their_solution_slices(ring):
         sol = solver.solve()
         assert (sol is None) == (x is None)
         found = [] if x is None else [(sol, x.col(0))]
-        found += zip(solver.solution_basis(), kernel_basis(A).columns())
+        found += zip(solver.solution_basis(), columns(kernel_basis(A)))
         for got, vec in found:
             for h, off in zip(solver._unknowns, offs):
-                want = Matrix.unvec(ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
+                want = unvec(ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
                 assert got[h] == want
 
 

@@ -9,9 +9,13 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
 from finhom.errors import DimensionMismatchError
+from helpers import unvec
+from oracles import dense_product_oracle
 
 RINGS = [Integers(), IntegersModN(4), IntegersModN(12), PrimeField(3)]
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (3, 3)]
@@ -48,6 +52,8 @@ def test_operations_match_public_constructor(ring):
         assert Z == naive(ring, r, c, lambda i, j: 0)
         rebuilt(Matrix.identity(ring, r))
         assert Matrix.identity(ring, r) == naive(ring, r, r, lambda i, j: int(i == j))
+        assert rebuilt(Matrix.identity(ring, c, above=r, below=k)) == Matrix.zero(
+            ring, r, c).vstack(Matrix.identity(ring, c)).vstack(Matrix.zero(ring, k, c))
 
         T = rebuilt(A.transpose())
         assert (T.rows, T.cols) == (c, r)
@@ -91,7 +97,7 @@ def test_operations_match_public_constructor(ring):
         assert K == naive(ring, r * G.rows, c * G.cols,
                           lambda i, j: A[i // G.rows, j // G.cols] * G[i % G.rows, j % G.cols])
 
-        assert rebuilt(Matrix.unvec(ring, r, c, A.vec())) == A
+        assert rebuilt(unvec(ring, r, c, A.vec())) == A
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -133,3 +139,54 @@ def test_hash_is_cached_and_matches_value():
     assert A == A and not (A == A.scale(2))
     with pytest.raises(AttributeError):
         A.rows = 3
+
+
+@st.composite
+def _operand(draw, ring, rows, cols):
+    """A rows x cols matrix: random entries (over Z in [-3, 3], some of
+    60 bits), zero, one-hot rows, or an identity where square."""
+    kind = draw(st.sampled_from(["random", "zero", "one-hot", "identity"]))
+    if kind == "zero":
+        return Matrix.zero(ring, rows, cols)
+    if kind == "identity" and rows == cols:
+        return Matrix.identity(ring, rows)
+    if kind == "one-hot":
+        hot = [draw(st.integers(-1, cols - 1)) for _ in range(rows)]
+        return Matrix(ring, rows, cols, [[int(j == h) for j in range(cols)] for h in hot])
+    entry = st.integers(-3, 3)
+    if ring.modulus is None:
+        entry = st.one_of(entry, st.integers(-(1 << 60), 1 << 60))
+    return Matrix(ring, rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _product_operands(draw):
+    ring = draw(st.sampled_from(RINGS))
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(_operand(ring, r, k)), draw(_operand(ring, k, c))
+
+
+@given(_product_operands())
+def test_row_sparse_product_matches_the_dense_oracle(operands):
+    A, B = operands
+    P = rebuilt(A * B)
+    assert P == dense_product_oracle(A, B)
+    assert (P.rows, P.cols) == (A.rows, B.cols)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_trusted_record_invariants(ring):
+    # the trusted constructor still checks the shape of ragged rows
+    with pytest.raises(DimensionMismatchError):
+        Matrix._reduced(ring, 3, 2, ((1, 0), (0, 1), (1,)))
+    # records stay immutable, whichever slot is assigned
+    A = Matrix(ring, 3, 4, [[1, 2, 3, 4], [5, 6, 7, 8], [0, 1, 0, 1]])
+    for name in ("ring", "rows", "cols", "entries", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(A, name, None)
+    assert A == Matrix(ring, 3, 4, [[1, 2, 3, 4], [5, 6, 7, 8], [0, 1, 0, 1]])
+    # submatrix picks 0, 1 and many columns, in the order given
+    for rows, cols in (([0, 2], []), ([], [1]), ([2, 0], [3]), ([1], [3, 0, 3]),
+                       (range(3), range(4)), ([0, 1, 2], [2, 1])):
+        S = rebuilt(A.submatrix(rows, cols))
+        assert S == naive(ring, len(rows), len(cols), lambda i, j: A[rows[i], cols[j]])

@@ -6,10 +6,8 @@ instead of building the subquotient; each is checked here against the
 subquotient it skips, over Z, Z/4, Z/12 and F_3.
 """
 
-from datetime import timedelta
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
@@ -22,7 +20,7 @@ from finhom.complexes import (
     is_quasi_iso,
     sphere,
 )
-from finhom.errors import ValidationError
+from finhom.errors import PreconditionFailedError, ValidationError
 from finhom.functors import ext_n, ext_vanishes, tor_n, tor_vanishes
 from finhom.modules import FpModule, ModuleMap, subquotient, subquotient_vanishes
 from finhom.sampling import DeterministicSampler
@@ -83,6 +81,31 @@ def test_ext_vanishes_agrees_with_ext_n(name):
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
+def test_ext_out_of_a_free_module_vanishes(name):
+    # ext_vanishes answers True for a module with no relations and n >= 1
+    # without a resolution; ext_n still builds the group, which must be 0
+    ring = RINGS[name]
+    sampler = DeterministicSampler(43)
+    targets = _modules(ring)
+    for _ in range(6):
+        g, r = sampler.randint(1, 3), sampler.randint(0, 3)
+        targets.append(FpModule(ring, g, Matrix(ring, g, r, [
+            [sampler.entry(ring) for _ in range(r)] for _ in range(g)])))
+    for rank in range(4):
+        M = FpModule.free(ring, rank)
+        for N in targets:
+            for n in (1, 2, 3):
+                assert ext_vanishes(M, N, n) and ext_n(M, N, n).is_zero_module(), (M, N, n)
+        # Ext^0 = Hom is no shortcut, and the argument checks stay
+        assert ext_vanishes(M, targets[0], 0) == (rank == 0)
+        with pytest.raises(PreconditionFailedError):
+            ext_vanishes(M, targets[0], -1)
+        other = IntegersModN(5) if ring.modulus != 5 else IntegersModN(7)
+        with pytest.raises(PreconditionFailedError):
+            ext_vanishes(M, FpModule.free(other, 1), 1)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
 def test_tor_vanishes_agrees_with_tor_n(name):
     ring = RINGS[name]
     verdicts = {n: set() for n in (0, 1, 2)}
@@ -128,7 +151,6 @@ def _subquotient_data(draw):
     return FpModule(ring, gens, rel), zgens, bgens
 
 
-@settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
 @given(_subquotient_data())
 def test_subquotient_vanishes_matches_the_subquotient(data):
     M, zgens, bgens = data
