@@ -35,8 +35,15 @@ from finhom.complexes import (
     tensor_symmetry_iso,
     tensor_unit_iso_complex,
 )
-from finhom.errors import FactorizationObstructedError
-from finhom.kaplansky import icell_decompose
+from finhom.cotorsion import ObjectClass
+from finhom.errors import FactorizationObstructedError, NotInClassError
+from finhom.kaplansky import (
+    KaplanskyConfig,
+    flat_subcomplex_envelope,
+    icell_decompose,
+    kaplansky_filtration,
+    kaplansky_witness,
+)
 from finhom.matrix import Matrix
 from finhom.model import (
     COF_THEN_TRIVFIB,
@@ -47,7 +54,7 @@ from finhom.model import (
     factor_map,
     model_structure,
 )
-from finhom.modules import FpModule, ModuleMap
+from finhom.modules import FpModule, ModuleMap, submodule
 from finhom.sampling import DeterministicSampler
 
 # modules over Z/12, so the queries go through both CRT parts of the
@@ -337,3 +344,132 @@ def _sum_complex_lines(ring, torsion):
 def test_golden_sum_complexes(ring, torsion, digest):
     # recorded before these complexes were built by one block rule
     assert sha256("\n".join(_sum_complex_lines(ring, torsion))) == digest
+
+
+# -- Kaplansky witnesses, filtrations and envelopes --------------------------------
+
+def _kaplansky_classes(ring):
+    """Over Z injective membership is not decided and the witness of
+    ALL is left to test_kaplansky, so Z pins projective and flat only."""
+    ids = [ObjectClass.PROJECTIVE, ObjectClass.FLAT]
+    if ring.modulus is not None:
+        ids = [ObjectClass.ALL] + ids + [ObjectClass.INJECTIVE]
+    return [ObjectClass(c) for c in ids]
+
+
+def _kaplansky_lines(ring, torsion):
+    """One line per witness, filtration and envelope on small ambients:
+    free, torsion, redundantly presented and (over Z/12) non-free
+    projective modules, with seeds of 0-2 columns."""
+    sampler = DeterministicSampler(41)
+    cfg = KaplanskyConfig(gamma=3, step_budget=64)
+    free = lambda k: FpModule.free(ring, k)  # noqa: E731
+    ambients = [free(1), free(2), free(3),
+                FpModule.direct_sum(free(1), FpModule.cyclic(ring, torsion)),
+                FpModule(ring, 3, Matrix.from_rows(ring, [[1], [2], [0]]))]
+    if ring.modulus == 12:
+        ambients += [FpModule.cyclic(ring, 4),
+                     FpModule.direct_sum(FpModule.cyclic(ring, 3), free(1))]
+    lines = []
+    for cls in _kaplansky_classes(ring):
+        for F in ambients:
+            for width in range(3):
+                seed = Matrix(ring, F.gens, width,
+                              [[sampler.entry(ring) for _ in range(width)]
+                               for _ in range(F.gens)])
+                head = f"witness {cls} {_mat(F.relations)} {_mat(seed)}"
+                try:
+                    w = kaplansky_witness(F, cls, seed, cfg)
+                except NotInClassError:
+                    lines.append(head + " not in class")
+                    continue
+                lines.append(f"{head} {_mat(w.sub.relations)} {_mat(w.inclusion.matrix)} "
+                             f"{_mat(w.quotient_module.relations)} {w.generator_count}")
+
+        monos = [ModuleMap(FpModule.zero(ring), free(2), Matrix.zero(ring, 2, 0), check=False),
+                 submodule(free(3), Matrix.from_rows(ring, [[1], [1], [0]]))[1],
+                 submodule(free(2), Matrix.from_rows(ring, [[2], [0]]))[1]]
+        for incl in monos:
+            head = f"filtration {cls} {_mat(incl.matrix)}"
+            try:
+                chain = kaplansky_filtration(incl, cls, cfg)
+            except NotInClassError:
+                lines.append(head + " not in class")
+                continue
+            lines.append(f"{head} {chain.complete} " + " ".join(
+                f"{_mat(s.stage_gens)}/{_mat(s.quotient_witness.relations)}/"
+                f"{s.generator_count}" for s in chain.steps))
+
+    # exact complexes with projective cycles: cones of identities
+    proj = ObjectClass(ObjectClass.PROJECTIVE)
+    for _ in range(4):
+        F = cone(ChainMap.identity(sampler.free_complex(ring, max_support=3, max_rank=2)))
+        seeds = {}
+        for n in F.support:
+            g = F.module_at(n).gens
+            if g and sampler.randint(0, 1):
+                seeds[n] = Matrix.column(ring, [sampler.entry(ring) for _ in range(g)])
+        res = flat_subcomplex_envelope(F, seeds, proj, cfg)
+        lines.append(f"envelope {_cx(F)} {_cm(res.inclusion)} "
+                     f"{sorted(res.generator_counts.items())} " + " ".join(
+                         f"{n}:{_mat(w.inclusion.matrix)}"
+                         for n, w in sorted(res.cycle_witnesses.items())))
+    return lines
+
+
+@pytest.mark.parametrize("ring, torsion, digest", [
+    (Integers(), 4,
+     "fd2b5b6d416de71fc73f8536d8a33807a7c1eed7a908826036bec095a197e437"),
+    (IntegersModN(4), 2,
+     "3419aa5be33e9b797bbbc19cf2438763eda0be26362d54a98f142dce4e620232"),
+    (IntegersModN(12), 6,
+     "977ad95ea70f8a327df63d1b1681fb0b089223d57817dbd449ac0c9b50625c2f"),
+    (PrimeField(3), 0,
+     "fbb738d51ecea83007eefa8a3c345658ee0ec52f3d47f804cdc7ee17cc1e426b"),
+], ids=["Z", "Z4", "Z12", "F3"])
+def test_golden_kaplansky(ring, torsion, digest):
+    assert sha256("\n".join(_kaplansky_lines(ring, torsion))) == digest
+
+
+# a mono with free cokernel and an exact complex seeded in degree 0, over
+# Z and over Z/12
+KAPLANSKY_WORKSPACE = """\
+ring Z Z
+ring R12 Zmod 12
+module A over Z gens 1 rels []
+module B over Z gens 3 rels []
+module F over Z gens 2 rels []
+map i : A -> B matrix [[1], [1], [0]]
+map one : F -> F matrix [[1, 0], [0, 1]]
+map e : A -> F matrix [[1], [0]]
+complex D over Z degrees 0..1 object 0 F object 1 F diff 1 one
+complex S over Z degrees 0..0 object 0 A
+chainmap s : S -> D comp 0 e
+module A12 over R12 gens 1 rels []
+module B12 over R12 gens 3 rels []
+module F12 over R12 gens 2 rels []
+map i12 : A12 -> B12 matrix [[4], [3], [0]]
+map one12 : F12 -> F12 matrix [[1, 0], [0, 1]]
+map e12 : A12 -> F12 matrix [[3], [0]]
+complex D12 over R12 degrees 0..1 object 0 F12 object 1 F12 diff 1 one12
+complex S12 over R12 degrees 0..0 object 0 A12
+chainmap s12 : S12 -> D12 comp 0 e12
+"""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["kaplansky-filtrate", "--inclusion", "i"],
+     "db098375f43a10f6bebe34d4585b21876d0eb39a3f30b5379d9f8d91e1ebd89a"),
+    (["kaplansky-filtrate", "--inclusion", "i12", "--class", "injective"],
+     "de856432ef092839c55a339b568032fe646179480f2211d7d3f409526034b141"),
+    (["envelope", "--ambient", "D", "--sub", "s"],
+     "de3105f523aa3b30d119008c233e43e6180baed211228059a0d13fb17f97119e"),
+    (["envelope", "--ambient", "D12", "--sub", "s12", "--class", "flat"],
+     "d60a63f000ceae724d9f03e91ecf1c1a779edc8e2342d6839526155c241d6ad4"),
+], ids=["filtrate-Z", "filtrate-Z12", "envelope-Z", "envelope-Z12"])
+def test_golden_cli_kaplansky(argv, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ws.cl").write_text(KAPLANSKY_WORKSPACE, encoding="utf-8")
+    code, report = run_command(argv[:1] + ["--workspace", "ws.cl"] + argv[1:])
+    assert code == 0
+    assert sha256(report.to_machine()) == digest
