@@ -355,9 +355,9 @@ class ChainMap:
         objs = {}
         projs = {}
         for n in self.target.support:
-            C, proj = quotient(self.target.module_at(n), self.matrix_at(n))
-            objs[n] = C
-            projs[n] = proj
+            T = self.target.module_at(n)
+            objs[n] = quotient(T, self.matrix_at(n))
+            projs[n] = ModuleMap(T, objs[n], Matrix.identity(ring, T.gens), check=False)
         diffs = {}
         for n in self.target.support:
             if n in objs and (n - 1) in objs and not objs[n].is_zero_module() \

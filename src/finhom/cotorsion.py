@@ -38,7 +38,7 @@ from .complexes import (
 from .errors import PreconditionFailedError, ValidationError
 from .functors import ext_vanishes, is_flat, is_injective, is_projective
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, hom_module
+from .modules import FpModule, ModuleMap, hom_module, quotient
 from .rings import Ring
 
 
@@ -126,7 +126,7 @@ class CotorsionPairData:
         for i in self.generating_monos:
             if not i.is_mono():
                 raise ValidationError("generating monomorphism is not mono")
-            C, _ = i.cokernel()
+            C = quotient(i.target, i.matrix)
             ok = C.is_isomorphic_to(R1) or any(
                 C.is_isomorphic_to(S) for S in self.cogenerators)
             if not ok:

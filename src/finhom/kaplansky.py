@@ -6,9 +6,9 @@ over finite data:
 * ``find_small_surjecting_sub``: a small subobject of the source of an
   epi whose restriction is still epi (preimages of target generators).
 * ``kaplansky_witness``: given X inside a class member F, a small class
-  member S with X <= S <= F and F/S still in the class.  Over Z and the
-  projective/flat classes this is lattice saturation (a free summand);
-  over finite rings a deterministic greedy closure.
+  member S with X <= S <= F and F/S still in the class, by one rule
+  for Z, Z/n and F_p: the span of X for the class of all modules, and
+  otherwise the saturation of X, a summand read off one Smith form.
 * ``kaplansky_filtration``: writes a mono A -> B with class quotient as
   a finite chain of inclusions with small class quotients.
 * ``flat_subcomplex_envelope``: the degreewise induction producing a
@@ -24,6 +24,7 @@ over finite data:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -48,14 +49,12 @@ from .modules import (
     FpModule,
     ModuleMap,
     _certify,
-    element_in_submodule,
     intersection_gens,
     preimage_gens,
     quotient,
     submodule,
     submodule_coordinates,
 )
-from .rings import Ring
 from .smith import inverse, snf
 
 
@@ -119,96 +118,66 @@ class Witness:
                 and cls.contains(self.sub) and cls.contains(self.quotient_module))
 
 
-def kaplansky_witness(F: FpModule, cls: ObjectClass, seed_gens: Matrix,
-                      cfg: KaplanskyConfig) -> Witness:
+def kaplansky_witness(F: FpModule, cls: ObjectClass, seed_gens: Matrix) -> Witness:
     """Grow the seed submodule of F to a witness for the class.
 
-    Over Z with the projective or flat class the witness is the
-    saturation of the seed lattice: a free direct summand with free
-    quotient.  Over finite rings a greedy closure walks the canonical
-    element order until both S and F/S satisfy the class predicate.
+    One rule for Z, Z/n and F_p, in the canonical coordinates of F,
+    where F = R^g / <canonical relations>.  A seed that vanishes in F is
+    replaced by the first canonical generator, so the witness is nonzero.
+    For ALL the witness is the span of the seed.  Every other class is,
+    at finitely presented scale over these rings, the projective class
+    (Z/n is quasi-Frobenius), and the witness is the saturation of the
+    seed (``_saturation`` of [seed | relations]): a summand of R^g that
+    contains the relations, so S and F/S are projective, also where F is
+    not free.  S is presented on the canonical generators of the span,
+    so it needs no more generators than the seed has columns (one for a
+    vanishing seed): its size is bounded by the seed, not by F.
     """
-    ring = F.ring
     if not cls.contains(F):
         raise NotInClassError(f"ambient module {F!r} is not in {cls!r}")
     if seed_gens.rows != F.gens:
         raise PreconditionFailedError("seed generators must live in F")
-
-    if ring.kind == Ring.INTEGERS:
-        if cls.class_id not in (ObjectClass.PROJECTIVE, ObjectClass.FLAT,
-                                ObjectClass.ALL):
-            raise NotInClassError(f"no witness procedure for {cls!r} over Z")
-        return _saturation_witness(F, cls, seed_gens)
-    return _greedy_witness(F, cls, seed_gens, cfg)
-
-
-def _saturation_witness(F: FpModule, cls: ObjectClass, seed: Matrix) -> Witness:
-    """Free-summand witness over Z: saturate the seed inside the free
-    ambient (f.g. projective = flat = free there)."""
     ring = F.ring
     canon, to, fro = F.canonical_form()
-    _certify(all(d == 0 for d in canon.invariant_factors()),
-             "kaplansky_witness: class members over Z are free")
-    seed_in_canon = to.matrix * seed
-    nonzero = not all(
-        all(x == 0 for x in seed_in_canon.col(j)) for j in range(seed_in_canon.cols))
-    if not nonzero and canon.gens > 0:
-        # the witness must be nonzero: seed with the first basis vector
-        seed_in_canon = Matrix.column(
-            ring, [1] + [0] * (canon.gens - 1))
-    form = snf(seed_in_canon)
-    rank = form.rank
-    # saturation basis: the first `rank` columns of (seed * V) scaled down
-    # to primitive vectors, i.e. U^{-1} restricted to the pivot rows
-    uinv = inverse(form.U)
-    sat_cols = [uinv.col(i) for i in range(rank)]
-    sat = (Matrix(ring, canon.gens, rank, [list(r) for r in zip(*sat_cols)])
-           if sat_cols else Matrix.zero(ring, canon.gens, 0))
-    gens_in_f = fro.matrix * sat
-    S, incl = submodule(F, gens_in_f)
-    Q, _ = quotient(F, gens_in_f)
+    seed = to.matrix * seed_gens
+    if canon.gens and canon.columns_vanish(seed):
+        # the witness must be nonzero: seed with the first canonical generator
+        seed = Matrix.column(ring, [1] + [0] * (canon.gens - 1))
+    if cls.class_id != ObjectClass.ALL:
+        seed = _saturation(seed.hstack(canon.relations))
+    span = fro.matrix * seed
+    span_module, _ = submodule(F, span)
+    gens = span * span_module.canonical_form()[2].matrix
+    S, incl = submodule(F, gens)
+    Q = quotient(F, gens)
     w = Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
     _certify(w.class_ok and w.quotient_ok,
-             "kaplansky_witness: the saturation and its quotient are in the class")
-    _certify(submodule_coordinates(F, gens_in_f, seed) is not None,
-             "kaplansky_witness: the seed lies inside the saturation")
+             "kaplansky_witness: the witness and its quotient are in the class")
+    _certify(submodule_coordinates(F, gens, seed_gens) is not None,
+             "kaplansky_witness: the seed lies inside the witness")
     return w
 
 
-def _greedy_witness(F: FpModule, cls: ObjectClass, seed: Matrix,
-                    cfg: KaplanskyConfig) -> Witness:
-    ring = F.ring
-    size = F.size()
-    if size is None:
-        raise BudgetExceededError("greedy witness needs a finite module")
-    elements = list(F.elements())
-    gens = seed
-    if F.columns_vanish(gens) and not F.is_zero_module():
-        first = next(e for e in elements if any(x != 0 for x in e))
-        gens = _append_col(ring, F.gens, gens, first)
-    steps = 0
-    while True:
-        S, incl = submodule(F, gens)
-        Q, _ = quotient(F, gens)
-        if cls.contains(S) and cls.contains(Q):
-            return Witness(S, incl, Q, True, True, S.gens)
-        steps += 1
-        if steps > cfg.step_budget:
-            raise BudgetExceededError("witness search exceeded the step budget",
-                                      partial=(S, Q))
-        added = False
-        for e in elements:
-            if element_in_submodule(F, gens, e) is None:
-                gens = _append_col(ring, F.gens, gens, e)
-                added = True
-                break
-        if not added:
-            # S = F: quotient is zero, which every class contains
-            return Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
+def _saturation(A: Matrix) -> Matrix:
+    """Columns spanning a summand of R^g that contains the columns of A.
 
-
-def _append_col(ring, rows, m: Matrix, col) -> Matrix:
-    return m.hstack(Matrix.column(ring, list(col)))
+    With U A V = D the Smith form, column t of U^{-1} is kept where its
+    pivot d_t is nonzero, times m_t: the product of the prime-power
+    parts q of n that divide d_t (1 over Z and Z/p^k).  m_t is a unit
+    mod the parts where d_t is nonzero and zero mod the others, so in
+    each local part Z/q the kept columns are those of a basis whose
+    pivots are nonzero there, and they span every column of A.
+    """
+    ring = A.ring
+    form = snf(A)
+    parts = ring._prime_power_parts()
+    kept, scale = [], []
+    for t, d in enumerate(form.pivots(A.rows)):
+        if ring.normalize(d):
+            kept.append(t)
+            scale.append(math.prod(q for q in parts if d % q == 0))
+    return (inverse(form.U).submatrix(range(A.rows), kept)
+            * Matrix.diagonal(ring, len(kept), len(kept), scale))
 
 
 # -- filtrations ----------------------------------------------------------------------
@@ -243,11 +212,7 @@ class FiltrationChain:
             if not self.cls.contains(step.quotient_witness):
                 return False
             gens = step.stage_gens
-        if self.complete:
-            Q, _ = quotient(self.ambient, gens)
-            if not Q.is_zero_module():
-                return False
-        return True
+        return not self.complete or quotient(self.ambient, gens).is_zero_module()
 
 
 def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass,
@@ -257,24 +222,22 @@ def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass,
     if not incl.is_mono():
         raise PreconditionFailedError("filtration needs a monomorphism")
     B = incl.target
-    Q0, _ = quotient(B, incl.matrix)
-    if not cls.contains(Q0):
+    if not cls.contains(quotient(B, incl.matrix)):
         raise NotInClassError("the quotient B/A is not in the class")
     gens = incl.matrix
     steps: List[FiltrationStep] = []
     for _ in range(cfg.step_budget):
-        Q, _ = quotient(B, gens)
+        Q = quotient(B, gens)
         if Q.is_zero_module():
             return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
-        w = kaplansky_witness(Q, cls, Matrix.zero(B.ring, B.gens, 0), cfg)
+        w = kaplansky_witness(Q, cls, Matrix.zero(B.ring, B.gens, 0))
         # witness generators are already B-coordinate vectors (the quotient
         # shares its generators with B)
         new_gens = gens.hstack(w.inclusion.matrix)
         steps.append(FiltrationStep(new_gens, w.sub,
                                     w.class_ok and w.quotient_ok, w.generator_count))
         gens = new_gens
-    Q, _ = quotient(B, gens)
-    if Q.is_zero_module():
+    if quotient(B, gens).is_zero_module():
         return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
     raise BudgetExceededError(
         "filtration did not reach the top within the step budget",
@@ -358,7 +321,7 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
             s_prime[n] = Matrix.zero(ring, Fn.gens, 0)
             prev_sprime = s_prime[n]
             continue
-        w = kaplansky_witness(Zm, cls, seed_z, cfg)
+        w = kaplansky_witness(Zm, cls, seed_z)
         witnesses[n] = w
         s_prime[n] = zincl.matrix * w.inclusion.matrix
         prev_sprime = s_prime[n]
@@ -405,22 +368,15 @@ class Cell:
         D, E = self.image.source, self.image.target
         B = self.step_inclusion.source
         ring = E.ring
-
-        def matrix_at(f: ChainMap, n: int) -> Matrix:
-            # a missing component is zero
-            c = f.components.get(n)
-            return c.matrix if c is not None else Matrix.zero(
-                ring, f.target.module_at(n).gens, f.source.module_at(n).gens)
-
         for n in sorted(set(D.objects) | set(B.objects) | set(E.objects)):
             Dn, Bn, En = D.module_at(n), B.module_at(n), E.module_at(n)
             onto = FpModule(ring, En.gens, Matrix.hstack_all(
-                ring, En.gens, [En.relations, matrix_at(self.image, n),
-                                matrix_at(self.step_inclusion, n)]))
+                ring, En.gens, [En.relations, self.image.matrix_at(n),
+                                self.step_inclusion.matrix_at(n)]))
             if not onto.is_zero_module():
                 return False
-            glue = matrix_at(self.generating_mono, n).vstack(
-                matrix_at(self.attaching, n).scale(-1))
+            glue = self.generating_mono.matrix_at(n).vstack(
+                self.attaching.matrix_at(n).scale(-1))
             P = FpModule(ring, Dn.gens + Bn.gens, Matrix.block_diagonal(
                 ring, [Dn.relations, Bn.relations]).hstack(glue))
             if P.invariant_factors() != En.invariant_factors():

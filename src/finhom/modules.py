@@ -336,15 +336,16 @@ class ModuleMap:
 
     def cokernel(self):
         """(C, proj) with proj the canonical epi from the target."""
-        return quotient(self.target, self.matrix)
+        C = quotient(self.target, self.matrix)
+        return C, ModuleMap(self.target, C, Matrix.identity(self.ring, self.target.gens),
+                            check=False)
 
     def is_mono(self) -> bool:
         K = self.kernel_gens()
         return self.source.columns_vanish(K)
 
     def is_epi(self) -> bool:
-        C, _ = self.cokernel()
-        return C.is_zero_module()
+        return quotient(self.target, self.matrix).is_zero_module()
 
     def is_iso(self) -> bool:
         return self.is_mono() and self.is_epi()
@@ -386,12 +387,11 @@ def kernel_columns(A: Matrix, M: FpModule) -> Matrix:
     return K.submatrix(range(A.cols), range(K.cols))
 
 
-def quotient(M: FpModule, gens: Matrix):
-    """(M / <gens>, projection): the cokernel of the map into M with
-    matrix gens, and its canonical epi."""
-    Q = FpModule(M.ring, M.gens, M.relations.hstack(gens))
-    proj = ModuleMap(M, Q, Matrix.identity(M.ring, M.gens), check=False)
-    return Q, proj
+def quotient(M: FpModule, gens: Matrix) -> FpModule:
+    """M / <gens>: the cokernel of the map into M with matrix gens,
+    presented on M's generators (``ModuleMap.cokernel`` also gives the
+    projection)."""
+    return FpModule(M.ring, M.gens, M.relations.hstack(gens))
 
 
 def subquotient(M: FpModule, zgens: Matrix, bgens: Matrix) -> FpModule:
@@ -590,5 +590,4 @@ class ShortExactSeq:
     @staticmethod
     def from_submodule(M: FpModule, gens: Matrix) -> "ShortExactSeq":
         S, incl = submodule(M, gens)
-        Q, proj = quotient(M, gens)
-        return ShortExactSeq(incl, proj)
+        return ShortExactSeq(incl, incl.cokernel()[1])

@@ -224,10 +224,7 @@ def sub_rep_module(M: QuiverRepModule, gens: Dict[str, Matrix]) -> QuiverRepModu
 
 
 def quotient_rep_module(M: QuiverRepModule, gens: Dict[str, Matrix]) -> QuiverRepModule:
-    mods = {}
-    for v in M.rep.vertices:
-        Q, _ = quotient(M.module_at(v), gens[v])
-        mods[v] = Q
+    mods = {v: quotient(M.module_at(v), gens[v]) for v in M.rep.vertices}
     emaps = {e.name: M.edge_maps[e.name] for e in M.rep.edges}
     return QuiverRepModule(M.rep, mods, emaps)
 
@@ -331,8 +328,7 @@ def _witness_defect(M: QuiverRepModule, gens: Dict[str, Matrix]) -> Optional[str
         S, _ = submodule(M.module_at(v), gens[v])
         if not is_flat(S):
             return v
-        Q, _ = quotient(M.module_at(v), gens[v])
-        if not is_flat(Q):
+        if not is_flat(quotient(M.module_at(v), gens[v])):
             return v
     try:
         sub = sub_rep_module(M, gens)

@@ -99,19 +99,24 @@ class Ring:
         """Self-injective rings where projective = injective: Z/n and F_p."""
         return self.modulus is not None
 
-    def _prime_factors(self):
-        n = self.modulus
+    def _prime_power_parts(self) -> tuple:
+        """The parts q = p^k of the modulus, one per prime p, smallest p
+        first: Z/n splits by CRT into the rings Z/q.  Empty over Z and
+        over Z/1."""
+        n = self.modulus or 1
         out = []
         p = 2
         while p * p <= n:
             if n % p == 0:
-                out.append(p)
+                q = 1
                 while n % p == 0:
                     n //= p
+                    q *= p
+                out.append(q)
             p += 1
         if n > 1:
             out.append(n)
-        return out
+        return tuple(out)
 
     # -- element arithmetic ----------------------------------------------
 

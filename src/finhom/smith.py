@@ -306,10 +306,7 @@ def _snf_modular(A: Matrix) -> SmithForm:
     rows, cols = A.rows, A.cols
     m = min(rows, cols)
     parts = []
-    for p in ring._prime_factors():
-        q = p
-        while n % (q * p) == 0:
-            q *= p
+    for q in ring._prime_power_parts():
         # for n = p^k the entries are already residues mod q
         a = [list(r) if q == n else [x % q for x in r] for r in A.entries]
         u = [[0] * rows for _ in range(rows)]

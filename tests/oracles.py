@@ -20,6 +20,10 @@ cannot drift with the code they check.
 * ``dense_product_oracle``: the matrix product as a dot product of every
   row of A with every column of B, read from B's transpose; ``Matrix``
   multiplies row-sparsely, without the transpose.
+* ``greedy_witness``: a Kaplansky witness over a finite ring by walking
+  every element of F in canonical order, adding the first one outside S
+  until S and F/S lie in the class; ``kaplansky_witness`` saturates the
+  seed by one Smith form instead.
 """
 
 from dataclasses import dataclass
@@ -44,10 +48,17 @@ from finhom.errors import (
     FactorizationObstructedError,
     UnsupportedRingError,
 )
-from finhom.kaplansky import Cell
+from finhom.kaplansky import Cell, KaplanskyConfig, Witness
 from finhom.matrix import Matrix
 from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
-from finhom.modules import FpModule, ModuleMap, hom_module
+from finhom.modules import (
+    FpModule,
+    ModuleMap,
+    element_in_submodule,
+    hom_module,
+    quotient,
+    submodule,
+)
 
 
 def pushout_oracle(cell: Cell) -> bool:
@@ -261,3 +272,40 @@ def dense_product_oracle(self: Matrix, other: Matrix) -> Matrix:
     return Matrix._reduced(self.ring, self.rows, other.cols, tuple(
         tuple(norm(sum(map(_times, ra, rc))) for rc in ot)
         for ra in self.entries))
+
+
+def greedy_witness(F: FpModule, cls, seed: Matrix, cfg: KaplanskyConfig) -> Witness:
+    """A witness for ``cls`` around the seed, grown one element of F at a
+    time in canonical element order.  Finite rings only."""
+    ring = F.ring
+    size = F.size()
+    if size is None:
+        raise BudgetExceededError("greedy witness needs a finite module")
+    elements = list(F.elements())
+    gens = seed
+    if F.columns_vanish(gens) and not F.is_zero_module():
+        first = next(e for e in elements if any(x != 0 for x in e))
+        gens = _append_col(ring, F.gens, gens, first)
+    steps = 0
+    while True:
+        S, incl = submodule(F, gens)
+        Q = quotient(F, gens)
+        if cls.contains(S) and cls.contains(Q):
+            return Witness(S, incl, Q, True, True, S.gens)
+        steps += 1
+        if steps > cfg.step_budget:
+            raise BudgetExceededError("witness search exceeded the step budget",
+                                      partial=(S, Q))
+        added = False
+        for e in elements:
+            if element_in_submodule(F, gens, e) is None:
+                gens = _append_col(ring, F.gens, gens, e)
+                added = True
+                break
+        if not added:
+            # S = F: quotient is zero, which every class contains
+            return Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
+
+
+def _append_col(ring, rows, m: Matrix, col) -> Matrix:
+    return m.hstack(Matrix.column(ring, list(col)))

@@ -379,7 +379,7 @@ def _kaplansky_lines(ring, torsion):
                                for _ in range(F.gens)])
                 head = f"witness {cls} {_mat(F.relations)} {_mat(seed)}"
                 try:
-                    w = kaplansky_witness(F, cls, seed, cfg)
+                    w = kaplansky_witness(F, cls, seed)
                 except NotInClassError:
                     lines.append(head + " not in class")
                     continue
@@ -421,13 +421,15 @@ def _kaplansky_lines(ring, torsion):
     (Integers(), 4,
      "fd2b5b6d416de71fc73f8536d8a33807a7c1eed7a908826036bec095a197e437"),
     (IntegersModN(4), 2,
-     "3419aa5be33e9b797bbbc19cf2438763eda0be26362d54a98f142dce4e620232"),
+     "7f4623a1c89eedd925c31c5b2703e25b6e1d2fd03597bbb995fd80ad8d91dc88"),
     (IntegersModN(12), 6,
-     "977ad95ea70f8a327df63d1b1681fb0b089223d57817dbd449ac0c9b50625c2f"),
+     "35e1cd7d864c4a712b18fa9d15fff2c0393d4a55af962f5b5ebc8e3e205b533d"),
     (PrimeField(3), 0,
-     "fbb738d51ecea83007eefa8a3c345658ee0ec52f3d47f804cdc7ee17cc1e426b"),
+     "829d1c45f0947ebe386521ae0d5bae7496309c1e027c345d6698c0c2e84cf818"),
 ], ids=["Z", "Z4", "Z12", "F3"])
 def test_golden_kaplansky(ring, torsion, digest):
+    # the Z digest was recorded before the witness became one Smith
+    # saturation for every ring; the finite-ring witnesses shrank with it
     assert sha256("\n".join(_kaplansky_lines(ring, torsion))) == digest
 
 

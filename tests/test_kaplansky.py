@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField, kaplansky
 from finhom.complexes import (
@@ -44,13 +47,15 @@ from finhom.modules import (
 )
 from finhom.sampling import DeterministicSampler
 from finhom.smith import snf
-from oracles import pushout_oracle
+from oracles import greedy_witness, pushout_oracle
 
 ZZ = Integers()
 Z6 = IntegersModN(6)
 CFG = KaplanskyConfig(gamma=3, step_budget=64)
 PROJ = ObjectClass(ObjectClass.PROJECTIVE)
 FLAT = ObjectClass(ObjectClass.FLAT)
+CLASSES = [ObjectClass(c) for c in (ObjectClass.ALL, ObjectClass.PROJECTIVE,
+                                    ObjectClass.FLAT, ObjectClass.INJECTIVE)]
 
 
 def test_find_small_surjecting_sub():
@@ -80,20 +85,20 @@ def test_kaplansky_witness_saturation():
     # witness is a rank-1 free summand with free quotient Z^2
     F = FpModule.free(ZZ, 3)
     X = Matrix.from_rows(ZZ, [[2], [3], [0]])
-    w = kaplansky_witness(F, PROJ, X, CFG)
+    w = kaplansky_witness(F, PROJ, X)
     assert w.sub.invariant_factors() == (0,)
     assert w.quotient_module.invariant_factors() == (0, 0)
     assert w.revalidate(PROJ)
     assert element_in_submodule(F, w.inclusion.matrix, [2, 3, 0]) is not None
 
     # X = F: witness is everything
-    w2 = kaplansky_witness(F, PROJ, Matrix.identity(ZZ, 3), CFG)
+    w2 = kaplansky_witness(F, PROJ, Matrix.identity(ZZ, 3))
     assert w2.sub.invariant_factors() == (0, 0, 0)
     assert w2.quotient_module.is_zero_module()
 
     # non-primitive seed: saturation strictly contains it
     w3 = kaplansky_witness(FpModule.free(ZZ, 1), PROJ,
-                           Matrix.from_rows(ZZ, [[2]]), CFG)
+                           Matrix.from_rows(ZZ, [[2]]))
     assert w3.sub.invariant_factors() == (0,)
     assert w3.quotient_module.is_zero_module()  # saturation of 2Z in Z is Z
 
@@ -101,20 +106,20 @@ def test_kaplansky_witness_saturation():
 def test_kaplansky_witness_finite_ring():
     F = FpModule.free(Z6, 1)  # Z/6 over itself
     X = Matrix.from_rows(Z6, [[3]])  # the subgroup {0, 3}
-    w = kaplansky_witness(F, FLAT, X, CFG)
+    w = kaplansky_witness(F, FLAT, X)
     assert w.revalidate(FLAT)
     # seed must be inside
     assert element_in_submodule(F, w.inclusion.matrix, [3]) is not None
 
     # nonzero requirement with zero seed
-    w2 = kaplansky_witness(F, FLAT, Matrix.zero(Z6, 1, 0), CFG)
+    w2 = kaplansky_witness(F, FLAT, Matrix.zero(Z6, 1, 0))
     assert not w2.sub.is_zero_module()
 
     # over Z/4 the module Z/2 is not injective: no witness possible
     Z4 = IntegersModN(4)
     with pytest.raises(NotInClassError):
         kaplansky_witness(FpModule.cyclic(Z4, 2), ObjectClass(ObjectClass.INJECTIVE),
-                          Matrix.zero(Z4, 1, 0), CFG)
+                          Matrix.zero(Z4, 1, 0))
 
 
 def test_kaplansky_filtration():
@@ -137,6 +142,94 @@ def test_kaplansky_filtration():
     chain3 = kaplansky_filtration(z6, FLAT, KaplanskyConfig(gamma=1, step_budget=8))
     assert chain3.complete
     assert len(chain3.steps) == 1
+
+
+# -- one witness rule for every ring -------------------------------------------------
+
+
+@pytest.mark.parametrize("F", [FpModule.cyclic(ZZ, 2),
+                               FpModule.direct_sum(FpModule.free(ZZ, 1),
+                                                   FpModule.cyclic(ZZ, 2))],
+                         ids=["Z/2", "Z+Z/2"])
+def test_witness_of_all_over_z_on_torsion(F):
+    # the class of all modules needs no free ambient: S is the seed's span
+    ALL = ObjectClass(ObjectClass.ALL)
+    torsion = Matrix.identity(ZZ, 1, above=F.gens - 1)
+    for seed in (Matrix.zero(ZZ, F.gens, 0), torsion):
+        w = kaplansky_witness(F, ALL, seed)
+        assert w.revalidate(ALL)
+        assert w.generator_count == 1
+        assert submodule_coordinates(F, w.inclusion.matrix, seed) is not None
+    assert kaplansky_witness(F, ALL, torsion).sub.invariant_factors() == (2,)
+
+
+def test_witness_in_a_large_free_module_over_z12():
+    # F has 12^8 elements: too many to list, one Smith form to saturate in
+    R = IntegersModN(12)
+    F = FpModule.free(R, 8)
+    start = time.perf_counter()
+    w = kaplansky_witness(F, PROJ, Matrix.column(R, [2] + [0] * 7))
+    assert time.perf_counter() - start < 1.0
+    assert w.generator_count <= 1
+    assert w.revalidate(PROJ)
+
+
+def test_filtration_of_a_large_free_module_over_z12():
+    R = IntegersModN(12)
+    B = FpModule.free(R, 6)
+    zero = ModuleMap(FpModule.zero(R), B, Matrix.zero(R, 6, 0), check=False)
+    start = time.perf_counter()
+    chain = kaplansky_filtration(zero, PROJ, CFG)
+    assert time.perf_counter() - start < 1.0
+    assert chain.complete and chain.revalidate(1)
+
+
+FINITE_RINGS = [IntegersModN(4), IntegersModN(6), IntegersModN(8), IntegersModN(9),
+                IntegersModN(12), PrimeField(3)]
+
+
+@st.composite
+def _witness_data(draw):
+    """A sum of cyclics and frees with at most 3,000 elements over a
+    finite ring, and a seed of 0-2 columns in it."""
+    ring = draw(st.sampled_from(FINITE_RINGS))
+    orders = draw(st.lists(st.sampled_from([d for d in ring.divisors() if d > 1]),
+                           min_size=1, max_size=7))
+    summands, size = [], 1
+    for d in orders:
+        if size * d > 3000:
+            break
+        summands.append(FpModule.cyclic(ring, d))
+        size *= d
+    F = FpModule.direct_sum(*summands)
+    width = draw(st.integers(0, 2))
+    entries = st.integers(0, ring.modulus - 1)
+    seed = Matrix(ring, F.gens, width, draw(st.lists(
+        st.lists(entries, min_size=width, max_size=width),
+        min_size=F.gens, max_size=F.gens)))
+    return F, seed
+
+
+@settings(max_examples=150)
+@given(_witness_data())
+@example((FpModule.direct_sum(FpModule.cyclic(Z6, 2), FpModule.free(Z6, 1)),
+          Matrix.from_rows(Z6, [[1], [3]])))
+@example((FpModule.direct_sum(FpModule.cyclic(IntegersModN(12), 4),
+                              FpModule.free(IntegersModN(12), 1)),
+          Matrix.from_rows(IntegersModN(12), [[2, 0], [0, 4]])))
+def test_witness_matches_the_greedy_oracle(data):
+    # Z/2 + Z/6 over Z/6 and Z/4 + Z/12 over Z/12 are projective, not free
+    F, seed = data
+    for cls in CLASSES:
+        if not cls.contains(F):
+            continue
+        w = kaplansky_witness(F, cls, seed)
+        oracle = greedy_witness(F, cls, seed, CFG)
+        assert w.revalidate(cls) and oracle.revalidate(cls)
+        assert submodule_coordinates(F, w.inclusion.matrix, seed) is not None
+        assert w.generator_count <= oracle.generator_count
+        # bounded by the seed, not by F
+        assert w.generator_count <= max(seed.cols, 1)
 
 
 def test_flat_subcomplex_envelope_seeded():

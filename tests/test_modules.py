@@ -125,7 +125,7 @@ def test_submodule_quotient_subquotient():
     S, incl = submodule(M, gens)
     assert S.is_isomorphic_to(FpModule.free(ZZ, 1))
     assert incl.is_mono()
-    Q, proj = quotient(M, gens)
+    Q = quotient(M, gens)
     assert Q.invariant_factors() == (2, 0)
 
     # subquotient: (2Z x Z) / (4Z x 0) inside Z^2
