@@ -19,7 +19,9 @@ classified once: the lifting and the factorization axioms read the
 same factorization and the same flags.  A factorization or
 classification that raised is raised again wherever it is read, so
 each axiom records the same witness, and the sampler draws the same
-maps, as it would factoring on its own.
+maps, as it would factoring on its own.  A library error
+(``FinhomError``) is recorded as a failed axiom; any other exception is
+a bug, and propagates.
 
 ``check_monoidal`` verifies the tensor conditions: flatness of class
 members, closure of the class under tensor, the unit, degreewise purity
@@ -42,6 +44,7 @@ from .cotorsion import DG_F_LEFT, FTILDE, complex_class_member
 from .errors import (
     CertificateMissingError,
     FactorizationObstructedError,
+    FinhomError,
     PreconditionFailedError,
     ValidationError,
 )
@@ -79,16 +82,17 @@ def _direct_sum_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def _outcome(fn, *args):
-    """fn(*args), or the exception it raised."""
+    """fn(*args), or the library error it raised; any other exception
+    is a bug and propagates."""
     try:
         return fn(*args)
-    except Exception as exc:
+    except FinhomError as exc:
         return exc
 
 
 def _value(outcome):
     """The value an ``_outcome`` holds; a held exception is raised."""
-    if isinstance(outcome, Exception):
+    if isinstance(outcome, FinhomError):
         raise outcome
     return outcome
 
@@ -151,7 +155,7 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
         facts = {mode: _outcome(factor_map, f, mode, spec)
                  for mode in (TRIVCOF_THEN_FIB, COF_THEN_TRIVFIB)}
         flags = {mode: _outcome(_factor_flags, fact, spec)
-                 for mode, fact in facts.items() if not isinstance(fact, Exception)}
+                 for mode, fact in facts.items() if not isinstance(fact, FinhomError)}
 
         tag = f"mc4lift-{k:0{width}d}"
         try:
@@ -172,7 +176,7 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
             lift2 = solve_lifting(prob2, spec, _value(flags[COF_THEN_TRIVFIB]))
             ok2 = lift2.compose(i2).equals(prob2.top) and p2.compose(lift2).equals(prob2.bottom)
             report.add(tag, ok1 and ok2, "" if ok1 and ok2 else "lift identities failed")
-        except Exception as exc:  # a failed lift is a violation, not a crash
+        except FinhomError as exc:  # a failed lift is a violation, not a crash
             report.add(tag, False, f"{type(exc).__name__}: {exc}")
 
         tag = f"mc5factor-{k:0{width}d}"
@@ -193,7 +197,7 @@ def check_model_axioms(spec: ModelStructureSpec, seed: int, samples: int) -> Rep
                 if not fact.cell_chain.verify():
                     problems.append(f"{mode}: cell chain failed verification")
             report.add(tag, not problems, "; ".join(problems))
-        except Exception as exc:
+        except FinhomError as exc:
             report.add(tag, False, f"{type(exc).__name__}: {exc}")
 
     report.wall_time = time.monotonic() - start
@@ -302,12 +306,12 @@ def check_monoidal(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
         try:
             pp = pushout_product(a, b)
             okm = pp.is_mono()
-            coker, _ = pp.cokernel_complex()
+            coker = pp.cokernel_complex()
             okc, cert = complex_class_member(coker, DG_F_LEFT, spec.pair)
             ok = okm and okc
             report.add(f"pushout-product-{k:0{width}d}", ok,
                        "" if ok else ("not mono" if not okm else cert.describe()))
-        except Exception as exc:
+        except FinhomError as exc:
             report.add(f"pushout-product-{k:0{width}d}", False,
                        f"{type(exc).__name__}: {exc}")
 

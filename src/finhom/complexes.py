@@ -349,25 +349,20 @@ class ChainMap:
                 for n in self.source.support}
         return subcomplex_from_gens(self.source, gens)
 
-    def cokernel_complex(self):
-        """(C, proj) with C the degreewise cokernel."""
+    def cokernel_complex(self) -> ChainComplex:
+        """The degreewise cokernel, presented on the target's generators
+        in each degree, so the projection from the target is the identity
+        matrix degree by degree."""
         ring = self.ring
-        objs = {}
-        projs = {}
-        for n in self.target.support:
-            T = self.target.module_at(n)
-            objs[n] = quotient(T, self.matrix_at(n))
-            projs[n] = ModuleMap(T, objs[n], Matrix.identity(ring, T.gens), check=False)
+        objs = {n: quotient(self.target.module_at(n), self.matrix_at(n))
+                for n in self.target.support}
         diffs = {}
         for n in self.target.support:
             if n in objs and (n - 1) in objs and not objs[n].is_zero_module() \
                     and not objs[n - 1].is_zero_module():
                 diffs[n] = ModuleMap(objs[n], objs[n - 1], self.target.diff_matrix(n),
                                      check=False)
-        C = ChainComplex(ring, objs, diffs, check=False)
-        proj = ChainMap(self.target, C,
-                        {n: projs[n] for n in C.support if n in projs}, check=False)
-        return C, proj
+        return ChainComplex(ring, objs, diffs, check=False)
 
 
 # -- homology -----------------------------------------------------------------
@@ -748,7 +743,7 @@ def pushout_chainmaps(f: ChainMap, g: ChainMap):
         raise PreconditionFailedError("pushout needs a common source")
     A, B, C = f.source, f.target, g.target
     S = ChainComplex.direct_sum(B, C)
-    P, _ = _stacked_map(A, S, [f, g.scale(-1)], into_sum=True, check=False).cokernel_complex()
+    P = _stacked_map(A, S, [f, g.scale(-1)], into_sum=True, check=False).cokernel_complex()
     _check_complex(P.ring, P.objects, P.differentials, P.support)
     # P shares its generators with B (+) C, so the sum's injections land in P
     inj_b = _stacked_map(B, P, [ChainMap.identity(B), ChainMap.zero_map(B, C)],

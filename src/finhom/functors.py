@@ -13,6 +13,7 @@ requested length, which is all Ext^n/Tor_n up to that degree need.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import PreconditionFailedError, UnsupportedRingError
@@ -176,12 +177,16 @@ def tensor_unit_iso(M: FpModule) -> ModuleMap:
 
 @lru_cache(maxsize=1 << 14)
 def is_projective(M: FpModule) -> bool:
-    """Whether the canonical epi (free of rank gens) ->> M splits."""
-    if M.relations.cols == 0:
-        return True  # literally free
-    p = ModuleMap(FpModule.free(M.ring, M.gens), M,
-                  Matrix.identity(M.ring, M.gens), check=False)
-    return find_section(p) is not None
+    """Whether M is projective, read from its invariant factors.
+
+    M is the sum of the cyclic modules R/(d) over its invariant factors
+    d.  Over Z it is projective exactly when it is free: every factor is
+    0.  Over Z/n (and F_p) R/(d) = Z/d is projective exactly when it is a
+    summand of Z/n, that is when gcd(d, n/d) = 1."""
+    n = M.ring.modulus
+    if n is None:
+        return all(d == 0 for d in M.invariant_factors())
+    return all(math.gcd(d, n // d) == 1 for d in M.invariant_factors())
 
 
 @lru_cache(maxsize=1 << 14)

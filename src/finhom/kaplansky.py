@@ -427,7 +427,7 @@ def icell_decompose(f: ChainMap) -> CellChain:
         raise PreconditionFailedError("cell decomposition needs a monomorphism")
     Q = f.target
     ring = f.ring
-    coker, _ = f.cokernel_complex()
+    coker = f.cokernel_complex()
     for n in coker.support:
         facs = coker.module_at(n).invariant_factors()
         free_val = 0 if ring.modulus is None else ring.modulus

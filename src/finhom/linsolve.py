@@ -7,13 +7,16 @@ constrained by equations of the shape
 
 which vectorize to one exact linear system over the base ring via
 vec(A U B) = (B^T kron A) vec(U).  The system is written directly from
-the entries of A and B, with no identity, transpose or Kronecker matrix
-formed.  Working modulo a relation span adds a slack unknown per
-equation.  The combined system is eliminated once, by ``eliminate``,
-for one deterministic solution (``SmithForm.solve``, the rule of
-``solve_linear``) or the full solution module of the homogeneous problem
-(``SmithForm.kernel``, the rule of ``kernel_basis``).  Each call builds
-a fresh system that is read once, so its Smith form is not memoized.
+the nonzero entries of A and B, with no identity, transpose or
+Kronecker matrix formed, and only its nonzero entries are reduced.
+Working modulo a relation span adds a slack unknown per equation.  The
+combined system is eliminated once, by ``eliminate``, which applies its
+row operations to the right-hand side b instead of building U: one
+deterministic solution is read from U b (``SmithForm.read``, the rule of
+``solve_linear``), and the full solution module of the homogeneous
+problem from the columns of V (``SmithForm.kernel_columns``, the rule of
+``kernel_basis``), with nothing carried.  Each call builds a fresh
+system that is read once, so its Smith form is not memoized.
 """
 
 from __future__ import annotations
@@ -102,15 +105,18 @@ class MatrixEquationSolver:
         vectorized left side; column off + k + h.rows*l is entry (k, l) of
         unknown h.  By vec(L U R) = (R^T kron L) vec(U), a term adds
         coef * L[i][k] * R[l][j] there; a missing L or R is the identity,
-        so only k = i or l = j occurs.  Sums are reduced once, by Matrix.
+        so only k = i or l = j occurs.  Each row collects its sums by
+        column, and only those are reduced.
         """
         ring = self.ring
+        n = ring.modulus
         offs, total = self._offsets()
-        rows_blocks = []
+        zero = (0,) * total
+        rows = []
         rhs_entries = []
         for terms, rhs in self._equations:
             m = rhs.rows
-            block = [[0] * total for _ in range(m * rhs.cols)]
+            block = [{} for _ in range(m * rhs.cols)]
             for coef, left, h, right in terms:
                 hr = h.rows
                 lpairs = (_nonzero(left) if left is not None
@@ -122,11 +128,19 @@ class MatrixEquationSolver:
                     c = coef * r
                     col0 = off + hr * l
                     for i, k, a in lpairs:
-                        block[i + m * j][col0 + k] += c * a
-            rows_blocks.extend(block)
+                        sums = block[i + m * j]
+                        sums[col0 + k] = sums.get(col0 + k, 0) + c * a
+            for sums in block:
+                if not sums:
+                    rows.append(zero)
+                    continue
+                row = [0] * total
+                for k, x in sums.items():
+                    row[k] = x % n if n else x
+                rows.append(tuple(row))
             rhs_entries.extend(rhs.vec())
-        A = Matrix(ring, len(rows_blocks), total, rows_blocks)
-        b = Matrix.column(ring, rhs_entries)
+        A = Matrix._reduced(ring, len(rows), total, tuple(rows))
+        b = Matrix._reduced(ring, len(rhs_entries), 1, tuple((x,) for x in rhs_entries))
         return A, b, offs, total
 
     def _extract(self, vec, offs):
@@ -150,7 +164,8 @@ class MatrixEquationSolver:
     def solve(self):
         """One deterministic solution as {handle: ModuleMap|Matrix}, or None."""
         A, b, offs, _ = self._build()
-        x = eliminate(A).solve(b)
+        form = eliminate(A, b)
+        x = form.read(form.U)
         if x is None:
             return None
         return self._extract(x.col(0), offs)
@@ -158,4 +173,5 @@ class MatrixEquationSolver:
     def solution_basis(self):
         """Generators of the homogeneous solution module (rhs forced to 0)."""
         A, _, offs, _ = self._build()
-        return [self._extract(col, offs) for col in eliminate(A).kernel().transpose().entries]
+        form = eliminate(A, Matrix.zero(self.ring, A.rows, 0))
+        return [self._extract(col, offs) for col in form.kernel_columns()]

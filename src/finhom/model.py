@@ -136,7 +136,7 @@ def classify_map(f: ChainMap, spec: ModelStructureSpec) -> MapFlags:
     mono = f.is_mono()
     cof = triv_cof = False
     if mono:
-        coker, _ = f.cokernel_complex()
+        coker = f.cokernel_complex()
         cof, certs["cokernel-dg-left"] = complex_class_member(coker, DG_F_LEFT, spec.pair)
         triv_cof, certs["cokernel-left-exact"] = complex_class_member(coker, FTILDE, spec.pair)
     epi = f.is_epi()
@@ -201,7 +201,7 @@ def _factor_certificates(i: ChainMap, p: ChainMap, mode: str, spec: ModelStructu
     left-exact cokernel and a dg-right kernel."""
     coker_cls, ker_cls = ((DG_F_LEFT, CTILDE) if mode == COF_THEN_TRIVFIB
                           else (FTILDE, DG_C_RIGHT))
-    coker, _ = i.cokernel_complex()
+    coker = i.cokernel_complex()
     ok_coker, coker_cert = complex_class_member(coker, coker_cls, spec.pair)
     ker, _ = p.kernel_subcomplex()
     ok_ker, ker_cert = complex_class_member(ker, ker_cls, spec.pair)
@@ -256,10 +256,15 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
     class."""
     X, Y = f.source, f.target
     data = cylinder(f)
-    C, quot = data.front.cokernel_complex()  # the cone, as a quotient of Cyl
+    C = data.front.cokernel_complex()  # the cone, as a quotient of Cyl
     if _degreewise_in_left(C, spec):
         Q, i, p = data.complex, data.front, data.projection
     else:
+        # Cyl ->> C is the identity matrix in every degree
+        quot = ChainMap(data.complex, C, {
+            n: ModuleMap(data.complex.module_at(n), C.module_at(n),
+                         Matrix.identity(C.ring, C.module_at(n).gens), check=False)
+            for n in C.support}, check=False)
         T, t = ce_trivial_fibration(C, spec)
         P, proj_cyl, proj_t, universal = pullback_chainmaps(quot, t)
         # X lands in the pullback via (front, 0): quot kills the front copy

@@ -17,15 +17,21 @@ large and sparse, so their work follows the nonzero entries: the pivot
 search skips zeros, and each elimination pass updates only the positions
 where the pivot row (of A and U) or the pivot column (of V, and over Z
 of A) is nonzero.  The CRT join of the parts runs only when n has two or
-more prime factors, and U and V, whose entries are already reduced, are
-built by the trusted ``Matrix._reduced``.
+more prime factors, and U, whose entries are already reduced, is built
+by the trusted ``Matrix._reduced``.
 
-A form keeps U, V and the diagonal of D; D itself is built only when
-asked for.  ``snf`` memoizes forms, for the matrices the library reads
-again and again: relation matrices, and the kernel, cokernel and
-coordinate systems.  ``eliminate`` computes a form afresh, for systems
-that are built once and read once, such as those of the linear solvers
-in ``linsolve``.
+A form keeps U, the columns of V as the eliminations build them, and
+the diagonal of D; V and D are built only when asked for.  One rule
+reads a solution (``SmithForm.read``): from U B and the pivots, the
+combination of the columns of V by the Smith coordinates that are not
+zero.  ``snf`` memoizes forms, for the matrices the library reads again
+and again: relation matrices, and the kernel, cokernel and coordinate
+systems.  ``eliminate`` computes a form afresh, for systems that are
+built once and read once, such as those of the linear solvers in
+``linsolve``.  It applies the row operations to a carried matrix in
+place of the identity: a solver carries its right-hand side b, so U
+itself is never formed, or a matrix with no columns when it reads only
+the kernel.
 
 One rule reads the diagonal everywhere (``SmithForm.pivots``): a zero or
 missing pivot counts as n over Z/n, and as 0 over Z.
@@ -48,14 +54,21 @@ from .rings import Ring
 class SmithForm:
     """U A V = D with U, V invertible over the ring and D diagonal, d_i | d_{i+1}.
 
-    Only U, V and ``pivot_row`` are kept: the diagonal of D, each zero
-    read as n over Z/n (0 over Z).  ``D`` and ``diagonal`` are built from
-    it when asked for.
+    Kept: ``U``, or U C when the elimination carried a matrix C in place
+    of the identity (``eliminate``); ``vcols``, the columns of V; and
+    ``pivot_row``, the diagonal of D with each zero read as n over Z/n
+    (0 over Z).  ``V``, ``D`` and ``diagonal`` are built from them when
+    asked for.
     """
 
     U: Matrix
-    V: Matrix
+    vcols: tuple
     pivot_row: tuple
+
+    @property
+    def V(self) -> Matrix:
+        cols = len(self.vcols)
+        return Matrix._reduced(self.U.ring, cols, cols, tuple(zip(*self.vcols)))
 
     @property
     def diagonal(self) -> tuple:
@@ -64,7 +77,7 @@ class SmithForm:
 
     @property
     def D(self) -> Matrix:
-        rows, cols = self.U.rows, self.V.rows
+        rows, cols = self.U.rows, len(self.vcols)
         zero = (0,) * cols
         diag = self.diagonal
         return Matrix._reduced(self.U.ring, rows, cols, tuple(
@@ -85,33 +98,48 @@ class SmithForm:
 
     def solve(self, B: Matrix) -> Matrix | None:
         """One exact solution X of A X = B, for the A of this form, or
-        None if some column of B has none.
-
-        Deterministic choice, column by column: in Smith coordinates,
-        bound coordinates take the canonical quotient and free coordinates
-        are zero.  So column j of X is the solution for column j of B
-        alone.
-        """
-        U, V = self.U, self.V
-        rows, cols = U.rows, V.rows
-        if B.rows != rows:
-            raise DimensionMismatchError(f"rhs must have {rows} rows")
+        None if some column of B has none: ``read`` of U B."""
+        U = self.U
+        if B.rows != U.rows:
+            raise DimensionMismatchError(f"rhs must have {U.rows} rows")
         if U.ring != B.ring:
             raise DimensionMismatchError("matrix/rhs ring mismatch")
-        Y = [(0,) * B.cols] * cols
-        for i, (row, d) in enumerate(zip((U * B).entries, self.pivots(rows))):
-            if d == 0:
-                if any(row):
-                    return None
-            elif any(c % d for c in row):
-                return None
-            elif i < cols:
-                Y[i] = tuple(c // d for c in row)
-        return V * Matrix._reduced(U.ring, cols, B.cols, tuple(Y))
+        return self.read(U * B)
 
-    def kernel(self) -> Matrix:
-        """Columns generating {x : A x = 0} over the ring, for the A of
-        this form.
+    def read(self, UB: Matrix) -> Matrix | None:
+        """The solution X of A X = B read from UB = U B, or None if some
+        column of B has none.
+
+        Deterministic choice, column by column: the Smith coordinates
+        Y = V^-1 X are the rows of UB divided by their pivots, the
+        canonical quotient, and a row with a zero pivot or past the pivots
+        must be zero, so free coordinates are zero.  X = V Y is the
+        combination of the columns of V by the nonzero coordinates, and
+        column j of X is the solution for column j of B alone.
+        """
+        ring = UB.ring
+        n = ring.modulus
+        cols, k = len(self.vcols), UB.cols
+        x = [[0] * k for _ in range(cols)]
+        entries = UB.entries
+        for row, d, vcol in zip(entries, self.pivot_row, self.vcols):
+            if not any(row):
+                continue
+            if d == 0 or any(c % d for c in row):
+                return None
+            y = [(j, c // d) for j, c in enumerate(row) if c]
+            for r in compress(range(cols), vcol):
+                v, xr = vcol[r], x[r]
+                for j, c in y:
+                    xr[j] += v * c
+        if any(map(any, entries[len(self.pivot_row):])):
+            return None
+        data = tuple(tuple(c % n for c in r) for r in x) if n else tuple(map(tuple, x))
+        return Matrix._reduced(ring, cols, k, data)
+
+    def kernel_columns(self) -> list:
+        """Column tuples generating {x : A x = 0} over the ring, for the
+        A of this form.
 
         Smith coordinate j contributes column j of V times the annihilator
         of its pivot d_j: n / d_j over Z/n, which generates the torsion
@@ -119,20 +147,27 @@ class SmithForm:
         leaves a lattice basis of the kernel.  Zero contributions are
         dropped.
         """
-        ring = self.V.ring
+        ring = self.U.ring
         n = ring.modulus or 0
-        cols = self.V.rows
         out = []
-        for d, vcol in zip(self.pivots(cols), zip(*self.V.entries)):
+        for d, vcol in zip(self.pivots(len(self.vcols)), self.vcols):
             ann = ring.normalize(n // d if d else 1)
-            if ann:
-                out.append([ring.normalize(ann * x) for x in vcol])
+            if ann == 1:
+                out.append(vcol)
+            elif ann:
+                out.append(tuple(ring.normalize(ann * x) for x in vcol))
+        return out
+
+    def kernel(self) -> Matrix:
+        """``kernel_columns`` as the columns of a matrix."""
+        ring, cols = self.U.ring, len(self.vcols)
+        out = self.kernel_columns()
         if not out:
             return Matrix.zero(ring, cols, 0)
         return Matrix._reduced(ring, cols, len(out), tuple(zip(*out)))
 
 
-def _snf_integer(A: Matrix) -> SmithForm:
+def _snf_integer(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     """Smith normal form over Z by elementary row/column operations.
 
     The pivot is the entry of least nonzero absolute value in the
@@ -149,7 +184,8 @@ def _snf_integer(A: Matrix) -> SmithForm:
     column of V, which is kept as its columns, and the offender scan is
     skipped for a unit pivot.  The order of operations, and so U, D and
     V, is that of the dense elimination kept as the reference in the
-    tests.
+    tests.  The row operations act on ``carry`` in place of U when one
+    is given (``eliminate``).
 
     Entries grow without bound (no size reduction of U and V).  Not
     memoized: ``snf`` memoizes the matrices read again, and the systems
@@ -157,9 +193,13 @@ def _snf_integer(A: Matrix) -> SmithForm:
     ``eliminate``."""
     rows, cols = A.rows, A.cols
     a = [list(r) for r in A.entries]
-    u = [[0] * rows for _ in range(rows)]
-    for i, r in enumerate(u):
-        r[i] = 1
+    width = rows if carry is None else carry.cols
+    if carry is None:
+        u = [[0] * rows for _ in range(rows)]
+        for i, r in enumerate(u):
+            r[i] = 1
+    else:
+        u = [list(r) for r in carry.entries]
     vt = [[0] * cols for _ in range(cols)]  # columns of V
     for j, r in enumerate(vt):
         r[j] = 1
@@ -196,7 +236,7 @@ def _snf_integer(A: Matrix) -> SmithForm:
             if below:
                 at, ut = a[t], u[t]
                 arow = [(k, at[k]) for k in compress(range(t, cols), at[t:])]
-                urow = [(k, ut[k]) for k in compress(range(rows), ut)]
+                urow = [(k, ut[k]) for k in compress(range(width), ut)]
                 for i in below:
                     ai, ui = a[i], u[i]
                     q = ai[t] // a[t][t]
@@ -208,7 +248,7 @@ def _snf_integer(A: Matrix) -> SmithForm:
                         a[t], a[i] = ai, a[t]
                         u[t], u[i] = ui, u[t]
                         arow = [(k, ai[k]) for k in compress(range(t, cols), ai[t:])]
-                        urow = [(k, ui[k]) for k in compress(range(rows), ui)]
+                        urow = [(k, ui[k]) for k in compress(range(width), ui)]
                         dirty = True
                 if dirty:
                     continue
@@ -248,7 +288,7 @@ def _snf_integer(A: Matrix) -> SmithForm:
             ao, uo, ut = a[offender], u[offender], u[t]
             for k in compress(range(t + 1, cols), ao[t + 1:]):
                 at[k] += ao[k]
-            for k in compress(range(rows), uo):
+            for k in compress(range(width), uo):
                 ut[k] += uo[k]
 
     diag = [a[i][i] for i in range(min(rows, cols))]
@@ -256,18 +296,25 @@ def _snf_integer(A: Matrix) -> SmithForm:
         if x and y % x:
             raise ValidationError(
                 "certificate failed: _snf_integer: the diagonal is a divisor chain")
-    zz = A.ring
-    return SmithForm(Matrix._reduced(zz, rows, rows, tuple(map(tuple, u))),
-                     Matrix._reduced(zz, cols, cols, tuple(zip(*vt))), tuple(diag))
+    return SmithForm(Matrix._reduced(A.ring, rows, width, tuple(map(tuple, u))),
+                     tuple(map(tuple, vt)), tuple(diag))
 
 
-def eliminate(A: Matrix) -> SmithForm:
+def eliminate(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     """Smith normal form over the matrix's own ring, computed afresh:
     ``_snf_integer`` over Z, ``_snf_modular`` over Z/n and F_p.  For a
-    matrix built once and read once; ``snf`` is the memoized form."""
+    matrix built once and read once; ``snf`` is the memoized form.
+
+    Every row operation is applied to ``carry``, a matrix with the rows
+    of A, so the form holds U carry in place of U; None carries the
+    identity.  A solver carries its right-hand side b and reads the
+    solution from U b (``SmithForm.read``), or carries a matrix with no
+    columns when it reads only the kernel."""
+    if carry is not None and (carry.rows != A.rows or carry.ring != A.ring):
+        raise DimensionMismatchError("the carried matrix must share A's rows and ring")
     if A.ring.kind == Ring.INTEGERS:
-        return _snf_integer(A)
-    return _snf_modular(A)
+        return _snf_integer(A, carry)
+    return _snf_modular(A, carry)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -278,7 +325,7 @@ def snf(A: Matrix) -> SmithForm:
     return eliminate(A)
 
 
-def _snf_modular(A: Matrix) -> SmithForm:
+def _snf_modular(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     """Smith form over Z/n (F_p is the case n = p) by elimination over
     local rings.
 
@@ -297,21 +344,27 @@ def _snf_modular(A: Matrix) -> SmithForm:
     joined by the CRT idempotents, each pivot row scaled by a unit so
     that the diagonal holds the divisors of n in a chain
     d_1 | d_2 | ... | n (n itself is stored as 0); over Z/1 there is no
-    part and U, D and V are zero.  Every entry ends in [0, n), so U and
-    V are built by the trusted ``Matrix._reduced``.  Not memoized, like
-    ``_snf_integer``.
+    part and U, D and V are zero.  The row operations act on ``carry``
+    in place of U when one is given (``eliminate``), and the join
+    combines its rows as it combines those of U.  Every entry ends in
+    [0, n), so U is built by the trusted ``Matrix._reduced``.  Not
+    memoized, like ``_snf_integer``.
     """
     ring = A.ring
     n = ring.modulus
     rows, cols = A.rows, A.cols
     m = min(rows, cols)
+    width = rows if carry is None else carry.cols
     parts = []
     for q in ring._prime_power_parts():
         # for n = p^k the entries are already residues mod q
         a = [list(r) if q == n else [x % q for x in r] for r in A.entries]
-        u = [[0] * rows for _ in range(rows)]
-        for i, r in enumerate(u):
-            r[i] = 1
+        if carry is None:
+            u = [[0] * rows for _ in range(rows)]
+            for i, r in enumerate(u):
+                r[i] = 1
+        else:
+            u = [list(r) if q == n else [x % q for x in r] for r in carry.entries]
         vt = [[0] * cols for _ in range(cols)]  # columns of V
         for j, r in enumerate(vt):
             r[j] = 1
@@ -350,7 +403,7 @@ def _snf_modular(A: Matrix) -> SmithForm:
             w = pow(at[t] // g, -1, q)
             # nonzero (index, value) pairs of the pivot rows, scaled by w
             arow = [(j, at[j] * w % q) for j in compress(range(t, cols), at[t:])]
-            urow = [(k, ut[k] * w % q) for k in compress(range(rows), ut)]
+            urow = [(k, ut[k] * w % q) for k in compress(range(width), ut)]
             for k, y in urow:
                 ut[k] = y
             for i in compress(range(t + 1, rows), map(itemgetter(t), a[t + 1:])):
@@ -377,7 +430,7 @@ def _snf_modular(A: Matrix) -> SmithForm:
         _, U, Vt, d = parts[0]
     else:  # two or more primes, or none (Z/1, where everything is 0)
         d = [math.prod(part[3][t] for part in parts) for t in range(m)]
-        U = [[0] * rows for _ in range(rows)]
+        U = [[0] * width for _ in range(rows)]
         Vt = [[0] * cols for _ in range(cols)]
         for q, u, vt, diag in parts:
             e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod the other parts
@@ -389,8 +442,8 @@ def _snf_modular(A: Matrix) -> SmithForm:
         U = [[x % n for x in r] for r in U]
         Vt = [[x % n for x in r] for r in Vt]
     # d holds the pivots in [1, n]: n is the zero of D
-    return SmithForm(Matrix._reduced(ring, rows, rows, tuple(map(tuple, U))),
-                     Matrix._reduced(ring, cols, cols, tuple(zip(*Vt))), tuple(d))
+    return SmithForm(Matrix._reduced(ring, rows, width, tuple(map(tuple, U))),
+                     tuple(map(tuple, Vt)), tuple(d))
 
 
 def inverse(U: Matrix) -> Matrix:

@@ -24,6 +24,9 @@ cannot drift with the code they check.
   every element of F in canonical order, adding the first one outside S
   until S and F/S lie in the class; ``kaplansky_witness`` saturates the
   seed by one Smith form instead.
+* ``split_epi_projective``: M is projective when the canonical epi from
+  the free module on its generators splits, a section found by the
+  linear solver; ``is_projective`` reads the invariant factors instead.
 """
 
 from dataclasses import dataclass
@@ -55,6 +58,7 @@ from finhom.modules import (
     FpModule,
     ModuleMap,
     element_in_submodule,
+    find_section,
     hom_module,
     quotient,
     submodule,
@@ -309,3 +313,12 @@ def greedy_witness(F: FpModule, cls, seed: Matrix, cfg: KaplanskyConfig) -> Witn
 
 def _append_col(ring, rows, m: Matrix, col) -> Matrix:
     return m.hstack(Matrix.column(ring, list(col)))
+
+
+def split_epi_projective(M: FpModule) -> bool:
+    """Whether the canonical epi (free of rank gens) ->> M splits."""
+    if M.relations.cols == 0:
+        return True  # literally free
+    p = ModuleMap(FpModule.free(M.ring, M.gens), M,
+                  Matrix.identity(M.ring, M.gens), check=False)
+    return find_section(p) is not None

@@ -145,7 +145,7 @@ def test_induced_generating_monos_window():
     shapes = []
     for f in monos:
         assert f.is_mono()
-        C, _ = f.cokernel_complex()
+        C = f.cokernel_complex()
         shapes.append((C.lo, C.hi))
         ok, _ = complex_class_member(C, DG_F_LEFT, pair)
         assert ok

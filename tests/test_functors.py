@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
 from finhom.errors import PreconditionFailedError, UnsupportedRingError
@@ -17,7 +19,7 @@ from finhom.functors import (
     tor_n,
 )
 from finhom.modules import FpModule, ModuleMap, ShortExactSeq, element_in_submodule
-from oracles import all_module_maps
+from oracles import all_module_maps, split_epi_projective
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -152,6 +154,41 @@ def test_flat_iff_projective_sampled():
                 Matrix(ring, g, r, [[rng.randrange(hi) for _ in range(r)] for _ in range(g)])
             )
             assert is_flat(M) == is_projective(M)
+
+
+PROJECTIVE_RINGS = [ZZ, Z4, Z6, IntegersModN(8), IntegersModN(12), IntegersModN(36), F3]
+
+
+@st.composite
+def _presentations(draw):
+    """A module on 0-3 generators with 0-3 relations over Z (entries in
+    [-2, 2]), Z/4, Z/6, Z/8, Z/12, Z/36 or F_3."""
+    ring = draw(st.sampled_from(PROJECTIVE_RINGS))
+    gens, rels = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.integers(-2, 2) if ring.modulus is None else st.integers(0, ring.modulus - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=rels, max_size=rels),
+                         min_size=gens, max_size=gens))
+    return FpModule(ring, gens, Matrix(ring, gens, rels, rows))
+
+
+@given(_presentations())
+@example(FpModule.direct_sum(FpModule.cyclic(Z6, 2), FpModule.cyclic(Z6, 3)))
+@example(FpModule.direct_sum(FpModule.cyclic(IntegersModN(12), 4),
+                             FpModule.cyclic(IntegersModN(12), 6)))
+def test_is_projective_matches_the_split_epi_oracle(M):
+    # Z/2 + Z/3 over Z/6 is projective and not free; Z/4 + Z/6 over Z/12
+    # is not projective, as Z/6 is no summand of Z/12
+    assert is_projective(M) == split_epi_projective(M)
+
+
+def test_is_projective_over_z_answers_at_once():
+    # det = 71: M is Z/71, not free, so not projective; the split-epi
+    # solve of this presentation runs for seconds
+    M = FpModule(ZZ, 4, Matrix.from_rows(ZZ, [[2, -1, -1, -2], [3, -3, 2, -2],
+                                              [2, 2, -1, 0], [-2, 2, -3, -3]]))
+    start = time.perf_counter()
+    assert not is_projective(M)
+    assert time.perf_counter() - start < 1.0
 
 
 def make_ses(M, gens):

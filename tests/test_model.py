@@ -292,6 +292,17 @@ def test_model_check_reports_a_refused_factorization_in_both_axioms(monkeypatch,
         "29b35b745e351c78a7dce05a5e0f50011dcab9d877c583d73ddef86c1f4914d7"
 
 
+def test_model_check_lets_a_bug_propagate(monkeypatch):
+    # only the library's typed errors are recorded as failed axioms; any
+    # other exception is a bug, and crashes the check
+    def broken(f, mode, spec):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(checks, "factor_map", broken)
+    with pytest.raises(TypeError, match="planted bug"):
+        check_model_axioms(model_structure(PROJECTIVE_STRUCTURE, Z4), seed=3, samples=2)
+
+
 def test_solve_lifting_enforces_its_precondition_on_given_flags():
     # flags handed in are held to the same precondition as computed ones
     spec = model_structure(PROJECTIVE_STRUCTURE, Z4)

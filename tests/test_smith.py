@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from finhom import (
     Integers, IntegersModN, Matrix, PrimeField, SmithForm, kernel_basis, snf, solve_linear)
 from finhom.errors import PreconditionFailedError
-from finhom.smith import _snf_integer, _snf_modular, invariant_factors_of, inverse
+from finhom.smith import _snf_integer, _snf_modular, eliminate, invariant_factors_of, inverse
 
 ZZ = Integers()
 
@@ -146,15 +147,18 @@ def test_inverse_rejects_singular(ring):
 
 @pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)], ids=str)
 def test_smith_form_keeps_no_dense_D(ring):
-    # a form holds U, V and the pivot row; D is built when asked for
-    assert "D" not in SmithForm.__slots__
+    # a form holds U, the columns of V and the pivot row; D and the
+    # row-major V are built when asked for
+    assert "D" not in SmithForm.__slots__ and "V" not in SmithForm.__slots__
     rng = random.Random(f"no-dense-D-{ring}")
     for _ in range(20):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         A = Matrix(ring, r, c, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
         form = snf(A)
         held = [getattr(form, name) for name in SmithForm.__slots__]
-        assert [type(x) for x in held] == [Matrix, Matrix, tuple]
+        assert [type(x) for x in held] == [Matrix, tuple, tuple]
+        # the one Matrix held is U; V is held as its columns
+        assert form.vcols == tuple(zip(*form.V.entries))
         assert len(form.pivot_row) == min(r, c)
         assert form.U * A * form.V == form.D
         assert (form.D.rows, form.D.cols) == (r, c)
@@ -576,3 +580,44 @@ def test_pivots_read_the_diagonal_rule(ring):
         for count in (r, c, 0, k, k + 2, r, c):
             want = tuple((D.entries[i][i] if i < k else 0) or n for i in range(count))
             assert form.pivots(count) == want
+
+
+CARRY_RINGS = [ZZ, IntegersModN(4), IntegersModN(12), PrimeField(3)]
+
+
+@st.composite
+def _sparse_systems(draw):
+    """A x = b shaped like the chain-map systems: up to 40 x 40 with 2-6%
+    of the entries nonzero (their median is 4.7%), and one or two
+    right-hand sides; half the time b = A x for some x, so that solvable
+    and unsolvable systems both occur.  Denser integer systems of this
+    size meet the unbounded growth of U and V over Z (ROADMAP item 1)."""
+    ring = draw(st.sampled_from(CARRY_RINGS))
+    rows, cols, k = draw(st.integers(0, 40)), draw(st.integers(0, 40)), draw(st.integers(1, 2))
+    density = draw(st.sampled_from((0.02, 0.04, 0.06)))
+    # entries from a seeded generator, so that the density is the one drawn
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (-2, -1, 1, 2) if ring.modulus is None else range(1, ring.modulus)
+    A = Matrix(ring, rows, cols, [[rng.choice(values) if rng.random() < density else 0
+                                   for _ in range(cols)] for _ in range(rows)])
+    if draw(st.booleans()):
+        b = A * Matrix(ring, cols, k, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(cols)])
+    else:
+        b = Matrix(ring, rows, k, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rows)])
+    return A, b
+
+
+@settings(max_examples=100)
+@given(_sparse_systems())
+def test_carried_elimination_matches_the_full_form(system):
+    # carrying b in place of the identity gives U b and the same V and
+    # pivots, so the same solution; carrying no columns, the same kernel
+    A, b = system
+    form = snf(A)
+    carried = eliminate(A, b)
+    assert carried.U == form.U * b
+    assert (carried.vcols, carried.pivot_row) == (form.vcols, form.pivot_row)
+    x = carried.read(carried.U)
+    assert x == form.solve(b)
+    assert x is None or A * x == b
+    assert eliminate(A, Matrix.zero(A.ring, A.rows, 0)).kernel() == kernel_basis(A)

@@ -40,7 +40,7 @@ def _complexes(ring):
         X = sampler.free_complex(ring, max_support=3, max_rank=2)
         Y = sampler.free_complex(ring, max_support=3, max_rank=2)
         f = sampler.chain_map(X, Y)
-        out += [X, cone(f), cone(ChainMap.identity(X)), f.cokernel_complex()[0]]
+        out += [X, cone(f), cone(ChainMap.identity(X)), f.cokernel_complex()]
     M = FpModule.cyclic(ring, 2)
     if M.is_zero_module():
         M = FpModule.free(ring, 1)
