@@ -184,8 +184,8 @@ def _snf_integer(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     column of V, which is kept as its columns, and the offender scan is
     skipped for a unit pivot.  The order of operations, and so U, D and
     V, is that of the dense elimination kept as the reference in the
-    tests.  The row operations act on ``carry`` in place of U when one
-    is given (``eliminate``).
+    tests.  The row operations act on ``carry``, the identity unless one
+    is given (``eliminate``), and the form holds the result as U.
 
     Entries grow without bound (no size reduction of U and V).  Not
     memoized: ``snf`` memoizes the matrices read again, and the systems
@@ -193,13 +193,10 @@ def _snf_integer(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     ``eliminate``."""
     rows, cols = A.rows, A.cols
     a = [list(r) for r in A.entries]
-    width = rows if carry is None else carry.cols
     if carry is None:
-        u = [[0] * rows for _ in range(rows)]
-        for i, r in enumerate(u):
-            r[i] = 1
-    else:
-        u = [list(r) for r in carry.entries]
+        carry = Matrix.identity(A.ring, rows)
+    width = carry.cols
+    u = [list(r) for r in carry.entries]
     vt = [[0] * cols for _ in range(cols)]  # columns of V
     for j, r in enumerate(vt):
         r[j] = 1
@@ -344,9 +341,9 @@ def _snf_modular(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     joined by the CRT idempotents, each pivot row scaled by a unit so
     that the diagonal holds the divisors of n in a chain
     d_1 | d_2 | ... | n (n itself is stored as 0); over Z/1 there is no
-    part and U, D and V are zero.  The row operations act on ``carry``
-    in place of U when one is given (``eliminate``), and the join
-    combines its rows as it combines those of U.  Every entry ends in
+    part and U, D and V are zero.  The row operations act on ``carry``,
+    the identity unless one is given (``eliminate``), and the join
+    combines its rows into the form's U.  Every entry ends in
     [0, n), so U is built by the trusted ``Matrix._reduced``.  Not
     memoized, like ``_snf_integer``.
     """
@@ -354,17 +351,14 @@ def _snf_modular(A: Matrix, carry: Matrix | None = None) -> SmithForm:
     n = ring.modulus
     rows, cols = A.rows, A.cols
     m = min(rows, cols)
-    width = rows if carry is None else carry.cols
+    if carry is None:
+        carry = Matrix.identity(ring, rows)
+    width = carry.cols
     parts = []
     for q in ring._prime_power_parts():
         # for n = p^k the entries are already residues mod q
         a = [list(r) if q == n else [x % q for x in r] for r in A.entries]
-        if carry is None:
-            u = [[0] * rows for _ in range(rows)]
-            for i, r in enumerate(u):
-                r[i] = 1
-        else:
-            u = [list(r) if q == n else [x % q for x in r] for r in carry.entries]
+        u = [list(r) if q == n else [x % q for x in r] for r in carry.entries]
         vt = [[0] * cols for _ in range(cols)]  # columns of V
         for j, r in enumerate(vt):
             r[j] = 1
