@@ -379,11 +379,6 @@ def cycles(X: ChainComplex, n: int):
     return submodule(X.module_at(n), _cycle_gens(X, n))
 
 
-def boundaries(X: ChainComplex, n: int):
-    """(B_n, inclusion into X_n)."""
-    return submodule(X.module_at(n), X.diff_matrix(n + 1))
-
-
 def homology(X: ChainComplex, n: int) -> FpModule:
     """H_n(X) = Z_n / B_n."""
     if n < X.lo - 1 or n > X.hi + 1:
@@ -806,15 +801,21 @@ class Homotopy:
     def __post_init__(self):
         f = self.underlying
         X, Y = f.source, f.target
-        for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2):
-            sn = self.maps.get(n)
-            sn1 = self.maps.get(n - 1)
-            total = ModuleMap.zero_map(X.module_at(n), Y.module_at(n))
+        for n, s in self.maps.items():
+            if s.source != X.module_at(n) or s.target != Y.module_at(n + 1):
+                raise DimensionMismatchError(f"homotopy map at degree {n} has wrong endpoints")
+        for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1):
+            Yn = Y.module_at(n)
+            if not (X.module_at(n).gens and Yn.gens):
+                continue
+            # f_n - d s_n - s_{n-1} d must vanish in Y_n
+            rest = f.matrix_at(n)
+            sn, sn1 = self.maps.get(n), self.maps.get(n - 1)
             if sn is not None:
-                total = total + Y.diff(n + 1).compose(sn)
+                rest = rest - Y.diff_matrix(n + 1) * sn.matrix
             if sn1 is not None:
-                total = total + sn1.compose(X.diff(n))
-            if not total.equals(f.component_at(n)):
+                rest = rest - sn1.matrix * X.diff_matrix(n)
+            if not Yn.columns_vanish(rest):
                 raise ValidationError(f"homotopy identity fails at degree {n}")
 
 
@@ -863,17 +864,39 @@ def is_null_homotopic(f: ChainMap) -> Optional[Homotopy]:
     sol = solver.solve()
     if sol is None:
         return None
-    return Homotopy(f, {n: sol[h] for n, h in handles.items()})
+    return Homotopy(f, {n: solver.value(sol, h) for n, h in handles.items()})
+
+
+def _chain_map_vectors(X: ChainComplex, Y: ChainComplex):
+    """(solver, handles, vectors): ``graded_map_solver(X, Y, 0)`` and the
+    vectors of its solution basis that are nonzero chain maps, in order.
+
+    A vector is zero when every map's slice vanishes in Y_n: where Y_n has
+    no relations its entries, reduced, are all 0, and otherwise
+    ``columns_vanish`` decides, on the one map read from the slice.
+    """
+    solver, handles = graded_map_solver(X, Y, 0)
+    plain, related = [], []
+    for n, h in handles.items():
+        if Y.module_at(n).relations.cols:
+            related.append(h)
+        else:
+            plain.append(slice(h.offset, h.offset + h.rows * h.cols))
+
+    def nonzero(vec):
+        return (any(any(vec[s]) for s in plain)
+                or not all(solver.value(vec, h).is_zero_map() for h in related))
+
+    return solver, handles, [v for v in solver.solution_basis() if nonzero(v)]
 
 
 def chain_hom_gens(X: ChainComplex, Y: ChainComplex) -> list:
     """ChainMaps generating the module of chain maps X -> Y as an
     R-module: the solution basis of the commuting squares, zero maps
     dropped.  ``chain_hom_module`` presents the module they generate."""
-    solver, handles = graded_map_solver(X, Y, 0)
-    gens = [ChainMap(X, Y, {n: b[h] for n, h in handles.items()}, check=False)
-            for b in solver.solution_basis()]
-    return [g for g in gens if not g.is_zero_map()]
+    solver, handles, vectors = _chain_map_vectors(X, Y)
+    return [ChainMap(X, Y, {n: solver.value(v, h) for n, h in handles.items()}, check=False)
+            for v in vectors]
 
 
 def _combination_system(gens, X: ChainComplex, Y: ChainComplex, degrees) -> Matrix:

@@ -278,7 +278,7 @@ def lift_through(f: ModuleMap, g: ModuleMap,
     solver.require_composite_equals(tproj, h_tilde, section.compose(p))
     sol = solver.solve()
     _certify(sol is not None, "lift_through: the pullback property gives the induced map")
-    n_tilde = sol[h_tilde]
+    n_tilde = solver.value(sol, h_tilde)
 
     h = g_tilde.compose(n_tilde)
     _certify(h.compose(i).equals(f), "lift_through: the lift restricts to f")

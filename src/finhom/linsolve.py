@@ -17,6 +17,12 @@ deterministic solution is read from U b (``SmithForm.read``, the rule of
 problem from the columns of V (``SmithForm.kernel_columns``, the rule of
 ``kernel_basis``), with nothing carried.  Each call builds a fresh
 system that is read once, so its Smith form is not memoized.
+
+Solutions are flat vectors over all unknowns, slack included, each
+unknown stacked column by column at its handle's offset.  A caller reads
+only the unknowns it wants, with ``value``, so no slack unknown is ever
+built as a matrix, and kernel vectors can be combined before any map is
+built from them.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import Matrix
+from .modules import ModuleMap
 from .rings import Ring
 from .smith import eliminate
 
@@ -35,9 +42,13 @@ def _nonzero(M: Matrix) -> list:
 
 @dataclass(frozen=True)
 class Handle:
+    """An unknown: its rows x cols entries sit column by column from
+    ``offset`` on in every solution vector."""
+
     index: int
     rows: int
     cols: int
+    offset: int
 
 
 class MatrixEquationSolver:
@@ -46,21 +57,24 @@ class MatrixEquationSolver:
         self._unknowns: list[Handle] = []
         self._unknown_meta: list = []  # (source, target) for map unknowns, else None
         self._equations: list = []  # (terms, rhs Matrix) with exact equality
+        self._total = 0  # entries of all unknowns, the length of a solution
 
     # -- unknowns ----------------------------------------------------------
 
-    def add_unknown_matrix(self, rows: int, cols: int) -> Handle:
-        h = Handle(len(self._unknowns), rows, cols)
+    def _add_unknown(self, rows: int, cols: int, meta) -> Handle:
+        h = Handle(len(self._unknowns), rows, cols, self._total)
         self._unknowns.append(h)
-        self._unknown_meta.append(None)
+        self._unknown_meta.append(meta)
+        self._total += rows * cols
         return h
+
+    def add_unknown_matrix(self, rows: int, cols: int) -> Handle:
+        return self._add_unknown(rows, cols, None)
 
     def add_unknown_map(self, source, target) -> Handle:
         """Unknown ModuleMap source -> target; well-definedness on the
         source relations is added automatically."""
-        h = Handle(len(self._unknowns), target.gens, source.gens)
-        self._unknowns.append(h)
-        self._unknown_meta.append((source, target))
+        h = self._add_unknown(target.gens, source.gens, (source, target))
         if source.relations.cols > 0:
             self.add_equation(
                 [(1, None, h, source.relations)],
@@ -90,27 +104,19 @@ class MatrixEquationSolver:
 
     # -- assembly -----------------------------------------------------------------
 
-    def _offsets(self):
-        offs = []
-        total = 0
-        for h in self._unknowns:
-            offs.append(total)
-            total += h.rows * h.cols
-        return offs, total
-
     def _build(self):
         """The system A x = b of all equations, written entry by entry.
 
         Row i + m*j of an equation (m = rhs.rows) is entry (i, j) of its
-        vectorized left side; column off + k + h.rows*l is entry (k, l) of
-        unknown h.  By vec(L U R) = (R^T kron L) vec(U), a term adds
+        vectorized left side; column h.offset + k + h.rows*l is entry (k, l)
+        of unknown h.  By vec(L U R) = (R^T kron L) vec(U), a term adds
         coef * L[i][k] * R[l][j] there; a missing L or R is the identity,
         so only k = i or l = j occurs.  Each row collects its sums by
         column, and only those are reduced.
         """
         ring = self.ring
         n = ring.modulus
-        offs, total = self._offsets()
+        total = self._total
         zero = (0,) * total
         rows = []
         rhs_entries = []
@@ -123,7 +129,7 @@ class MatrixEquationSolver:
                           else [(i, i, 1) for i in range(hr)])
                 rpairs = (_nonzero(right) if right is not None
                           else [(j, j, 1) for j in range(h.cols)])
-                off = offs[h.index]
+                off = h.offset
                 for l, j, r in rpairs:
                     c = coef * r
                     col0 = off + hr * l
@@ -141,37 +147,30 @@ class MatrixEquationSolver:
             rhs_entries.extend(rhs.vec())
         A = Matrix._reduced(ring, len(rows), total, tuple(rows))
         b = Matrix._reduced(ring, len(rhs_entries), 1, tuple((x,) for x in rhs_entries))
-        return A, b, offs, total
-
-    def _extract(self, vec, offs):
-        from .modules import ModuleMap
-
-        out = {}
-        for h, meta, off in zip(self._unknowns, self._unknown_meta, offs):
-            # vec holds reduced entries, column by column: row i of the
-            # unknown is every h.rows-th entry of its slice from i on
-            part = vec[off: off + h.rows * h.cols]
-            m = Matrix._reduced(self.ring, h.rows, h.cols,
-                                tuple(part[i::h.rows] for i in range(h.rows)))
-            if meta is not None:
-                out[h] = ModuleMap(meta[0], meta[1], m, check=False)
-            else:
-                out[h] = m
-        return out
+        return A, b, [h.offset for h in self._unknowns], total
 
     # -- solving ---------------------------------------------------------------------
 
     def solve(self):
-        """One deterministic solution as {handle: ModuleMap|Matrix}, or None."""
-        A, b, offs, _ = self._build()
+        """One deterministic solution vector, or None."""
+        A, b, _, _ = self._build()
         form = eliminate(A, b)
         x = form.read(form.U)
-        if x is None:
-            return None
-        return self._extract(x.col(0), offs)
+        return None if x is None else x.col(0)
 
     def solution_basis(self):
-        """Generators of the homogeneous solution module (rhs forced to 0)."""
-        A, _, offs, _ = self._build()
-        form = eliminate(A, Matrix.zero(self.ring, A.rows, 0))
-        return [self._extract(col, offs) for col in form.kernel_columns()]
+        """Vectors generating the homogeneous solution module (rhs forced
+        to 0), as column tuples."""
+        A, _, _, _ = self._build()
+        return eliminate(A, Matrix.zero(self.ring, A.rows, 0)).kernel_columns()
+
+    def value(self, vec, h: Handle):
+        """The value a solution vector gives the unknown h: a ModuleMap for
+        a map unknown, else a Matrix.  vec holds reduced entries, column
+        by column, so row i of h is every h.rows-th entry of its slice
+        from i on; nothing is read outside the slice."""
+        part = vec[h.offset: h.offset + h.rows * h.cols]
+        m = Matrix._reduced(self.ring, h.rows, h.cols,
+                            tuple(part[i::h.rows] for i in range(h.rows)))
+        meta = self._unknown_meta[h.index]
+        return m if meta is None else ModuleMap(meta[0], meta[1], m, check=False)

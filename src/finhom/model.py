@@ -488,7 +488,7 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
                                 mod_relations=prob.p.target.module_at(n).relations)
     sol = solver.solve()
     _certify(sol is not None, "solve_lifting: a lift exists when the preconditions hold")
-    h = ChainMap(B, Xc, {n: sol[hdl] for n, hdl in handles.items()})
+    h = ChainMap(B, Xc, {n: solver.value(sol, hdl) for n, hdl in handles.items()})
     _certify(h.compose(prob.i).equals(prob.top), "solve_lifting: h o i = top")
     _certify(prob.p.compose(h).equals(prob.bottom), "solve_lifting: p o h = bottom")
     return h

@@ -451,28 +451,6 @@ def element_in_submodule(M: FpModule, gens: Matrix, v: Sequence[int]) -> Optiona
     return submodule_coordinates(M, gens, Matrix.column(M.ring, list(v)))
 
 
-def map_factorization(f: ModuleMap):
-    """Kernel, image and cokernel of f with exactness verified.
-
-    Returns (kernel_incl, image_module, cokernel_proj); the composite
-    source -> image -> target equals f and source -> image is epi.
-    """
-    K, kincl = f.kernel()
-    I, iincl = f.image()
-    C, cproj = f.cokernel()
-    # corestriction source -> image is the tautological map on generators
-    corestr = ModuleMap(
-        f.source, I, Matrix.identity(f.ring, f.source.gens), check=False
-    )
-    _certify(iincl.compose(corestr).equals(f), "map_factorization: image factors f")
-    _certify(corestr.is_epi(), "map_factorization: source -> image is epi")
-    _certify(kincl.is_mono(), "map_factorization: kernel inclusion is mono")
-    _certify(cproj.is_epi(), "map_factorization: cokernel projection is epi")
-    _certify(f.compose(kincl).is_zero_map(), "map_factorization: f o kernel = 0")
-    _certify(cproj.compose(f).is_zero_map(), "map_factorization: cokernel o f = 0")
-    return kincl, I, cproj
-
-
 # -- solving for maps under linear side conditions ----------------------------------
 
 
@@ -498,7 +476,7 @@ def find_map_with(source: FpModule, target: FpModule,
     sol = solver.solve()
     if sol is None:
         return None
-    out = sol[h]
+    out = solver.value(sol, h)
     if post_compose is not None:
         _certify(post_compose[0].compose(out).equals(post_compose[1]),
                  "find_map_with: g o h = c")
@@ -543,8 +521,7 @@ def hom_module(M: FpModule, N: FpModule):
 
     solver = MatrixEquationSolver(ring)
     s = solver.add_unknown_map(M, N)
-    basis = solver.solution_basis()
-    gens_maps = [b[s] for b in basis]
+    gens_maps = [solver.value(b, s) for b in solver.solution_basis()]
     if not gens_maps:
         return FpModule.zero(ring), []
     # relations: coefficient vectors making the combination the zero map

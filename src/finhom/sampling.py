@@ -9,11 +9,12 @@ evaluate them, so reports are reproducible byte for byte.
 Complexes are sampled with free entries: a support interval, a rank per
 degree, and differentials drawn from the solution lattice of
 d o d = 0 (rows of each new differential from the kernel of the
-transpose of the previous one).  Chain maps are random combinations of
-the generators of the chain-map module: one coefficient is drawn per
-generator, in order, and each component is summed over the generators
-with a nonzero coefficient in one pass over their entries and reduced
-once, with no intermediate chain map.
+transpose of the previous one).  A chain map is one combination of the
+solver's kernel vectors, the generators of the chain-map module: one
+coefficient is drawn per nonzero vector, in order, the map slices of the
+vectors with a nonzero coefficient are summed in one pass over their
+entries and reduced once, and one chain map is built from the sum, with
+no chain map built per generator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from operator import mul as _times
 from typing import Optional
 
-from .complexes import ChainComplex, ChainMap, chain_hom_gens
+from .complexes import ChainComplex, ChainMap, _chain_map_vectors
 from .matrix import Matrix
 from .modules import FpModule, ModuleMap
 from .rings import Ring
@@ -83,23 +84,22 @@ class DeterministicSampler:
     def chain_map(self, X: ChainComplex, Y: ChainComplex) -> ChainMap:
         """A random element of the chain-map module."""
         ring = X.ring
-        gens = chain_hom_gens(X, Y)
-        if not gens:
+        solver, handles, vectors = _chain_map_vectors(X, Y)
+        if not vectors:
             return ChainMap.zero_map(X, Y)
         hi = 3 if ring.modulus is None else ring.modulus - 1
-        coeffs = [self.rng.randint(0, hi) for _ in gens]
-        terms = [(c, g) for c, g in zip(coeffs, gens) if c]
+        coeffs = [self.rng.randint(0, hi) for _ in vectors]
+        terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
         if not terms:
             return ChainMap.zero_map(X, Y)
         cs = [c for c, _ in terms]
         norm = ring.normalize
-        comps = {}
-        # every generator has a component in the same degrees
-        for n, f in terms[0][1].components.items():
-            M = f.matrix
-            data = tuple(
-                tuple(norm(sum(map(_times, cs, column))) for column in zip(*rows))
-                for rows in zip(*(g.components[n].matrix.entries for _, g in terms)))
-            comps[n] = ModuleMap(f.source, f.target,
-                                 Matrix._reduced(ring, M.rows, M.cols, data), check=False)
-        return ChainMap(X, Y, comps, check=False)
+        # only the map slices are combined; the rest of combo stays 0
+        combo = [0] * len(vectors[0])
+        for h in handles.values():
+            part = slice(h.offset, h.offset + h.rows * h.cols)
+            combo[part] = [norm(sum(map(_times, cs, entries)))
+                           for entries in zip(*(v[part] for _, v in terms))]
+        combo = tuple(combo)  # matrix rows are tuples, and value slices them from it
+        return ChainMap(X, Y, {n: solver.value(combo, h) for n, h in handles.items()},
+                        check=False)

@@ -1,6 +1,6 @@
 """Helpers only the tests use: draws of small modules and short exact
-sequences, the parser that reads a machine report back, and two matrix
-views.
+sequences, the parser that reads a machine report back, two matrix
+views, and two constructions the library itself never needs.
 
 * ``ModuleSampler`` is a ``DeterministicSampler`` that can also draw a
   small finitely presented module and a short exact sequence through it,
@@ -9,13 +9,17 @@ views.
   so a round trip can be checked.
 * ``columns`` lists a matrix's columns as tuples, and ``unvec`` undoes
   ``Matrix.vec``, the column-stacking vectorization.
+* ``boundaries`` builds B_n of a complex as a submodule, and
+  ``map_factorization`` the kernel, image and cokernel of a module map
+  with exactness certified.
 """
 
 from typing import Optional, Sequence
 
+from finhom.complexes import ChainComplex
 from finhom.errors import ParseError, UnsupportedRingError
 from finhom.matrix import Matrix
-from finhom.modules import FpModule, ShortExactSeq
+from finhom.modules import FpModule, ModuleMap, ShortExactSeq, _certify, submodule
 from finhom.report import FORMAT_HEADER, Report
 from finhom.rings import Ring
 from finhom.sampling import DeterministicSampler
@@ -109,3 +113,30 @@ def unvec(ring: Ring, rows: int, cols: int, v: Sequence[int]) -> Matrix:
         for i in range(rows):
             m[i][j] = v[j * rows + i]
     return Matrix(ring, rows, cols, m)
+
+
+def boundaries(X: ChainComplex, n: int):
+    """(B_n, inclusion into X_n)."""
+    return submodule(X.module_at(n), X.diff_matrix(n + 1))
+
+
+def map_factorization(f: ModuleMap):
+    """Kernel, image and cokernel of f with exactness verified.
+
+    Returns (kernel_incl, image_module, cokernel_proj); the composite
+    source -> image -> target equals f and source -> image is epi.
+    """
+    K, kincl = f.kernel()
+    I, iincl = f.image()
+    C, cproj = f.cokernel()
+    # corestriction source -> image is the tautological map on generators
+    corestr = ModuleMap(
+        f.source, I, Matrix.identity(f.ring, f.source.gens), check=False
+    )
+    _certify(iincl.compose(corestr).equals(f), "map_factorization: image factors f")
+    _certify(corestr.is_epi(), "map_factorization: source -> image is epi")
+    _certify(kincl.is_mono(), "map_factorization: kernel inclusion is mono")
+    _certify(cproj.is_epi(), "map_factorization: cokernel projection is epi")
+    _certify(f.compose(kincl).is_zero_map(), "map_factorization: f o kernel = 0")
+    _certify(cproj.compose(f).is_zero_map(), "map_factorization: cokernel o f = 0")
+    return kincl, I, cproj

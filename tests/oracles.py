@@ -27,6 +27,11 @@ cannot drift with the code they check.
 * ``split_epi_projective``: M is projective when the canonical epi from
   the free module on its generators splits, a section found by the
   linear solver; ``is_projective`` reads the invariant factors instead.
+* ``chain_hom_gens_oracle``: the generators of the chain-map module as
+  one chain map per solution basis vector, every unknown of the vector
+  read, slack included, and zero maps dropped by ``is_zero_map``;
+  ``chain_hom_gens`` tests the vectors for zero and builds maps only for
+  the ones it keeps.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ from finhom.complexes import (
     chain_hom_gens,
     disk,
     disk_cover,
+    graded_map_solver,
     homology,
     is_null_homotopic,
     pushout_chainmaps,
@@ -322,3 +328,14 @@ def split_epi_projective(M: FpModule) -> bool:
     p = ModuleMap(FpModule.free(M.ring, M.gens), M,
                   Matrix.identity(M.ring, M.gens), check=False)
     return find_section(p) is not None
+
+
+def chain_hom_gens_oracle(X: ChainComplex, Y: ChainComplex) -> list:
+    """The nonzero chain maps X -> Y of the solution basis of the
+    commuting squares, each read unknown by unknown into a ChainMap."""
+    solver, handles = graded_map_solver(X, Y, 0)
+    gens = []
+    for vec in solver.solution_basis():
+        values = {h: solver.value(vec, h) for h in solver._unknowns}
+        gens.append(ChainMap(X, Y, {n: values[h] for n, h in handles.items()}, check=False))
+    return [g for g in gens if not g.is_zero_map()]

@@ -126,8 +126,8 @@ def _random_lift_instance(sampler):
             for sol in basis:
                 c = sampler.randint(0, 5)
                 if c:
-                    f = f + sol[hf].scale(c)
-                    g = g + sol[hg].scale(c)
+                    f = f + solver.value(sol, hf).scale(c)
+                    g = g + solver.value(sol, hg).scale(c)
         return f, g, top, bottom
 
 

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhom import Integers, IntegersModN, Matrix, PrimeField
 from finhom.complexes import (
     ChainComplex,
     ChainMap,
-    boundaries,
+    Homotopy,
     chain_hom_gens,
     chain_hom_module,
     cone,
@@ -31,6 +32,8 @@ from finhom.errors import ValidationError
 from finhom.functors import ext_n, tensor_modules
 from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
+from helpers import boundaries
+from oracles import chain_hom_gens_oracle
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -303,6 +306,47 @@ def test_chain_hom_gens_are_the_module_generators(ring):
         assert chain_hom_gens(X, Y) == chain_hom_module(X, Y)[1]
 
 
+def _with_relations(ring):
+    """A nonzero module with a relation over any ring: R^2 / (2, 2)."""
+    return FpModule(ring, 2, Matrix.from_rows(ring, [[2], [2]]))
+
+
+@settings(max_examples=120)
+@given(ring=st.sampled_from([ZZ, Z4, IntegersModN(12), PrimeField(3)]),
+       seed=st.integers(0, 10**6), related=st.booleans())
+def test_chain_hom_gens_match_the_oracle(ring, seed, related):
+    sampler = DeterministicSampler(seed)
+    X, Y = sampler.free_complex(ring), sampler.free_complex(ring)
+    if related:
+        # maps into a module with relations are zero-tested by columns_vanish
+        Y = ChainComplex.direct_sum(Y, sphere(Y.lo, _with_relations(ring)))
+    got, want = chain_hom_gens(X, Y), chain_hom_gens_oracle(X, Y)
+    assert ([{n: f.matrix for n, f in g.components.items()} for g in got]
+            == [{n: f.matrix for n, f in g.components.items()} for g in want])
+
+
+def test_sampled_chain_map_builds_one_chain_map(monkeypatch):
+    built = []
+    init = ChainMap.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainMap, "__init__", counting)
+    gen_counts = set()
+    for seed in range(24):
+        sampler = DeterministicSampler(seed)
+        X, Y = sampler.free_complex(Z4), sampler.free_complex(Z4)
+        if seed % 2:
+            Y = ChainComplex.direct_sum(Y, sphere(Y.lo, _with_relations(Z4)))
+        gen_counts.add(len(chain_hom_gens(X, Y)))
+        del built[:]
+        sampler.chain_map(X, Y)
+        assert len(built) == 1
+    assert max(gen_counts) >= 8
+
+
 def _commutes_reference(X, Y, comps):
     """Every square f_{n-1} d_n = d'_n f_n, with zero maps built for the
     missing components and differentials."""
@@ -329,6 +373,74 @@ def test_chain_map_check_reads_one_sided_squares():
     # both composites run through missing maps: S^0 -> D^1 and D^1 -> S^1
     i, p = disk_sphere_sequence(1, R1)
     assert i.components and p.components
+
+
+def _homotopy_reference(f, maps):
+    """Whether f = d s + s d, summed as module maps with zero maps built
+    for the missing ones."""
+    X, Y = f.source, f.target
+    for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2):
+        total = ModuleMap.zero_map(X.module_at(n), Y.module_at(n))
+        if n in maps:
+            total = total + Y.diff(n + 1).compose(maps[n])
+        if n - 1 in maps:
+            total = total + maps[n - 1].compose(X.diff(n))
+        if not total.equals(f.component_at(n)):
+            return False
+    return True
+
+
+def _random_map(rng, S, T):
+    return ModuleMap(S, T, Matrix(S.ring, T.gens, S.gens, [
+        [rng.randint(-1, 1) for _ in range(S.gens)] for _ in range(T.gens)]))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z4], ids=str)
+def test_homotopy_check_matches_the_reference(ring):
+    # f = d s + s d for a random s, then s redrawn in one degree
+    sampler = DeterministicSampler(13)
+    rng = random.Random(f"homotopy-check-{ring}")
+    verdicts = set()
+    for k in range(40):
+        X, Y = sampler.free_complex(ring), sampler.free_complex(ring)
+        if k % 2:
+            Y = ChainComplex.direct_sum(Y, sphere(Y.lo + 1, _with_relations(ring)))
+        maps = {n: _random_map(rng, X.module_at(n), Y.module_at(n + 1))
+                for n in X.support if Y.module_at(n + 1).gens}
+        comps = {}
+        for n in X.support:
+            part = ModuleMap.zero_map(X.module_at(n), Y.module_at(n))
+            if n in maps:
+                part = part + Y.diff(n + 1).compose(maps[n])
+            if n - 1 in maps:
+                part = part + maps[n - 1].compose(X.diff(n))
+            comps[n] = part
+        f = ChainMap(X, Y, comps)
+        Homotopy(f, maps)
+        if maps:
+            n = rng.choice(sorted(maps))
+            maps[n] = _random_map(rng, X.module_at(n), Y.module_at(n + 1))
+        want = _homotopy_reference(f, maps)
+        verdicts.add(want)
+        try:
+            Homotopy(f, maps)
+            got = True
+        except ValidationError:
+            got = False
+        assert got == want
+    assert verdicts == {True, False}
+
+
+def test_homotopy_wrong_in_one_degree_raises():
+    # id on D^1(Z) (+) D^2(Z) is null-homotopic; s doubled in one degree
+    R1 = FpModule.free(ZZ, 1)
+    X = ChainComplex.direct_sum(disk(1, R1), disk(2, R1))
+    h = is_null_homotopic(ChainMap.identity(X))
+    assert sorted(h.maps) == [0, 1]
+    for n in h.maps:
+        maps = {k: (s.scale(2) if k == n else s) for k, s in h.maps.items()}
+        with pytest.raises(ValidationError, match=f"degree {n}"):
+            Homotopy(h.underlying, maps)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z4, PrimeField(3)], ids=str)

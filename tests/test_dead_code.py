@@ -19,12 +19,10 @@ TEST_ONLY = {
     "FpModule.element_is_zero",
     "Ring.is_field",
     "tensor_unit_iso",
-    # coherence isomorphisms and module facts the invariant tests check
+    # coherence isomorphisms the invariant tests check
     "tensor_unit_iso_complex",
     "tensor_symmetry_iso",
     "tensor_assoc_iso",
-    "boundaries",
-    "map_factorization",
 }
 
 

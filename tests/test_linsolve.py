@@ -7,16 +7,18 @@ import pytest
 
 from finhom import Integers, IntegersModN, Matrix, smith
 from finhom.linsolve import MatrixEquationSolver
-from finhom.modules import FpModule
-from finhom.smith import kernel_basis, solve_linear
+from finhom.modules import FpModule, ModuleMap
+from finhom.smith import eliminate, kernel_basis, solve_linear
 from helpers import columns, unvec
+
+ZZ = Integers()
 
 
 def kronecker_build(solver):
     """A and b of the solver's system via vec(L U R) = (R^T kron L) vec(U),
     with a missing L or R formed as an identity matrix."""
     ring = solver.ring
-    offs, total = solver._offsets()
+    total = solver._total
     rows, rhs_entries = [], []
     for terms, rhs in solver._equations:
         block = [[0] * total for _ in range(rhs.rows * rhs.cols)]
@@ -24,7 +26,7 @@ def kronecker_build(solver):
             left_m = left if left is not None else Matrix.identity(ring, h.rows)
             right_m = right if right is not None else Matrix.identity(ring, h.cols)
             kron = right_m.transpose().kronecker(left_m).scale(coef)
-            off = offs[h.index]
+            off = h.offset
             for i, ke in enumerate(kron.entries):
                 for j, x in enumerate(ke):
                     block[i][off + j] = ring.add(block[i][off + j], x)
@@ -69,8 +71,9 @@ def test_build_matches_kronecker_assembly(ring):
 
 @pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)
 def test_unknowns_are_read_from_their_solution_slices(ring):
-    # each unknown of a solution, and of every solution basis element, is
-    # unvec of its slice of the solution vector (column-stacked)
+    # solve() is the vector solve_linear finds and solution_basis() the
+    # columns of kernel_basis; value(vec, h) of every unknown, slack
+    # included, is unvec of its slice of the vector (column-stacked)
     rng = random.Random(f"linsolve-extract-{ring}")
     for _ in range(200):
         solver = random_solver(rng, ring)
@@ -81,9 +84,48 @@ def test_unknowns_are_read_from_their_solution_slices(ring):
         found = [] if x is None else [(sol, x.col(0))]
         found += zip(solver.solution_basis(), columns(kernel_basis(A)))
         for got, vec in found:
+            assert got == vec
             for h, off in zip(solver._unknowns, offs):
                 want = unvec(ring, h.rows, h.cols, vec[off: off + h.rows * h.cols])
-                assert got[h] == want
+                assert solver.value(got, h) == want
+
+
+def test_solve_builds_no_slack_unknown(monkeypatch):
+    # h: N -> N with h o id = id, N = Z^2 / (2, 0): the well-definedness
+    # and the composite equation each add a slack unknown modulo N's
+    # relation.  solve() builds the matrices of its elimination and no
+    # more, and reading h builds one Matrix.
+    N = FpModule(ZZ, 2, Matrix.from_rows(ZZ, [[2], [0]]))
+    solver = MatrixEquationSolver(ZZ)
+    h = solver.add_unknown_map(N, N)
+    solver.require_composite_equals(h, ModuleMap.identity(N), ModuleMap.identity(N))
+    assert len(solver._unknowns) == 3
+
+    built = []
+    init, reduced = Matrix.__init__, Matrix._reduced
+
+    def counting_init(self, *args):
+        built.append(args[1:3])
+        init(self, *args)
+
+    def counting_reduced(*args):
+        built.append(args[1:3])
+        return reduced(*args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_reduced", staticmethod(counting_reduced))
+    A, b, _, _ = solver._build()
+    form = eliminate(A, b)
+    assert form.read(form.U) is not None
+    elimination = list(built)
+    del built[:]
+    vec = solver.solve()
+    assert built == elimination
+    del built[:]
+    found = solver.value(vec, h)
+    assert built == [(2, 2)]
+    monkeypatch.undo()
+    assert found.compose(ModuleMap.identity(N)).equals(ModuleMap.identity(N))
 
 
 @pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)

@@ -18,12 +18,11 @@ from finhom.modules import (
     find_retraction,
     find_section,
     hom_module,
-    map_factorization,
     quotient,
     submodule,
     subquotient,
 )
-from helpers import columns
+from helpers import columns, map_factorization
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
