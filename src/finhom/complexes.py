@@ -647,46 +647,20 @@ def cylinder(f: ChainMap) -> CylinderData:
 # -- subcomplexes ----------------------------------------------------------------
 
 
-def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
-                         extends: Optional["ChainMap"] = None):
+def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix]):
     """(S, incl) for the subcomplex generated degreewise by the given
-    element columns; requires closure under the differential.
-
-    ``extends`` may be the inclusion of a subcomplex of X that this
-    function built before, such as the previous stage of a cell chain.
-    A degree whose generator matrix equals that inclusion's component
-    keeps the earlier module and inclusion; a differential is kept only
-    when both of its degrees are.  Everything else is built as without
-    ``extends``, so the result is the same either way.  The modules and
-    differentials of S are checked as ``ChainComplex`` checks them, but
-    d o d = 0 only where at least one of the two differentials is new: a
-    pair of kept ones was checked on the same modules when the earlier
-    stage was built.
-    """
+    element columns; requires closure under the differential.  S is
+    checked as ``ChainComplex`` checks it, d o d = 0 included."""
     ring = X.ring
-    if extends is not None and extends.target != X:
-        raise PreconditionFailedError("the extended subcomplex must lie in X")
-    kept = set()
     objs = {}
     incls = {}
     for n, g in gens.items():
-        if extends is not None and extends.matrix_at(n) == g:
-            kept.add(n)
-            incl = extends.components.get(n)
-        else:
-            incl = submodule(X.module_at(n), g)[1]
-        if incl is not None and not incl.source.is_zero_module():
-            objs[n] = incl.source
+        sub, incl = submodule(X.module_at(n), g)
+        if not sub.is_zero_module():
+            objs[n] = sub
             incls[n] = incl
     diffs = {}
-    kept_diffs = set()
     for n in sorted(objs):
-        if n in kept and (n - 1) in kept:
-            # closure and the differential were settled when built before
-            if (n - 1) in objs:
-                diffs[n] = extends.source.differentials[n]
-                kept_diffs.add(n)
-            continue
         moved = X.diff_matrix(n) * incls[n].matrix
         if (n - 1) not in objs:
             # closure: image of d on the sub must be zero in X_{n-1}
@@ -697,9 +671,7 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix],
         if coords is None:
             raise ValidationError("generators are not closed under d")
         diffs[n] = ModuleMap(objs[n], objs[n - 1], coords, check=False)
-    S = ChainComplex(ring, objs, diffs, check=False)
-    _check_complex(ring, S.objects, S.differentials,
-                   [n for n in S.support if not {n, n + 1} <= kept_diffs])
+    S = ChainComplex(ring, objs, diffs)
     incl = ChainMap(S, X, incls, check=False)
     return S, incl
 

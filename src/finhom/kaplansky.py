@@ -19,7 +19,8 @@ over finite data:
   (cells), each square checked to be a pushout degree by degree from two
   Smith forms (``Cell.verify_pushout``).
   A cell is plain data, (label, generating mono, where the generators
-  land), and ``grow_cell_chain`` builds every square by one rule.
+  land), and ``grow_cell_chain`` builds every square by one rule, each
+  stage read by generator prefixes from one final subcomplex.
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ class CellChain:
         same = composite.source == f.source and composite.target == f.target and all(
             composite.matrix_at(n) == f.matrix_at(n)
             for n in f.source.support)
-        if not same:
+        if not same or not self.final_iso.is_iso():
             return False
         return all(cell.verify_pushout() for cell in self.cells)
 
@@ -421,7 +422,9 @@ def icell_decompose(f: ChainMap) -> CellChain:
     boundaries of lifted cokernel basis vectors, from the bottom degree
     up.  When the cokernel is a literal sum of disks the decomposition
     collapses to one 0 -> D^n cell per disk summand.  The chain is grown
-    by ``grow_cell_chain``: each stage extends the one before it.
+    by ``grow_cell_chain``: the subcomplex of Q on all the cells'
+    generators is built once, and every stage is a generator prefix of
+    it.
     """
     if not f.is_mono():
         raise PreconditionFailedError("cell decomposition needs a monomorphism")
@@ -477,70 +480,151 @@ def disk_cell(n: int, top_cols: Matrix, bottom_cols: Matrix):
             {n: top_cols, n - 1: bottom_cols})
 
 
+_ATTACHED = "grow_cell_chain: the attaching columns lie in the previous stage"
+
+
 def grow_cell_chain(f: ChainMap, cells) -> CellChain:
     """The cell chain of a mono f: X -> Q, one pushout stage per cell.
 
     Each cell is (label, generating mono S -> D, gen_cols): ``gen_cols``
     maps each degree k of D to the columns of Q that the generators of
-    D_k land on.  The previous stage's generators start as the columns
-    of f.  One rule builds every square: where S_k is zero the columns
-    are new generators, appended after the previous ones, and the image
-    is [0; I]; elsewhere the mono is the identity of S_k = D_k, the
-    columns must lie in the previous stage, their coordinates there are
-    the attaching map, and the image is the step inclusion times them.
-    The stage is the subcomplex of Q on the grown generators, built as
-    an extension of the previous stage (``subcomplex_from_gens(...,
-    extends=...)``), so only the degrees a cell touches are recomputed.
-    The last stage's inclusion into Q must be an isomorphism, and it is
-    the chain's final map.
+    D_k land on.  Where S_k is zero the columns are new generators,
+    appended after the previous ones, and the image is [0; I]; elsewhere
+    the mono is the identity of S_k = D_k, the columns must lie in the
+    previous stage, their coordinates there are the attaching map, and
+    they are the image too.
+
+    The final stage is built once: G_n is f's columns followed by every
+    cell's new columns in cell order, F = ``subcomplex_from_gens(Q, G)``,
+    and its inclusion into Q must be an isomorphism; it is the chain's
+    final map.  Stage k is read from F by prefixes: in degree n it is
+    presented on the first c_k(n) generators of F_n by the first c_k(n)
+    rows of F_n's relations, and its d_n is the [:c_k(n-1), :c_k(n)]
+    block of F's d_n.  This is exact because a pushout of these cells
+    adds free generators: the relations of F_n vanish past f's rows
+    (certified), so F's coordinates are unique there, and a column lies
+    in stage k exactly when its coordinates vanish past c_k.  Every
+    certificate is then a zero test on rows: the coordinates of the
+    attaching columns, solved in one ``submodule_coordinates`` per
+    degree, vanish past the previous stage; each stage's d-blocks vanish
+    below it (closure); and d o d = 0 is checked on every new
+    differential.  Degrees a cell does not touch keep the previous
+    stage's module, differential and identity step component.  With no
+    cells, f itself must be an isomorphism.
     """
     Q = f.target
     ring = f.ring
-    gens = {n: f.matrix_at(n) for n in Q.support}
-    stages = [f.source]
-    chain_cells: List[Cell] = []
-    incl = None
-    for label, gen_mono, gen_cols in cells:
-        prev = stages[-1]
-        S, D = gen_mono.source, gen_mono.target
-        new_gens = dict(gens)
-        coords = {}
+    cells = list(cells)
+    if not cells:
+        _certify(f.is_iso(), "grow_cell_chain: the stages exhaust the target")
+        return CellChain(f, [f.source], [], f)
+    # the generators of the final stage, and every stage's counts of them
+    blocks = {n: [f.matrix_at(n)] for n in Q.support}
+    counts = [{n: b[0].cols for n, b in blocks.items()}]
+    glued: Dict[int, list] = {}          # degree -> [(cell index, attaching columns)]
+    for j, (_, gen_mono, gen_cols) in enumerate(cells):
+        S = gen_mono.source
+        c = dict(counts[-1])
         for k, cols in gen_cols.items():
             if not S.module_at(k).gens:
-                new_gens[k] = gens.get(k, Matrix.zero(ring, Q.module_at(k).gens, 0)).hstack(cols)
+                blocks.setdefault(k, []).append(cols)
+                c[k] = c.get(k, 0) + cols.cols
             elif Q.module_at(k).gens:
-                coords[k] = submodule_coordinates(Q.module_at(k), gens[k], cols)
-                _certify(coords[k] is not None,
-                         "grow_cell_chain: the attaching columns lie in the previous stage")
-        stage, incl = subcomplex_from_gens(Q, new_gens, extends=incl)
-        # step inclusion: previous generators sit first in the new lists
+                glued.setdefault(k, []).append((j, cols))
+        counts.append(c)
+    counts = [{n: c.get(n, 0) for n in blocks} for c in counts]
+    G = {n: Matrix.hstack_all(ring, Q.module_at(n).gens, b) for n, b in blocks.items()}
+
+    coords = {}                          # (cell index, degree) -> attaching matrix
+    for k, parts in glued.items():
+        C = submodule_coordinates(Q.module_at(k), G[k], Matrix.hstack_all(
+            ring, Q.module_at(k).gens, [cols for _, cols in parts]))
+        _certify(C is not None, _ATTACHED)
+        at = 0
+        for j, cols in parts:
+            block = C.submatrix(range(C.rows), range(at, at + cols.cols))
+            at += cols.cols
+            _certify(_rows_vanish(block, counts[j][k]), _ATTACHED)
+            coords[j, k] = block.submatrix(range(counts[j][k]), range(block.cols))
+
+    F, incl = subcomplex_from_gens(Q, G)
+    _certify(incl.is_iso(), "grow_cell_chain: the stages exhaust the target")
+    # a degree F drops is zero: all of its generators vanish
+    rels = {n: F.objects[n].relations if n in F.objects else Matrix.identity(ring, g.cols)
+            for n, g in G.items()}
+    _certify(all(_rows_vanish(r, counts[0][n]) for n, r in rels.items()),
+             "grow_cell_chain: the cells add free generators")
+
+    mods: Dict[int, FpModule] = {}
+    diffs: Dict[int, ModuleMap] = {}
+    idents: Dict[int, ModuleMap] = {}
+    stages = [f.source]
+    chain_cells: List[Cell] = []
+    for j, (label, gen_mono, gen_cols) in enumerate(cells, 1):
+        prev, old, new = stages[-1], counts[j - 1], counts[j]
+        touched = {n for n in G if j == 1 or new[n] != old[n]}
+        for n in touched:
+            mods[n] = (F.objects[n] if n in F.objects and new[n] == G[n].cols
+                       else FpModule(ring, new[n], rels[n].submatrix(range(new[n]),
+                                                                     range(rels[n].cols))))
+            idents.pop(n, None)
+        moved = {m for n in touched for m in (n, n + 1) if m in F.differentials}
+        for n in moved:
+            diffs[n] = _stage_diff(F.differentials[n], mods[n], mods[n - 1])
+        for n in {m for n in moved for m in (n - 1, n)}:
+            if n in diffs and n + 1 in diffs:
+                _certify(mods[n - 1].columns_vanish(diffs[n].matrix * diffs[n + 1].matrix),
+                         "grow_cell_chain: d o d = 0 on every stage")
+        stage = F if j == len(cells) else ChainComplex(ring, dict(mods), dict(diffs),
+                                                       check=False)
+        # step inclusion: the previous generators are a prefix of the new ones
         comps = {}
-        for n in prev.support:
-            old = gens[n].cols
-            m = Matrix.identity(ring, old, below=new_gens[n].cols - old)
-            comps[n] = ModuleMap(prev.module_at(n), stage.module_at(n), m, check=False)
+        for n, M in prev.objects.items():
+            if n in touched:
+                comps[n] = ModuleMap(M, mods[n], Matrix.identity(
+                    ring, old[n], below=new[n] - old[n]), check=False)
+            else:
+                if n not in idents:
+                    idents[n] = ModuleMap.identity(M)
+                comps[n] = idents[n]
         step = ChainMap(prev, stage, comps, check=False)
+        S, D = gen_mono.source, gen_mono.target
         attach_comps, image_comps = {}, {}
         for k, cols in gen_cols.items():
             if not S.module_at(k).gens:
-                m = Matrix.identity(ring, cols.cols, above=stage.module_at(k).gens - cols.cols)
-            elif k in coords and not prev.module_at(k).is_zero_module():
-                attach_comps[k] = ModuleMap(S.module_at(k), prev.module_at(k), coords[k],
-                                            check=False)
-                m = step.matrix_at(k) * coords[k]
+                m = Matrix.identity(ring, cols.cols, above=new[k] - cols.cols)
+            elif (j - 1, k) in coords and k in prev.objects:
+                # the cell adds nothing in degree k, where the step is the identity
+                m = coords[j - 1, k]
+                attach_comps[k] = ModuleMap(S.module_at(k), prev.objects[k], m, check=False)
             else:
                 continue
-            image_comps[k] = ModuleMap(D.module_at(k), stage.module_at(k), m, check=False)
+            image_comps[k] = ModuleMap(D.module_at(k), mods[k], m, check=False)
         attaching = ChainMap(S, prev, attach_comps, check=False)
         image = ChainMap(D, stage, image_comps, check=False)
         chain_cells.append(Cell(gen_mono, attaching, step, image, label))
         stages.append(stage)
-        gens = new_gens
-    if incl is None:
-        # zero cokernel: f itself is the identification
-        return CellChain(f, stages, chain_cells, f)
-    _certify(incl.is_iso(), "grow_cell_chain: the stages exhaust the target")
     return CellChain(f, stages, chain_cells, incl)
+
+
+def _rows_vanish(A: Matrix, start: int, cols: Optional[int] = None) -> bool:
+    """Whether rows ``start`` on of A are zero, in their first ``cols``
+    entries (all of them by default)."""
+    return not any(any(row[:cols]) for row in A.entries[start:])
+
+
+def _stage_diff(d: ModuleMap, source: FpModule, target: FpModule) -> ModuleMap:
+    """The block of the final stage's differential d on a stage's
+    generator prefixes ``source`` and ``target``, with its closure
+    certified: the rows of d past the target's generators vanish on the
+    source's."""
+    m = d.matrix
+    if (m.rows, m.cols) == (target.gens, source.gens):
+        return d
+    _certify(_rows_vanish(m, target.gens, source.gens),
+             "grow_cell_chain: every stage is closed under d")
+    return ModuleMap(source, target, m.submatrix(range(target.gens), range(source.gens)),
+                     check=False)
 
 
 def _literal_disk_sum(f: ChainMap, coker: ChainComplex) -> Optional[List[Tuple[int, list]]]:

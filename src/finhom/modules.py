@@ -492,12 +492,6 @@ def find_section(p: ModuleMap) -> Optional[ModuleMap]:
                          post_compose=(p, ModuleMap.identity(p.target)))
 
 
-def find_retraction(i: ModuleMap) -> Optional[ModuleMap]:
-    """r with r o i = id on the source, or None."""
-    return find_map_with(i.target, i.source,
-                         pre_compose=(i, ModuleMap.identity(i.source)))
-
-
 def combination_system(ring: Ring, vectors, relations) -> Matrix:
     """[vectors | block_diag(relations)]: one column per vector, then each
     relation matrix beside the rows of its block.  The vectors are maps

@@ -1,6 +1,6 @@
 """Helpers only the tests use: draws of small modules and short exact
 sequences, the parser that reads a machine report back, two matrix
-views, and two constructions the library itself never needs.
+views, and three constructions the library itself never needs.
 
 * ``ModuleSampler`` is a ``DeterministicSampler`` that can also draw a
   small finitely presented module and a short exact sequence through it,
@@ -9,9 +9,10 @@ views, and two constructions the library itself never needs.
   so a round trip can be checked.
 * ``columns`` lists a matrix's columns as tuples, and ``unvec`` undoes
   ``Matrix.vec``, the column-stacking vectorization.
-* ``boundaries`` builds B_n of a complex as a submodule, and
+* ``boundaries`` builds B_n of a complex as a submodule,
   ``map_factorization`` the kernel, image and cokernel of a module map
-  with exactness certified.
+  with exactness certified, and ``find_retraction`` a retraction of a
+  module map when one exists.
 """
 
 from typing import Optional, Sequence
@@ -19,7 +20,14 @@ from typing import Optional, Sequence
 from finhom.complexes import ChainComplex
 from finhom.errors import ParseError, UnsupportedRingError
 from finhom.matrix import Matrix
-from finhom.modules import FpModule, ModuleMap, ShortExactSeq, _certify, submodule
+from finhom.modules import (
+    FpModule,
+    ModuleMap,
+    ShortExactSeq,
+    _certify,
+    find_map_with,
+    submodule,
+)
 from finhom.report import FORMAT_HEADER, Report
 from finhom.rings import Ring
 from finhom.sampling import DeterministicSampler
@@ -140,3 +148,9 @@ def map_factorization(f: ModuleMap):
     _certify(f.compose(kincl).is_zero_map(), "map_factorization: f o kernel = 0")
     _certify(cproj.compose(f).is_zero_map(), "map_factorization: cokernel o f = 0")
     return kincl, I, cproj
+
+
+def find_retraction(i: ModuleMap) -> Optional[ModuleMap]:
+    """r with r o i = id on the source, or None."""
+    return find_map_with(i.target, i.source,
+                         pre_compose=(i, ModuleMap.identity(i.source)))

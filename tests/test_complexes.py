@@ -262,18 +262,16 @@ def test_subcomplex_from_gens_closure_check():
     assert S.module_at(1).is_isomorphic_to(FpModule.free(ZZ, 1))
 
 
-def test_subcomplex_from_gens_extends_still_checks_dd():
+def test_subcomplex_from_gens_checks_dd():
     # X is Z --1--> Z --1--> Z in degrees 2, 1, 0, built unchecked with
-    # d o d != 0; a first stage on degrees 1, 0 is a complex, and the
-    # stage that extends it to degree 2 pairs a new d_2 with the kept d_1
+    # d o d != 0: the subcomplex on degrees 1, 0 is a complex, the one
+    # on all three degrees is refused
     Z1 = FpModule.free(ZZ, 1)
     one = ModuleMap(Z1, Z1, Matrix.from_rows(ZZ, [[1]]))
     X = ChainComplex(ZZ, {2: Z1, 1: Z1, 0: Z1}, {2: one, 1: one}, check=False)
     gens = {1: Matrix.from_rows(ZZ, [[1]]), 0: Matrix.from_rows(ZZ, [[1]])}
-    S1, incl1 = subcomplex_from_gens(X, gens)
+    S1, _ = subcomplex_from_gens(X, gens)
     assert set(S1.differentials) == {1}
-    with pytest.raises(ValidationError, match="d o d"):
-        subcomplex_from_gens(X, {**gens, 2: Matrix.from_rows(ZZ, [[1]])}, extends=incl1)
     with pytest.raises(ValidationError, match="d o d"):
         subcomplex_from_gens(X, {**gens, 2: Matrix.from_rows(ZZ, [[1]])})
 

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # called from tests only, on purpose
 TEST_ONLY = {
-    "find_retraction",
     "FpModule.cokernel_presentation",
     "FpModule.element_is_zero",
     "Ring.is_field",

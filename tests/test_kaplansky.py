@@ -438,9 +438,52 @@ def test_grow_cell_chain_refuses_a_cell_attached_outside_the_previous_stage():
         grow_cell_chain(f, [sphere_cell])
     first = ("0 -> S^0(R)", ChainMap.zero_map(zero, sphere(0, R1)), {0: e})
     assert grow_cell_chain(f, [first, sphere_cell]).verify()
+    # in the other order the boundary lies in the final stage but not yet
+    # in the previous one
+    with pytest.raises(ValidationError,
+                       match="grow_cell_chain: the attaching columns lie in the previous stage"):
+        grow_cell_chain(f, [sphere_cell, first])
 
 
-# -- stages built as extensions ------------------------------------------------
+def test_grow_cell_chain_refuses_a_cell_whose_generators_are_not_free():
+    # 0 -> S^0(Z) sent onto the generator of S^0(Z/2): the stage would be
+    # Z/2, which no pushout of the cell presents
+    R1 = FpModule.free(ZZ, 1)
+    zero = ChainComplex.zero(ZZ)
+    f = ChainMap.zero_map(zero, sphere(0, FpModule.cyclic(ZZ, 2)))
+    cell = ("0 -> S^0(R)", ChainMap.zero_map(zero, sphere(0, R1)), {0: Matrix.identity(ZZ, 1)})
+    with pytest.raises(ValidationError, match="grow_cell_chain: the cells add free generators"):
+        grow_cell_chain(f, [cell])
+
+
+def test_grow_cell_chain_without_cells_certifies_f_is_an_iso():
+    # no cells: the chain's final map is f itself, so f must be an iso;
+    # 0 -> D^1(Z) is not, and a chain that holds it anyway does not verify
+    R1 = FpModule.free(ZZ, 1)
+    f = ChainMap.zero_map(ChainComplex.zero(ZZ), disk(1, R1))
+    with pytest.raises(ValidationError,
+                       match="grow_cell_chain: the stages exhaust the target"):
+        grow_cell_chain(f, [])
+    assert not CellChain(f, [f.source], [], f).verify()
+    iso = ChainMap.identity(disk(1, R1))
+    assert grow_cell_chain(iso, []).verify()
+
+
+# -- stages read by prefixes from the final stage -------------------------------
+
+
+def _stages_with_scratch(chain):
+    """(stage, the same stage built from scratch) for every stage after
+    the first: the subcomplex of the target on the stage's generators,
+    read off the composite of its step inclusions and the final map."""
+    to_target = chain.final_iso
+    Q = to_target.target
+    out = []
+    for stage, cell in zip(reversed(chain.stages[1:]), reversed(chain.cells)):
+        gens = {n: to_target.matrix_at(n) for n in Q.support}
+        out.append((stage, subcomplex_from_gens(Q, gens)[0]))
+        to_target = to_target.compose(cell.step_inclusion)
+    return out
 
 
 @pytest.mark.parametrize("ring, structure", [
@@ -448,40 +491,94 @@ def test_grow_cell_chain_refuses_a_cell_attached_outside_the_previous_stage():
     (IntegersModN(4), PROJECTIVE_STRUCTURE),
     (PrimeField(3), PROJECTIVE_STRUCTURE),
 ], ids=["Z", "Z/4", "F3"])
-def test_cell_stages_equal_stages_built_from_scratch(ring, structure, monkeypatch):
-    # every stage grown from the previous one must equal the subcomplex
-    # built from its generators alone: modules, differentials, inclusion
-    compared = []
-
-    def checked(X, gens, extends=None):
-        S, incl = subcomplex_from_gens(X, gens, extends=extends)
-        if extends is not None:
-            S0, incl0 = subcomplex_from_gens(X, gens)
-            assert (S.lo, S.hi) == (S0.lo, S0.hi)
-            assert S.objects == S0.objects
-            assert {n: d.matrix for n, d in S.differentials.items()} == \
-                {n: d.matrix for n, d in S0.differentials.items()}
-            assert {n: c.matrix for n, c in incl.components.items()} == \
-                {n: c.matrix for n, c in incl0.components.items()}
-            compared.append(len(gens))
-        return S, incl
-
-    monkeypatch.setattr(kaplansky, "subcomplex_from_gens", checked)
+def test_cell_stages_equal_stages_built_from_scratch(ring, structure):
+    # on free entries every stage read by prefixes from the final stage
+    # equals the subcomplex built from its generators alone, matrix for
+    # matrix: modules, relations and differentials
+    compared = 0
     spec = model_structure(structure, ring)
     sampler = DeterministicSampler(17)
     for _ in range(8):
         X = sampler.free_complex(ring, max_support=4, max_rank=3)
         Y = sampler.free_complex(ring, max_support=4, max_rank=3)
         f = sampler.chain_map(X, Y)
+        chains = [icell_decompose(ChainMap.zero_map(ChainComplex.zero(ring), Y))]
         for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
             try:
-                fact = factor_map(f, mode, spec)
+                chains.append(factor_map(f, mode, spec).cell_chain)
             except FactorizationObstructedError:
                 continue  # Z/4 cylinders without a bounded free resolution
-            assert fact.cell_chain.verify()
-        chain = icell_decompose(ChainMap.zero_map(ChainComplex.zero(ring), Y))
+        for chain in chains:
+            assert chain.verify()
+            for S, S0 in _stages_with_scratch(chain):
+                assert (S.lo, S.hi) == (S0.lo, S0.hi)
+                assert S.objects == S0.objects
+                assert {n: d.matrix for n, d in S.differentials.items()} == \
+                    {n: d.matrix for n, d in S0.differentials.items()}
+                compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("ring, mode, cell_count", [
+    (ZZ, COF_THEN_TRIVFIB, 26),
+    (ZZ, TRIVCOF_THEN_FIB, 2),
+    (IntegersModN(4), TRIVCOF_THEN_FIB, 2),
+], ids=["Z-cof", "Z-trivcof", "Z/4-trivcof"])
+def test_cell_stages_on_a_source_with_torsion(ring, mode, cell_count):
+    # X = R/2 in degree 0 and R in degree 1, mapped by zero into
+    # D^1(R) + S^0(R): every stage keeps the relation of R/2, so stage
+    # modules need not be presented as the ones built from scratch; they
+    # must present the same module on the same generators
+    R1 = FpModule.free(ring, 1)
+    X = ChainComplex(ring, {0: FpModule.cyclic(ring, 2), 1: R1}, {})
+    Y = ChainComplex.direct_sum(disk(1, R1), sphere(0, R1))
+    chain = factor_map(ChainMap.zero_map(X, Y), mode,
+                       model_structure(PROJECTIVE_STRUCTURE, ring)).cell_chain
+    assert len(chain.cells) == cell_count
+    assert chain.verify()
+    pairs = _stages_with_scratch(chain)
+    assert any(M.relations.cols for S, _ in pairs for M in S.objects.values())
+    for S, S0 in pairs:
+        assert set(S.objects) == set(S0.objects)
+        for n, M in S.objects.items():
+            M0 = S0.objects[n]
+            assert M.gens == M0.gens
+            assert M.invariant_factors() == M0.invariant_factors()
+            assert M.columns_vanish(M0.relations) and M0.columns_vanish(M.relations)
+        assert set(S.differentials) == set(S0.differentials)
+        for n, d in S.differentials.items():
+            assert S0.module_at(n - 1).columns_vanish(d.matrix - S0.differentials[n].matrix)
+
+
+def test_grow_cell_chain_builds_one_subcomplex(monkeypatch):
+    # a chain of k sphere cells builds one subcomplex of the target and
+    # solves its attaching columns once per degree they are glued in,
+    # whatever k is
+    calls = {"subcomplex_from_gens": 0, "submodule_coordinates": 0}
+
+    def counted(name):
+        real = getattr(kaplansky, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kaplansky, name, counted(name))
+    sampler = DeterministicSampler(5)
+    sizes = set()
+    for _ in range(12):
+        Y = sampler.free_complex(ZZ, max_support=4, max_rank=3)
+        for name in calls:
+            calls[name] = 0
+        chain = icell_decompose(ChainMap.zero_map(ChainComplex.zero(ZZ), Y))
         assert chain.verify()
-    assert len(compared) >= 20
+        glued = {n for cell in chain.cells for n in cell.generating_mono.source.objects}
+        assert calls["subcomplex_from_gens"] == (1 if chain.cells else 0)
+        assert calls["submodule_coordinates"] <= len(glued)
+        sizes.add(len(chain.cells))
+    assert max(sizes) >= 6 and len(sizes) >= 3
 
 
 def _coordinates_one_column(M, gens, v):

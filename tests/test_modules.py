@@ -15,14 +15,13 @@ from finhom.modules import (
     ModuleMap,
     ShortExactSeq,
     element_in_submodule,
-    find_retraction,
     find_section,
     hom_module,
     quotient,
     submodule,
     subquotient,
 )
-from helpers import columns, map_factorization
+from helpers import columns, find_retraction, map_factorization
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
