@@ -475,3 +475,35 @@ def test_golden_cli_kaplansky(argv, digest, tmp_path, monkeypatch):
     code, report = run_command(argv[:1] + ["--workspace", "ws.cl"] + argv[1:])
     assert code == 0
     assert sha256(report.to_machine()) == digest
+
+
+# a line Z/12 -> Z/4 with the identity edge map, and a self-loop over Z/4
+# whose edge map is a shear
+QUIVER_WORKSPACE = """\
+ring R12 Zmod 12
+ring R4 Zmod 4
+quiver L vertices v:R12 w:R4 edges e: v -> w ringmap [[1]]
+module V over R12 gens 2 rels []
+module W over R4 gens 2 rels []
+map one : V -> V matrix [[1, 0], [0, 1]]
+repmodule M over L at v V at w W edge e one
+quiver C vertices v:R4 edges s: v -> v ringmap [[1]]
+module V4 over R4 gens 2 rels []
+map shear : V4 -> V4 matrix [[1, 1], [0, 1]]
+repmodule T over C at v V4 edge s shear
+"""
+
+
+@pytest.mark.parametrize("repmodule, digest", [
+    ("M",
+     "948c883a7132aad97fc095cbcca6e40e4a43c311c2840a36a90ec04b7eef6f0f"),
+    ("T",
+     "d23af767fbe1068ee514b17ff2db871d090b5317d241e1ee987fa2a6f632085f"),
+], ids=["line-Z12-Z4", "loop-Z4"])
+def test_golden_cli_quiver_witness(repmodule, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ws.cl").write_text(QUIVER_WORKSPACE, encoding="utf-8")
+    code, report = run_command(["quiver-check", "--workspace", "ws.cl",
+                                "--repmodule", repmodule, "--witness"])
+    assert code == 0
+    assert sha256(report.to_machine()) == digest
