@@ -3,7 +3,6 @@ an edge-wise base-change isomorphism, vertexwise flatness, cardinality,
 and Kaplansky witness subobjects."""
 
 from finhom import Integers, IntegersModN, Matrix
-from finhom.kaplansky import KaplanskyConfig
 from finhom.modules import FpModule
 from finhom.quiver import (
     QuiverEdge,
@@ -51,7 +50,7 @@ big = QuiverRepModule(single,
                       {"v": FpModule.direct_sum(FpModule.free(Z6, 1),
                                                 FpModule.free(Z6, 1))}, {})
 seeds = {"v": Matrix.from_rows(Z6, [[1], [0]])}
-w = quiver_kaplansky_witness(big, seeds, KaplanskyConfig(gamma=3, step_budget=100))
+w = quiver_kaplansky_witness(big, seeds)
 print("witness around the first-summand generator:",
       "cardinality", w.cardinality,
       "| sub and quotient flat + quasi-coherent:", w.revalidate(big))

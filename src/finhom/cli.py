@@ -33,7 +33,7 @@ from .cotorsion import (
 )
 from .errors import FinhomError
 from .functors import ext_n, free_resolution, tensor_modules, tor_n
-from .kaplansky import KaplanskyConfig, flat_subcomplex_envelope, kaplansky_filtration
+from .kaplansky import flat_subcomplex_envelope, kaplansky_filtration
 from .model import (
     COF_THEN_TRIVFIB,
     FLAT_STRUCTURE,
@@ -84,12 +84,6 @@ def _common_flags(p: argparse.ArgumentParser, workspace=False):
     p.add_argument("--emit", choices=("text", "machine"), default="text")
     if workspace:
         p.add_argument("--workspace", type=str, required=True)
-
-
-def _kaplansky_flags(p: argparse.ArgumentParser):
-    """The generator bound and step budget of the Kaplansky searches."""
-    p.add_argument("--gamma", type=int, default=3)
-    p.add_argument("--step-budget", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,14 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kaplansky-filtrate", help="filtration with small class quotients")
     _common_flags(p, workspace=True)
-    _kaplansky_flags(p)
+    p.add_argument("--gamma", type=int, default=3,
+                   help="the generator bound each step quotient must meet")
     p.add_argument("--inclusion", required=True, help="a mono in the workspace")
     p.add_argument("--class", dest="class_id", choices=sorted(CLASSES),
                    default="projective")
 
     p = sub.add_parser("envelope", help="exact subcomplex envelope with class cycles")
     _common_flags(p, workspace=True)
-    _kaplansky_flags(p)
+    p.add_argument("--gamma", type=int, default=3,
+                   help="the generator bound of each small surjecting subobject")
     p.add_argument("--ambient", required=True, help="an exact complex id")
     p.add_argument("--sub", required=True, help="a chainmap inclusion seeding the envelope")
     p.add_argument("--class", dest="class_id", choices=sorted(CLASSES),
@@ -173,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver-check", help="quasi-coherence, flatness, cardinality")
     _common_flags(p, workspace=True)
-    _kaplansky_flags(p)
     p.add_argument("--repmodule", required=True)
     p.add_argument("--witness", action="store_true",
                    help="also search for a Kaplansky witness from the zero seed")
@@ -196,6 +191,10 @@ def _invariant_text(factors) -> str:
     if not factors:
         return "0"
     return " + ".join("Z" if d == 0 else f"Z/{d}" for d in factors)
+
+
+def _cardinality_text(card) -> str:
+    return "infinite" if card is None else str(card)
 
 
 def run_command(argv) -> tuple[int, Report]:
@@ -293,24 +292,22 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
         for v in rep.verdicts:
             report.add(v.name, v.passed, "; ".join(v.counterexamples))
     elif args.command == "kaplansky-filtrate":
-        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         incl = ws.maps[args.inclusion]
-        chain = kaplansky_filtration(incl, ObjectClass(CLASSES[args.class_id]), cfg)
-        report.add("filtration", chain.complete and chain.revalidate(cfg.gamma),
+        chain = kaplansky_filtration(incl, ObjectClass(CLASSES[args.class_id]))
+        report.add("filtration", chain.complete and chain.revalidate(args.gamma),
                    f"{len(chain.steps)} steps")
     elif args.command == "envelope":
-        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         F = ws.complexes[args.ambient]
         seed_map = ws.chainmaps[args.sub]
         gens = {n: seed_map.matrix_at(n) for n in seed_map.source.support}
-        res = flat_subcomplex_envelope(F, gens, ObjectClass(CLASSES[args.class_id]), cfg)
+        res = flat_subcomplex_envelope(F, gens, ObjectClass(CLASSES[args.class_id]),
+                                        args.gamma)
         report.add("envelope", res.inclusion.is_mono(),
                    "; ".join(f"{n}: {res.generator_counts.get(n, 0)} gens"
                              for n in res.subcomplex.support))
     elif args.command == "quiver-check":
-        cfg = KaplanskyConfig(gamma=args.gamma, step_budget=args.step_budget)
         ws = _load_workspace(args.workspace)
         M = ws.repmodules[args.repmodule]
         qc, bad = is_quasi_coherent(M)
@@ -320,12 +317,11 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
             brute, bad2 = quasi_coherence_bruteforce(M)
             report.add("quasi-coherent-bruteforce-agrees", brute == qc, bad2 or "")
         report.add("flat", is_flat_rep_module(M), "")
-        card = rep_cardinality(M)
-        report.add("cardinality", True, "infinite" if card is None else str(card))
+        report.add("cardinality", True, _cardinality_text(rep_cardinality(M)))
         if args.witness:
-            w = quiver_kaplansky_witness(M, {}, cfg)
+            w = quiver_kaplansky_witness(M, {})
             report.add("witness", w.revalidate(M),
-                       f"cardinality {w.cardinality}")
+                       f"cardinality {_cardinality_text(w.cardinality)}")
 
     report.wall_time = time.monotonic() - start
     return report.exit_code, report

@@ -24,15 +24,8 @@ class PreconditionFailedError(FinhomError):
 
 
 class BudgetExceededError(FinhomError):
-    """A bounded search or iteration ran out of its configured budget.
-
-    Carries whatever partial result was available at the point of failure
-    in ``partial`` (may be None).
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A bounded search ran out of its bound: a small subobject needs
+    more generators than the bound allows."""
 
 
 class NotInClassError(FinhomError):

@@ -1,16 +1,18 @@
 """Small subobjects, filtrations and cell decompositions.
 
-The constructions here replace transfinite induction by budgeted loops
-over finite data:
+The constructions here replace transfinite induction by loops over
+finite data, each bounded by the data it walks:
 
 * ``find_small_surjecting_sub``: a small subobject of the source of an
   epi whose restriction is still epi (preimages of target generators).
 * ``kaplansky_witness``: given X inside a class member F, a small class
   member S with X <= S <= F and F/S still in the class, by one rule
   for Z, Z/n and F_p: the span of X for the class of all modules, and
-  otherwise the saturation of X, a summand read off one Smith form.
+  otherwise the saturation of X, a summand read off one Smith form
+  (``saturated_gens``, which ``quiver`` uses at every vertex).
 * ``kaplansky_filtration``: writes a mono A -> B with class quotient as
-  a finite chain of inclusions with small class quotients.
+  a finite chain of inclusions with small class quotients, one step per
+  witness, at most one per generator of B.
 * ``flat_subcomplex_envelope``: the degreewise induction producing a
   nonzero exact subcomplex with class cycles and class cycle-quotients
   around a given seed subcomplex.
@@ -57,16 +59,6 @@ from .modules import (
     submodule_coordinates,
 )
 from .smith import inverse, snf
-
-
-@dataclass(frozen=True)
-class KaplanskyConfig:
-    gamma: int = 3
-    step_budget: int = 64
-
-    def __post_init__(self):
-        if self.gamma < 1 or self.step_budget < 1:
-            raise PreconditionFailedError("gamma and step budget must be >= 1")
 
 
 # -- small surjecting subobjects ----------------------------------------------------
@@ -139,16 +131,14 @@ def kaplansky_witness(F: FpModule, cls: ObjectClass, seed_gens: Matrix) -> Witne
     if seed_gens.rows != F.gens:
         raise PreconditionFailedError("seed generators must live in F")
     ring = F.ring
-    canon, to, fro = F.canonical_form()
+    canon, to, _ = F.canonical_form()
     seed = to.matrix * seed_gens
     if canon.gens and canon.columns_vanish(seed):
         # the witness must be nonzero: seed with the first canonical generator
         seed = Matrix.column(ring, [1] + [0] * (canon.gens - 1))
     if cls.class_id != ObjectClass.ALL:
         seed = _saturation(seed.hstack(canon.relations))
-    span = fro.matrix * seed
-    span_module, _ = submodule(F, span)
-    gens = span * span_module.canonical_form()[2].matrix
+    gens = _span_gens(F, seed)
     S, incl = submodule(F, gens)
     Q = quotient(F, gens)
     w = Witness(S, incl, Q, cls.contains(S), cls.contains(Q), S.gens)
@@ -157,6 +147,22 @@ def kaplansky_witness(F: FpModule, cls: ObjectClass, seed_gens: Matrix) -> Witne
     _certify(submodule_coordinates(F, gens, seed_gens) is not None,
              "kaplansky_witness: the seed lies inside the witness")
     return w
+
+
+def saturated_gens(F: FpModule, gens: Matrix) -> Matrix:
+    """Canonical generators of the saturation of span(gens) in F: a
+    summand of F that contains the span, by ``_saturation`` in the
+    canonical coordinates of F."""
+    canon, to, _ = F.canonical_form()
+    return _span_gens(F, _saturation((to.matrix * gens).hstack(canon.relations)))
+
+
+def _span_gens(F: FpModule, seed: Matrix) -> Matrix:
+    """The span of ``seed``, given in the canonical coordinates of F, on
+    the canonical generators of that span, in F's coordinates."""
+    span = F.canonical_form()[2].matrix * seed
+    span_module, _ = submodule(F, span)
+    return span * span_module.canonical_form()[2].matrix
 
 
 def _saturation(A: Matrix) -> Matrix:
@@ -216,33 +222,32 @@ class FiltrationChain:
         return not self.complete or quotient(self.ambient, gens).is_zero_module()
 
 
-def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass,
-                         cfg: KaplanskyConfig) -> FiltrationChain:
+def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass) -> FiltrationChain:
     """Write the target of a mono as a finite extension of its source by
-    small class members, one witness per step."""
+    small class members, one witness per step.
+
+    The loop runs while the quotient Q is nonzero.  Each step's witness
+    contains the first canonical generator of Q, so the next quotient is
+    a quotient of Q by a cyclic summand and needs one generator fewer:
+    the loop ends within the generator count of B.
+    """
     if not incl.is_mono():
         raise PreconditionFailedError("filtration needs a monomorphism")
     B = incl.target
-    if not cls.contains(quotient(B, incl.matrix)):
-        raise NotInClassError("the quotient B/A is not in the class")
     gens = incl.matrix
+    Q = quotient(B, gens)
+    if not cls.contains(Q):
+        raise NotInClassError("the quotient B/A is not in the class")
     steps: List[FiltrationStep] = []
-    for _ in range(cfg.step_budget):
-        Q = quotient(B, gens)
-        if Q.is_zero_module():
-            return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
+    while not Q.is_zero_module():
         w = kaplansky_witness(Q, cls, Matrix.zero(B.ring, B.gens, 0))
         # witness generators are already B-coordinate vectors (the quotient
         # shares its generators with B)
-        new_gens = gens.hstack(w.inclusion.matrix)
-        steps.append(FiltrationStep(new_gens, w.sub,
+        gens = gens.hstack(w.inclusion.matrix)
+        steps.append(FiltrationStep(gens, w.sub,
                                     w.class_ok and w.quotient_ok, w.generator_count))
-        gens = new_gens
-    if quotient(B, gens).is_zero_module():
-        return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
-    raise BudgetExceededError(
-        "filtration did not reach the top within the step budget",
-        partial=FiltrationChain(B, cls, incl.matrix, steps, complete=False))
+        Q = quotient(B, gens)
+    return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
 
 
 # -- flat subcomplex envelopes ----------------------------------------------------------
@@ -257,15 +262,17 @@ class EnvelopeResult:
 
 
 def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
-                             cls: ObjectClass, cfg: KaplanskyConfig) -> EnvelopeResult:
+                             cls: ObjectClass, gamma: int) -> EnvelopeResult:
     """Grow a seed subcomplex of an exact complex with class cycles into
     an exact subcomplex S with X <= S <= F, every Z_n S in the class and
     every Z_n F / Z_n S in the class.
 
     Degree-by-degree from the bottom: witness around the required cycles,
-    pull a small surjecting subobject one degree up, absorb its kernel
-    into the next witness.
+    pull a small surjecting subobject, of at most ``gamma`` generators,
+    one degree up, absorb its kernel into the next witness.
     """
+    if gamma < 1:
+        raise PreconditionFailedError("gamma must be >= 1")
     if not is_exact(F):
         raise PreconditionFailedError("ambient complex must be exact")
     ring = F.ring
@@ -303,7 +310,7 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
             _certify(rmat is not None,
                      "flat_subcomplex_envelope: d maps the preimage into S'")
             restricted = ModuleMap(P, Sp_mod, rmat, check=False)
-            U, uincl = find_small_surjecting_sub(restricted, cfg.gamma)
+            U, uincl = find_small_surjecting_sub(restricted, gamma)
             u_in_f = pincl.matrix * uincl.matrix
             V = V.hstack(u_in_f)
         v_part[n] = V

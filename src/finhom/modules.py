@@ -191,9 +191,6 @@ class FpModule:
         out = self._smith_inverse().apply(red)
         return tuple(self.ring.normalize(x) for x in out)
 
-    def element_is_zero(self, v) -> bool:
-        return self.columns_vanish(Matrix.column(self.ring, list(v)))
-
     def elements(self):
         """All coset representatives in canonical order.  Finite modules only."""
         _, diag = self._smith_data()
@@ -437,18 +434,12 @@ def submodule_coordinates(M: FpModule, gens: Matrix, cols: Matrix) -> Optional[M
     to relations, or None when some column lies outside the span.
 
     The system [gens | relations] is built and solved once for all
-    columns; column j of C is what ``element_in_submodule`` gives for
-    column j alone.
+    columns.
     """
     coeff = solve_linear(gens.hstack(M.relations), cols)
     if coeff is None:
         return None
     return coeff.submatrix(range(gens.cols), range(cols.cols))
-
-
-def element_in_submodule(M: FpModule, gens: Matrix, v: Sequence[int]) -> Optional[Matrix]:
-    """Coordinates of v in span(gens) modulo M's relations, or None."""
-    return submodule_coordinates(M, gens, Matrix.column(M.ring, list(v)))
 
 
 # -- solving for maps under linear side conditions ----------------------------------

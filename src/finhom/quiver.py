@@ -15,29 +15,32 @@ the condition that every edge's base-change map
 is an isomorphism; the first failing edge is returned as a witness.
 Flatness is tested vertexwise.  The cardinality of a module is the sum
 of its vertex module sizes (the size of the disjoint union).
+
+A Kaplansky witness around per-vertex seeds is a flat quasi-coherent
+submodule with flat quasi-coherent quotient.  One fixed-point rule finds
+it over Z, Z/n and F_p alike: push the vertex spans along the edges,
+lift into each source what its edges miss, and saturate the spans to
+summands one vertex at a time (``quiver_kaplansky_witness``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import (
-    BudgetExceededError,
-    NotInClassError,
-    UnsupportedRingError,
-    ValidationError,
-)
+from .errors import NotInClassError, UnsupportedRingError, ValidationError
 from .functors import is_flat
-from .kaplansky import KaplanskyConfig
+from .kaplansky import saturated_gens
 from .matrix import Matrix
 from .modules import (
     FpModule,
     ModuleMap,
-    element_in_submodule,
+    _certify,
     quotient,
     submodule,
     submodule_coordinates,
+    subquotient_vanishes,
 )
 from .rings import Ring
 
@@ -243,18 +246,39 @@ class QuiverWitness:
         return ok_sub and ok_quot
 
 
-def quiver_kaplansky_witness(M: QuiverRepModule, seeds: Dict[str, Matrix],
-                             cfg: KaplanskyConfig) -> QuiverWitness:
-    """Grow a per-vertex seed into a flat quasi-coherent submodule with
-    flat quasi-coherent quotient, by a deterministic greedy closure.
+def quiver_kaplansky_witness(M: QuiverRepModule,
+                             seeds: Dict[str, Matrix]) -> QuiverWitness:
+    """Grow per-vertex seeds into a flat quasi-coherent submodule S of M
+    with flat quasi-coherent quotient M/S.
 
-    Finite vertex rings only; the ambient must itself be flat and
-    quasi-coherent.  The result is nonzero whenever the ambient is.
+    The ambient must itself be flat and quasi-coherent; the vertex rings
+    may be Z, Z/n or F_p.  Seeds that all vanish are replaced by the
+    first canonical generator of the first nonzero vertex, so S is
+    nonzero whenever M is.  Two steps repeat until every vertex span is
+    saturated:
+
+    1. the spans are closed under the edges (``_close``): every edge
+       v -> w pushes the span at v into w, and lifts into v, one column
+       at a time, each column at w that the image of the span at v
+       misses.  M is quasi-coherent and every ring map is onto, so the
+       edge map is onto and the lift exists (certified).  The lift is
+       scaled by the prime-power parts of R(v)'s modulus prime to
+       R(w)'s: a unit in R(w), zero where the edge kills everything;
+    2. the first vertex whose span is not a summand of M(v) is saturated
+       (``kaplansky.saturated_gens``).  One vertex at a time: a summand
+       that contains a span is not unique over Z/p^k, and the closure
+       carries each choice to the neighbours before they make theirs.
+
+    At the end each S(v) is a summand of M(v), so S(v) and M(v)/S(v) are
+    projective, hence flat.  For every edge v -> w, R(w) (x) S(v) is a
+    summand of R(w) (x) M(v) = M(w), so it maps injectively, and the
+    closure makes its image S(w): S is quasi-coherent, and M/S with it,
+    as R(w) (x) - is right exact.  The argument is edge by edge, so
+    vertices with several in-edges and loops need nothing more.  Spans
+    only grow, inside finitely generated modules over Noetherian rings,
+    so every loop ends.
     """
     rep = M.rep
-    for v in rep.vertices:
-        if not rep.ring_at(v).is_finite:
-            raise UnsupportedRingError("witness search needs finite vertex rings")
     if not is_flat_rep_module(M):
         raise NotInClassError("ambient representation module is not flat")
     qc, bad = is_quasi_coherent(M)
@@ -267,85 +291,66 @@ def quiver_kaplansky_witness(M: QuiverRepModule, seeds: Dict[str, Matrix],
         for v in rep.vertices:
             Mv = M.module_at(v)
             if not Mv.is_zero_module():
-                first = next(x for x in Mv.elements() if any(c != 0 for c in x))
-                gens[v] = gens[v].hstack(Matrix.column(Mv.ring, list(first)))
+                fro = Mv.canonical_form()[2].matrix
+                gens[v] = fro.submatrix(range(Mv.gens), [0])
                 break
 
-    for _ in range(cfg.step_budget):
-        _edge_closure(M, gens)
-        problem = _witness_defect(M, gens)
-        if problem is None:
-            sub = sub_rep_module(M, gens)
-            quot = quotient_rep_module(M, gens)
-            return QuiverWitness(sub, quot, dict(gens), rep_cardinality(sub))
-        v = problem
-        Mv = M.module_at(v)
-        enlarged = False
-        for x in Mv.elements():
-            if element_in_submodule(Mv, gens[v], x) is None:
-                gens[v] = gens[v].hstack(Matrix.column(Mv.ring, list(x)))
-                enlarged = True
-                break
-        if not enlarged:
-            # vertex is saturated; move on by enlarging the next vertex
-            for w in rep.vertices:
-                Mw = M.module_at(w)
-                for x in Mw.elements():
-                    if element_in_submodule(Mw, gens[w], x) is None:
-                        gens[w] = gens[w].hstack(Matrix.column(Mw.ring, list(x)))
-                        enlarged = True
-                        break
-                if enlarged:
-                    break
-        if not enlarged:
-            sub = sub_rep_module(M, gens)
-            quot = quotient_rep_module(M, gens)
-            return QuiverWitness(sub, quot, dict(gens), rep_cardinality(sub))
-    raise BudgetExceededError("quiver witness search exceeded its budget")
+    while True:
+        _close(M, gens)
+        sat = {v: saturated_gens(M.module_at(v), gens[v]) for v in rep.vertices}
+        grown = [v for v in rep.vertices
+                 if not subquotient_vanishes(M.module_at(v), sat[v], gens[v])]
+        if not grown:
+            break
+        gens[grown[0]] = sat[grown[0]]
+
+    sub = sub_rep_module(M, sat)
+    w = QuiverWitness(sub, quotient_rep_module(M, sat), sat, rep_cardinality(sub))
+    _certify(w.revalidate(M), "quiver_kaplansky_witness: the witness and its quotient "
+             "are flat and quasi-coherent")
+    _certify(all(subquotient_vanishes(M.module_at(v), s, sat[v]) for v, s in seeds.items()),
+             "quiver_kaplansky_witness: the seeds lie inside the witness")
+    return w
 
 
-def _edge_closure(M: QuiverRepModule, gens: Dict[str, Matrix]):
-    """Close the generator spans under the edge maps (deterministic:
-    vertices in representation order)."""
-    changed = True
-    while changed:
-        changed = False
+def _close(M: QuiverRepModule, gens: Dict[str, Matrix]):
+    """Push the spans along the edges and lift what the edges miss
+    (``_lift_missing``) until neither adds anything."""
+    moved = True
+    while moved:
+        moved = False
         for e in M.rep.edges:
-            Mw = M.module_at(e.target)
-            moved = M.edge_matrix(e).change_ring(Mw.ring) * \
-                gens[e.source].lift_to_integers().change_ring(Mw.ring)
-            for j in range(moved.cols):
-                if element_in_submodule(Mw, gens[e.target], moved.col(j)) is None:
-                    gens[e.target] = gens[e.target].hstack(
-                        Matrix.column(Mw.ring, list(moved.col(j))))
-                    changed = True
+            image = _push(M, e, gens[e.source])
+            if not subquotient_vanishes(M.module_at(e.target), image, gens[e.target]):
+                gens[e.target] = gens[e.target].hstack(image)
+                moved = True
+        for e in M.rep.edges:
+            moved = _lift_missing(M, e, gens) or moved
 
 
-def _witness_defect(M: QuiverRepModule, gens: Dict[str, Matrix]) -> Optional[str]:
-    """The first vertex witnessing a failure of the four requirements,
-    or None when the current spans give a valid witness."""
-    for v in M.rep.vertices:
-        S, _ = submodule(M.module_at(v), gens[v])
-        if not is_flat(S):
-            return v
-        if not is_flat(quotient(M.module_at(v), gens[v])):
-            return v
-    try:
-        sub = sub_rep_module(M, gens)
-    except ValidationError:
-        return M.rep.vertices[0]
-    ok, bad_edge = is_quasi_coherent(sub)
-    if not ok:
-        return _edge_source(M, bad_edge)
-    quot = quotient_rep_module(M, gens)
-    ok, bad_edge = is_quasi_coherent(quot)
-    if not ok:
-        return _edge_source(M, bad_edge)
-    return None
+def _push(M: QuiverRepModule, e: QuiverEdge, gens: Matrix) -> Matrix:
+    """The image under the edge map of e of columns at its source."""
+    ring = M.rep.ring_at(e.target)
+    return M.edge_matrix(e).change_ring(ring) * gens.lift_to_integers().change_ring(ring)
 
 
-def _edge_source(M: QuiverRepModule, edge_name: str) -> str:
-    for e in M.rep.edges:
-        if e.name == edge_name:
-            return e.source
-    return M.rep.vertices[0]
+def _lift_missing(M: QuiverRepModule, e: QuiverEdge, gens: Dict[str, Matrix]) -> bool:
+    """Lift into the source of e, one at a time, the columns of the span
+    at its target that the image of the source span misses; whether any
+    was lifted."""
+    Mv, Mw = M.module_at(e.source), M.module_at(e.target)
+    edge = M.edge_matrix(e).change_ring(Mw.ring)
+    scale = math.prod(q for q in Mv.ring._prime_power_parts()
+                      if math.gcd(q, Mw.ring.modulus or 0) == 1)
+    target = gens[e.target]
+    lifted = False
+    for j in range(target.cols):
+        col = target.submatrix(range(target.rows), [j])
+        if subquotient_vanishes(Mw, col, _push(M, e, gens[e.source])):
+            continue
+        y = submodule_coordinates(Mw, edge, col)
+        _certify(y is not None, "quiver_kaplansky_witness: every edge map is onto")
+        gens[e.source] = gens[e.source].hstack(
+            y.lift_to_integers().change_ring(Mv.ring).scale(scale))
+        lifted = True
+    return lifted

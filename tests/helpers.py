@@ -1,6 +1,7 @@
 """Helpers only the tests use: draws of small modules and short exact
 sequences, the parser that reads a machine report back, two matrix
-views, and three constructions the library itself never needs.
+views, two single-element tests, and three constructions the library
+itself never needs.
 
 * ``ModuleSampler`` is a ``DeterministicSampler`` that can also draw a
   small finitely presented module and a short exact sequence through it,
@@ -9,6 +10,9 @@ views, and three constructions the library itself never needs.
   so a round trip can be checked.
 * ``columns`` lists a matrix's columns as tuples, and ``unvec`` undoes
   ``Matrix.vec``, the column-stacking vectorization.
+* ``element_in_submodule`` gives the coordinates of one element in a
+  span, and ``element_is_zero`` whether one element vanishes; the
+  library asks both questions of whole matrices at once.
 * ``boundaries`` builds B_n of a complex as a submodule,
   ``map_factorization`` the kernel, image and cokernel of a module map
   with exactness certified, and ``find_retraction`` a retraction of a
@@ -27,6 +31,7 @@ from finhom.modules import (
     _certify,
     find_map_with,
     submodule,
+    submodule_coordinates,
 )
 from finhom.report import FORMAT_HEADER, Report
 from finhom.rings import Ring
@@ -121,6 +126,15 @@ def unvec(ring: Ring, rows: int, cols: int, v: Sequence[int]) -> Matrix:
         for i in range(rows):
             m[i][j] = v[j * rows + i]
     return Matrix(ring, rows, cols, m)
+
+
+def element_in_submodule(M: FpModule, gens: Matrix, v: Sequence[int]) -> Optional[Matrix]:
+    """Coordinates of v in span(gens) modulo M's relations, or None."""
+    return submodule_coordinates(M, gens, Matrix.column(M.ring, list(v)))
+
+
+def element_is_zero(M: FpModule, v: Sequence[int]) -> bool:
+    return M.columns_vanish(Matrix.column(M.ring, list(v)))
 
 
 def boundaries(X: ChainComplex, n: int):

@@ -24,6 +24,11 @@ cannot drift with the code they check.
   every element of F in canonical order, adding the first one outside S
   until S and F/S lie in the class; ``kaplansky_witness`` saturates the
   seed by one Smith form instead.
+* ``greedy_quiver_witness``: the same walk for a module over a quiver
+  representation with finite vertex rings, element by element at the
+  first vertex that fails, each step closed under the edge maps;
+  ``quiver_kaplansky_witness`` saturates, pushes and lifts vertex spans
+  to a fixed point instead.
 * ``split_epi_projective``: M is projective when the canonical epi from
   the free module on its generators splits, a section found by the
   linear solver; ``is_projective`` reads the invariant factors instead.
@@ -55,20 +60,32 @@ from finhom.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     FactorizationObstructedError,
+    NotInClassError,
     UnsupportedRingError,
+    ValidationError,
 )
-from finhom.kaplansky import Cell, KaplanskyConfig, Witness
+from finhom.functors import is_flat
+from finhom.kaplansky import Cell, Witness
 from finhom.matrix import Matrix
 from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
 from finhom.modules import (
     FpModule,
     ModuleMap,
-    element_in_submodule,
     find_section,
     hom_module,
     quotient,
     submodule,
 )
+from finhom.quiver import (
+    QuiverRepModule,
+    QuiverWitness,
+    is_flat_rep_module,
+    is_quasi_coherent,
+    quotient_rep_module,
+    rep_cardinality,
+    sub_rep_module,
+)
+from helpers import element_in_submodule
 
 
 def pushout_oracle(cell: Cell) -> bool:
@@ -284,9 +301,10 @@ def dense_product_oracle(self: Matrix, other: Matrix) -> Matrix:
         for ra in self.entries))
 
 
-def greedy_witness(F: FpModule, cls, seed: Matrix, cfg: KaplanskyConfig) -> Witness:
+def greedy_witness(F: FpModule, cls, seed: Matrix, steps: int) -> Witness:
     """A witness for ``cls`` around the seed, grown one element of F at a
-    time in canonical element order.  Finite rings only."""
+    time in canonical element order, within ``steps`` additions.  Finite
+    rings only."""
     ring = F.ring
     size = F.size()
     if size is None:
@@ -296,16 +314,15 @@ def greedy_witness(F: FpModule, cls, seed: Matrix, cfg: KaplanskyConfig) -> Witn
     if F.columns_vanish(gens) and not F.is_zero_module():
         first = next(e for e in elements if any(x != 0 for x in e))
         gens = _append_col(ring, F.gens, gens, first)
-    steps = 0
+    taken = 0
     while True:
         S, incl = submodule(F, gens)
         Q = quotient(F, gens)
         if cls.contains(S) and cls.contains(Q):
             return Witness(S, incl, Q, True, True, S.gens)
-        steps += 1
-        if steps > cfg.step_budget:
-            raise BudgetExceededError("witness search exceeded the step budget",
-                                      partial=(S, Q))
+        taken += 1
+        if taken > steps:
+            raise BudgetExceededError("witness search exceeded its step bound")
         added = False
         for e in elements:
             if element_in_submodule(F, gens, e) is None:
@@ -319,6 +336,114 @@ def greedy_witness(F: FpModule, cls, seed: Matrix, cfg: KaplanskyConfig) -> Witn
 
 def _append_col(ring, rows, m: Matrix, col) -> Matrix:
     return m.hstack(Matrix.column(ring, list(col)))
+
+
+def greedy_quiver_witness(M: QuiverRepModule, seeds, steps: int) -> QuiverWitness:
+    """Grow a per-vertex seed into a flat quasi-coherent submodule with
+    flat quasi-coherent quotient, by a deterministic greedy closure of
+    at most ``steps`` enlargements.
+
+    Finite vertex rings only; the ambient must itself be flat and
+    quasi-coherent.  The result is nonzero whenever the ambient is.
+    """
+    rep = M.rep
+    for v in rep.vertices:
+        if not rep.ring_at(v).is_finite:
+            raise UnsupportedRingError("witness search needs finite vertex rings")
+    if not is_flat_rep_module(M):
+        raise NotInClassError("ambient representation module is not flat")
+    qc, bad = is_quasi_coherent(M)
+    if not qc:
+        raise NotInClassError(f"ambient is not quasi-coherent (edge {bad})")
+
+    gens = {v: seeds.get(v, Matrix.zero(rep.ring_at(v), M.module_at(v).gens, 0))
+            for v in rep.vertices}
+    if all(M.module_at(v).columns_vanish(gens[v]) for v in rep.vertices):
+        for v in rep.vertices:
+            Mv = M.module_at(v)
+            if not Mv.is_zero_module():
+                first = next(x for x in Mv.elements() if any(c != 0 for c in x))
+                gens[v] = gens[v].hstack(Matrix.column(Mv.ring, list(first)))
+                break
+
+    for _ in range(steps):
+        _edge_closure(M, gens)
+        problem = _witness_defect(M, gens)
+        if problem is None:
+            sub = sub_rep_module(M, gens)
+            quot = quotient_rep_module(M, gens)
+            return QuiverWitness(sub, quot, dict(gens), rep_cardinality(sub))
+        v = problem
+        Mv = M.module_at(v)
+        enlarged = False
+        for x in Mv.elements():
+            if element_in_submodule(Mv, gens[v], x) is None:
+                gens[v] = gens[v].hstack(Matrix.column(Mv.ring, list(x)))
+                enlarged = True
+                break
+        if not enlarged:
+            # vertex is saturated; move on by enlarging the next vertex
+            for w in rep.vertices:
+                Mw = M.module_at(w)
+                for x in Mw.elements():
+                    if element_in_submodule(Mw, gens[w], x) is None:
+                        gens[w] = gens[w].hstack(Matrix.column(Mw.ring, list(x)))
+                        enlarged = True
+                        break
+                if enlarged:
+                    break
+        if not enlarged:
+            sub = sub_rep_module(M, gens)
+            quot = quotient_rep_module(M, gens)
+            return QuiverWitness(sub, quot, dict(gens), rep_cardinality(sub))
+    raise BudgetExceededError("quiver witness search exceeded its budget")
+
+
+def _edge_closure(M: QuiverRepModule, gens):
+    """Close the generator spans under the edge maps (deterministic:
+    vertices in representation order)."""
+    changed = True
+    while changed:
+        changed = False
+        for e in M.rep.edges:
+            Mw = M.module_at(e.target)
+            moved = M.edge_matrix(e).change_ring(Mw.ring) * \
+                gens[e.source].lift_to_integers().change_ring(Mw.ring)
+            for j in range(moved.cols):
+                if element_in_submodule(Mw, gens[e.target], moved.col(j)) is None:
+                    gens[e.target] = gens[e.target].hstack(
+                        Matrix.column(Mw.ring, list(moved.col(j))))
+                    changed = True
+
+
+def _witness_defect(M: QuiverRepModule, gens):
+    """The first vertex witnessing a failure of the four requirements,
+    or None when the current spans give a valid witness."""
+    for v in M.rep.vertices:
+        S, _ = submodule(M.module_at(v), gens[v])
+        if not is_flat(S):
+            return v
+        if not is_flat(quotient(M.module_at(v), gens[v])):
+            return v
+    try:
+        sub = sub_rep_module(M, gens)
+    except ValidationError:
+        return M.rep.vertices[0]
+    ok, bad_edge = is_quasi_coherent(sub)
+    if not ok:
+        return _edge_source(M, bad_edge)
+    quot = quotient_rep_module(M, gens)
+    ok, bad_edge = is_quasi_coherent(quot)
+    if not ok:
+        return _edge_source(M, bad_edge)
+    return None
+
+
+def _edge_source(M: QuiverRepModule, edge_name: str) -> str:
+    for e in M.rep.edges:
+        if e.name == edge_name:
+            return e.source
+    return M.rep.vertices[0]
 
 
 def split_epi_projective(M: FpModule) -> bool:

@@ -28,7 +28,7 @@ from finhom.cotorsion import (
     projective_pair,
 )
 from finhom.functors import lift_through, tor_n
-from finhom.kaplansky import KaplanskyConfig, flat_subcomplex_envelope
+from finhom.kaplansky import flat_subcomplex_envelope
 from finhom.linsolve import MatrixEquationSolver
 from finhom.model import (
     COF_THEN_TRIVFIB,
@@ -40,7 +40,7 @@ from finhom.model import (
     factor_map,
     model_structure,
 )
-from finhom.modules import FpModule, ModuleMap, ShortExactSeq, element_in_submodule
+from finhom.modules import FpModule, ModuleMap, ShortExactSeq
 from finhom.quiver import (
     QuiverEdge,
     QuiverRep,
@@ -51,7 +51,7 @@ from finhom.quiver import (
 )
 from finhom.report import Report
 from finhom.sampling import DeterministicSampler
-from helpers import ModuleSampler
+from helpers import ModuleSampler, element_in_submodule, element_is_zero
 from oracles import all_module_maps
 
 ZZ = Integers()
@@ -295,11 +295,10 @@ def _sample_exact_fx_pair(sampler):
 def test_criterion_6_flat_subcomplex_envelope():
     sampler = DeterministicSampler(6)
     cls = ObjectClass(ObjectClass.PROJECTIVE)
-    cfg = KaplanskyConfig(gamma=6, step_budget=64)
     failures = []
     for k in range(50):
         F, seeds = _sample_exact_fx_pair(sampler)
-        res = flat_subcomplex_envelope(F, seeds, cls, cfg)
+        res = flat_subcomplex_envelope(F, seeds, cls, gamma=6)
         S = res.subcomplex
         if not is_exact(S):
             failures.append((k, "not exact"))
@@ -439,11 +438,11 @@ def _all_additive_maps(Mv, Mw):
         lifted = m
         rel = Mv.relations.lift_to_integers()
         moved = lifted * rel
-        if all(Mw.element_is_zero(moved.col(j)) for j in range(moved.cols)):
+        if all(element_is_zero(Mw, moved.col(j)) for j in range(moved.cols)):
             src_ring = Mv.ring
             if src_ring.modulus is not None:
                 scaled = lifted.scale(src_ring.modulus)
-                if not all(Mw.element_is_zero(scaled.col(j))
+                if not all(element_is_zero(Mw, scaled.col(j))
                            for j in range(scaled.cols)):
                     continue
             yield m
@@ -475,7 +474,6 @@ def test_criterion_9_quiver():
                                            Mw.invariant_factors()))
     # witness revalidation on 50 seeded finite instances
     sampler = DeterministicSampler(9)
-    cfg = KaplanskyConfig(gamma=4, step_budget=400)
     witness_failures = []
     for k in range(50):
         ring = (Z6, Z4, IntegersModN(2))[sampler.randint(0, 2)]
@@ -486,7 +484,7 @@ def test_criterion_9_quiver():
         if sampler.randint(0, 1):
             seeds["v"] = Matrix.column(ring, [sampler.entry(ring)
                                               for _ in range(rank)])
-        w = quiver_kaplansky_witness(M, seeds, cfg)
+        w = quiver_kaplansky_witness(M, seeds)
         if not w.revalidate(M):
             witness_failures.append(k)
     ok = not mismatches and not witness_failures

@@ -173,14 +173,38 @@ def test_cli_entry_point_as_process(tmp_path):
 def test_cli_kaplansky_flags_only_where_read():
     ap = build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    for dest in ("gamma", "step_budget"):
+    for dest, where in (("gamma", {"kaplansky-filtrate", "envelope"}),
+                        ("step_budget", set())):
         takers = {name for name, p in sub.choices.items()
                   if any(a.dest == dest for a in p._actions)}
-        assert takers == {"kaplansky-filtrate", "envelope", "quiver-check"}
+        assert takers == where
     with pytest.raises(SystemExit) as exc:
         run_command(["model-check", "--gamma", "3", "--structure", "projective",
                      "--ring", "Z"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_command(["quiver-check", "--gamma", "3", "--workspace", "w.cl",
+                     "--repmodule", "M"])
+    assert exc.value.code == 2
+
+
+def test_cli_quiver_witness_over_integers(tmp_path):
+    ws = tmp_path / "q.cl"
+    ws.write_text("""\
+ring Z Z
+ring R6 Zmod 6
+quiver L vertices v:Z w:R6 edges e: v -> w ringmap [[1]]
+module V over Z gens 2 rels []
+module W over R6 gens 2 rels []
+map one : V -> V matrix [[1, 0], [0, 1]]
+repmodule M over L at v V at w W edge e one
+""")
+    code, report = run_command(["quiver-check", "--workspace", str(ws),
+                                "--repmodule", "M", "--witness"])
+    assert code == 0
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["cardinality"].witness == "infinite"
+    assert by_name["witness"].witness == "cardinality infinite"
 
 
 def test_cli_monoidal_sabotage():

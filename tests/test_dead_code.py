@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # called from tests only, on purpose
 TEST_ONLY = {
     "FpModule.cokernel_presentation",
-    "FpModule.element_is_zero",
     "Ring.is_field",
     "tensor_unit_iso",
     # coherence isomorphisms the invariant tests check

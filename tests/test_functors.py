@@ -18,7 +18,8 @@ from finhom.functors import (
     tensor_unit_iso,
     tor_n,
 )
-from finhom.modules import FpModule, ModuleMap, ShortExactSeq, element_in_submodule
+from finhom.modules import FpModule, ModuleMap, ShortExactSeq
+from helpers import element_in_submodule
 from oracles import all_module_maps, split_epi_projective
 
 ZZ = Integers()

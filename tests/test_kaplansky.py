@@ -21,7 +21,6 @@ from finhom.errors import FactorizationObstructedError, NotInClassError, Validat
 from finhom.kaplansky import (
     Cell,
     CellChain,
-    KaplanskyConfig,
     FiltrationChain,
     find_small_surjecting_sub,
     flat_subcomplex_envelope,
@@ -41,17 +40,17 @@ from finhom.model import (
 from finhom.modules import (
     FpModule,
     ModuleMap,
-    element_in_submodule,
     submodule,
     submodule_coordinates,
 )
 from finhom.sampling import DeterministicSampler
 from finhom.smith import snf
+from helpers import element_in_submodule
 from oracles import greedy_witness, pushout_oracle
 
 ZZ = Integers()
 Z6 = IntegersModN(6)
-CFG = KaplanskyConfig(gamma=3, step_budget=64)
+GAMMA = 3
 PROJ = ObjectClass(ObjectClass.PROJECTIVE)
 FLAT = ObjectClass(ObjectClass.FLAT)
 CLASSES = [ObjectClass(c) for c in (ObjectClass.ALL, ObjectClass.PROJECTIVE,
@@ -126,20 +125,20 @@ def test_kaplansky_filtration():
     # 0 -> Z^2 with projective class and gamma 1: coordinate filtration
     B = FpModule.free(ZZ, 2)
     zero_incl = ModuleMap(FpModule.zero(ZZ), B, Matrix.zero(ZZ, 2, 0), check=False)
-    chain = kaplansky_filtration(zero_incl, PROJ, KaplanskyConfig(gamma=1, step_budget=8))
+    chain = kaplansky_filtration(zero_incl, PROJ)
     assert chain.complete
     assert len(chain.steps) >= 1
     assert chain.revalidate(gamma=2)
 
     # A = B: length zero
     ident = ModuleMap.identity(B)
-    chain2 = kaplansky_filtration(ident, PROJ, CFG)
+    chain2 = kaplansky_filtration(ident, PROJ)
     assert chain2.complete and len(chain2.steps) == 0
 
     # over Z/6: single step for the free rank-1 module
     B6 = FpModule.free(Z6, 1)
     z6 = ModuleMap(FpModule.zero(Z6), B6, Matrix.zero(Z6, 1, 0), check=False)
-    chain3 = kaplansky_filtration(z6, FLAT, KaplanskyConfig(gamma=1, step_budget=8))
+    chain3 = kaplansky_filtration(z6, FLAT)
     assert chain3.complete
     assert len(chain3.steps) == 1
 
@@ -179,7 +178,7 @@ def test_filtration_of_a_large_free_module_over_z12():
     B = FpModule.free(R, 6)
     zero = ModuleMap(FpModule.zero(R), B, Matrix.zero(R, 6, 0), check=False)
     start = time.perf_counter()
-    chain = kaplansky_filtration(zero, PROJ, CFG)
+    chain = kaplansky_filtration(zero, PROJ)
     assert time.perf_counter() - start < 1.0
     assert chain.complete and chain.revalidate(1)
 
@@ -224,7 +223,7 @@ def test_witness_matches_the_greedy_oracle(data):
         if not cls.contains(F):
             continue
         w = kaplansky_witness(F, cls, seed)
-        oracle = greedy_witness(F, cls, seed, CFG)
+        oracle = greedy_witness(F, cls, seed, steps=64)
         assert w.revalidate(cls) and oracle.revalidate(cls)
         assert submodule_coordinates(F, w.inclusion.matrix, seed) is not None
         assert w.generator_count <= oracle.generator_count
@@ -236,7 +235,7 @@ def test_flat_subcomplex_envelope_seeded():
     # F = D^1(Z^2), X = the degree-0 submodule Z(1,0)
     F = disk(1, FpModule.free(ZZ, 2))
     seed = {0: Matrix.from_rows(ZZ, [[1], [0]])}
-    res = flat_subcomplex_envelope(F, seed, PROJ, CFG)
+    res = flat_subcomplex_envelope(F, seed, PROJ, GAMMA)
     S = res.subcomplex
     assert is_exact(S)
     assert res.inclusion.is_mono()
@@ -251,12 +250,12 @@ def test_flat_subcomplex_envelope_seeded():
 
 def test_flat_subcomplex_envelope_nonzero_requirement():
     F = disk(0, FpModule.free(ZZ, 1))
-    res = flat_subcomplex_envelope(F, {}, PROJ, CFG)
+    res = flat_subcomplex_envelope(F, {}, PROJ, GAMMA)
     assert not res.subcomplex.is_zero_complex()
 
     # X = F: envelope is everything
     full = {n: Matrix.identity(ZZ, F.module_at(n).gens) for n in F.support}
-    res2 = flat_subcomplex_envelope(F, full, PROJ, CFG)
+    res2 = flat_subcomplex_envelope(F, full, PROJ, GAMMA)
     for n in F.support:
         assert res2.subcomplex.module_at(n).invariant_factors() == \
             F.module_at(n).invariant_factors()
