@@ -62,6 +62,20 @@ complex X over R degrees 0..2 object 0 F object 1 F object 2 F diff 1 one diff 2
     assert "d o d" in str(exc.value)
 
 
+@pytest.mark.parametrize("use", [
+    "complex X over R degrees 0..1 object 0 F object 1 F diff 1 e",
+    "complex X over R degrees 0..1 object 0 F object 1 F\n"
+    "complex S over R degrees 0..0 object 0 M\n"
+    "chainmap f : X -> S comp 0 e",
+])
+def test_workspace_rejects_a_map_declared_on_other_modules(use):
+    # e has the shape of a map F -> F (and F -> M), but is declared on M
+    text = ("ring R Z\nmodule F over R gens 1 rels []\nmodule M over R gens 1 rels [[2]]\n"
+            "map e : M -> M matrix [[1]]\n" + use + "\n")
+    with pytest.raises(ValidationError, match="wrong endpoints"):
+        parse_workspace(text)
+
+
 def test_ring_from_name():
     assert ring_from_name("Z").modulus is None
     assert ring_from_name("Zmod6").modulus == 6
