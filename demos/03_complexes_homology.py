@@ -17,14 +17,13 @@ from finhom.complexes import (
     tensor_complexes,
 )
 from finhom.functors import ext_n
-from finhom.modules import FpModule, ModuleMap
+from finhom.modules import FpModule
 
 ZZ = Integers()
 Z1 = FpModule.free(ZZ, 1)
 
 print("== Homology ==")
-X = ChainComplex(ZZ, {1: Z1, 0: Z1},
-                 {1: ModuleMap(Z1, Z1, Matrix.from_rows(ZZ, [[2]]))})
+X = ChainComplex(ZZ, {1: Z1, 0: Z1}, {1: Matrix.from_rows(ZZ, [[2]])})
 print("the two-step complex Z --2--> Z has homology", homology_table(X))
 print("disks are contractible:", homology_table(disk(3, FpModule.cyclic(ZZ, 12))))
 print("spheres concentrate their module:", homology_table(sphere(2, FpModule.cyclic(ZZ, 4))))

@@ -18,7 +18,7 @@ from finhom.model import (
     factor_map,
     model_structure,
 )
-from finhom.modules import FpModule, ModuleMap
+from finhom.modules import FpModule
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -42,11 +42,8 @@ print("its cell certificate has", len(fact.cell_chain.cells),
 
 print("\n== Factorization in both modes ==")
 X = ChainComplex(ZZ, {1: FpModule.free(ZZ, 1), 0: FpModule.free(ZZ, 1)},
-                 {1: ModuleMap(FpModule.free(ZZ, 1), FpModule.free(ZZ, 1),
-                               Matrix.from_rows(ZZ, [[2]]))})
-f = ChainMap(X, sphere(0, FpModule.cyclic(ZZ, 2)),
-             {0: ModuleMap(FpModule.free(ZZ, 1), FpModule.cyclic(ZZ, 2),
-                           Matrix.from_rows(ZZ, [[1]]))})
+                 {1: Matrix.from_rows(ZZ, [[2]])})
+f = ChainMap(X, sphere(0, FpModule.cyclic(ZZ, 2)), {0: Matrix.from_rows(ZZ, [[1]])})
 for mode in (COF_THEN_TRIVFIB, TRIVCOF_THEN_FIB):
     fact = factor_map(f, mode, spec)
     print(f"{mode}: composite equals f: {fact.p.compose(fact.i).equals(f)}, "

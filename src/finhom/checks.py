@@ -70,14 +70,8 @@ from .sampling import DeterministicSampler
 def _direct_sum_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     src = ChainComplex.direct_sum(f.source, g.source)
     tgt = ChainComplex.direct_sum(f.target, g.target)
-    ring = f.ring
-    comps = {}
-    for n in src.support:
-        if tgt.module_at(n).gens == 0:
-            continue
-        block = Matrix.block_diagonal(
-            ring, [f.matrix_at(n), g.matrix_at(n)])
-        comps[n] = ModuleMap(src.module_at(n), tgt.module_at(n), block, check=False)
+    comps = {n: Matrix.block_diagonal(f.ring, [f.matrix_at(n), g.matrix_at(n)])
+             for n in src.objects if n in tgt.objects}
     return ChainMap(src, tgt, comps, check=False)
 
 

@@ -1,9 +1,17 @@
 """Bounded chain complexes of finitely presented modules.
 
-A complex stores its modules on a finite support interval [lo, hi] with
-differentials d_n: X_n -> X_{n-1}; d o d = 0 is checked on construction
-and zero ends are trimmed so equal supports are canonical.  Outside the
-support every degree is the zero module.
+A complex stores its modules on a finite support interval [lo, hi] and,
+by degree, the matrix of each differential d_n: X_n -> X_{n-1}; a chain
+map stores the matrix of each component f_n, and a homotopy that of
+each s_n: X_n -> Y_{n+1}.  The endpoints of every matrix are the
+modules the complex already holds, so no ``ModuleMap`` is kept: ``diff``
+and ``component_at`` build one on demand, and the library reads the
+matrices (``diff_matrix`` and ``matrix_at`` give a zero matrix for a
+missing one).  A checked construction verifies the ring and shape of
+every matrix, that it carries its source's relations into the target's
+relation span, and d o d = 0 or the commuting squares.  Zero ends are
+trimmed so equal supports are canonical.  Outside the support every
+degree is the zero module.
 
 Exactness is decided without building homology: ``is_exact`` asks in
 each degree whether the cycles lie in the boundaries plus the relations,
@@ -74,22 +82,37 @@ def _zero_module(ring: Ring) -> FpModule:
     return FpModule.zero(ring)
 
 
+def _check_maps(what: str, ring: Ring, maps: Dict[int, Matrix], source_at, target_at) -> None:
+    """Raise DimensionMismatchError unless every matrix of ``maps`` is over
+    ``ring`` and has the shape of a map source_at(n) -> target_at(n), and
+    ValidationError unless it carries the relations of source_at(n) into
+    the relation span of target_at(n)."""
+    for n, m in maps.items():
+        S, T = source_at(n), target_at(n)
+        if m.ring != ring:
+            raise DimensionMismatchError(f"{what} at degree {n} is over the wrong ring")
+        if (m.rows, m.cols) != (T.gens, S.gens):
+            raise DimensionMismatchError(
+                f"{what} at degree {n} must be {T.gens}x{S.gens}, got {m.rows}x{m.cols}")
+        if S.relations.cols and not T.columns_vanish(m * S.relations):
+            raise ValidationError(
+                f"{what} at degree {n} does not carry source relations into target relations")
+
+
 def _check_complex(ring: Ring, objects: Dict[int, FpModule],
-                   diffs: Dict[int, ModuleMap], dd_degrees) -> None:
-    """Raise ValidationError unless every module is over ``ring``, every
-    differential runs between the modules of its degrees, and
+                   diffs: Dict[int, Matrix], dd_degrees) -> None:
+    """Raise unless every module is over ``ring``, every differential is
+    a map between the modules of its degrees (``_check_maps``), and
     d_n o d_{n+1} = 0 for each n in ``dd_degrees``."""
     for n in sorted(objects):
         if objects[n].ring != ring:
             raise ValidationError(f"degree {n} module is over the wrong ring")
-    for n, d in diffs.items():
-        if d.source != objects[n] or d.target != objects[n - 1]:
-            raise ValidationError(f"differential at degree {n} has wrong endpoints")
+    _check_maps("differential", ring, diffs, objects.__getitem__, lambda n: objects[n - 1])
     for n in dd_degrees:
         dn = diffs.get(n)
         dn1 = diffs.get(n + 1)
         if dn is not None and dn1 is not None:
-            if not dn.compose(dn1).is_zero_map():
+            if not objects[n - 1].columns_vanish(dn * dn1):
                 raise ValidationError(f"d o d is nonzero at degree {n + 1}")
 
 
@@ -97,17 +120,18 @@ class ChainComplex:
     __slots__ = ("ring", "lo", "hi", "objects", "differentials")
 
     def __init__(self, ring: Ring, objects: Dict[int, FpModule],
-                 differentials: Dict[int, ModuleMap], check: bool = True):
+                 differentials: Dict[int, Matrix], check: bool = True):
+        """The complex with the given modules and differential matrices
+        d_n: X_n -> X_{n-1}.  Zero modules are dropped, and with them
+        every differential into or out of one.  ``check`` checks the
+        result as ``_check_complex`` does."""
         objects = {n: M for n, M in objects.items() if not M.is_zero_module()}
         if objects:
             lo = min(objects)
             hi = max(objects)
         else:
             lo, hi = 0, -1
-        diffs = {}
-        for n, d in differentials.items():
-            if lo < n <= hi and n in objects and (n - 1) in objects:
-                diffs[n] = d
+        diffs = {n: d for n, d in differentials.items() if n in objects and n - 1 in objects}
         if check:
             _check_complex(ring, objects, diffs, range(lo, hi + 1))
         object.__setattr__(self, "ring", ring)
@@ -126,17 +150,15 @@ class ChainComplex:
         return m if m is not None else _zero_module(self.ring)
 
     def diff(self, n: int) -> ModuleMap:
+        """d_n as a ModuleMap, built on demand."""
+        return ModuleMap(self.module_at(n), self.module_at(n - 1), self.diff_matrix(n),
+                         check=False)
+
+    def diff_matrix(self, n: int) -> Matrix:
+        """The matrix of d_n, a zero matrix where there is no differential."""
         d = self.differentials.get(n)
         if d is not None:
             return d
-        return ModuleMap.zero_map(self.module_at(n), self.module_at(n - 1))
-
-    def diff_matrix(self, n: int) -> Matrix:
-        """The matrix of d_n, a zero matrix where there is no differential;
-        unlike ``diff`` it builds no ModuleMap."""
-        d = self.differentials.get(n)
-        if d is not None:
-            return d.matrix
         return Matrix.zero(self.ring, self.module_at(n - 1).gens, self.module_at(n).gens)
 
     @property
@@ -151,13 +173,12 @@ class ChainComplex:
             isinstance(other, ChainComplex)
             and self.ring == other.ring
             and self.objects == other.objects
-            and {n: d.matrix for n, d in self.differentials.items()}
-            == {n: d.matrix for n, d in other.differentials.items()}
+            and self.differentials == other.differentials
         )
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.objects.items())),
-                     tuple(sorted((n, d.matrix) for n, d in self.differentials.items()))))
+                     tuple(sorted(self.differentials.items()))))
 
     def __repr__(self):
         if self.is_zero_complex():
@@ -189,20 +210,19 @@ def disk(n: int, M: FpModule) -> ChainComplex:
     """D^n(M): M in degrees n and n-1 with identity differential."""
     if M.is_zero_module():
         return ChainComplex.zero(M.ring)
-    return ChainComplex(
-        M.ring, {n: M, n - 1: M}, {n: ModuleMap.identity(M)}, check=False
-    )
+    return ChainComplex(M.ring, {n: M, n - 1: M}, {n: Matrix.identity(M.ring, M.gens)},
+                        check=False)
 
 
 def sphere_into_disk(n: int, M: FpModule) -> ChainMap:
     """The canonical mono S^{n-1}(M) -> D^n(M), checked as a chain map."""
-    return ChainMap(sphere(n - 1, M), disk(n, M), {n - 1: ModuleMap.identity(M)})
+    return ChainMap(sphere(n - 1, M), disk(n, M), {n - 1: Matrix.identity(M.ring, M.gens)})
 
 
 def disk_sphere_sequence(n: int, M: FpModule):
     """The canonical short exact sequence S^{n-1}(M) -> D^n(M) -> S^n(M)."""
     i = sphere_into_disk(n, M)
-    p = ChainMap(i.target, sphere(n, M), {n: ModuleMap.identity(M)})
+    p = ChainMap(i.target, sphere(n, M), {n: Matrix.identity(M.ring, M.gens)})
     return i, p
 
 
@@ -210,34 +230,29 @@ class ChainMap:
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components: Dict[int, ModuleMap], check: bool = True):
-        comps = {}
-        for n, f in components.items():
-            if f.source.is_zero_module() or f.target.is_zero_module():
-                continue
-            comps[n] = f
+                 components: Dict[int, Matrix], check: bool = True):
+        """The chain map with the given component matrices f_n: X_n -> Y_n.
+        A component into or out of a zero module is dropped.  With
+        ``check`` the rings must agree, every matrix must be a map
+        X_n -> Y_n (``_check_maps``), and f_{n-1} d_n - d'_n f_n must vanish
+        in Y_{n-1} in every degree."""
+        X, Y = source.objects, target.objects
+        comps = {n: f for n, f in components.items() if n in X and n in Y}
         if check:
-            for n, f in comps.items():
-                if f.source != source.module_at(n) or f.target != target.module_at(n):
-                    raise ValidationError(f"component at degree {n} has wrong endpoints")
-            lo = min(source.lo, target.lo)
-            hi = max(source.hi, target.hi)
-            for n in range(lo, hi + 1):
+            if source.ring != target.ring:
+                raise DimensionMismatchError("chain map between complexes over different rings")
+            _check_maps("component", source.ring, comps, X.__getitem__, Y.__getitem__)
+            for n in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
                 # f_{n-1} d_n = d'_n f_n; a composite through a missing
                 # component or differential is zero, and none is built
                 f1, d = comps.get(n - 1), source.differentials.get(n)
                 d1, f = target.differentials.get(n), comps.get(n)
-                left = f1.compose(d) if f1 is not None and d is not None else None
-                right = d1.compose(f) if d1 is not None and f is not None else None
+                left = f1 * d if f1 is not None and d is not None else None
+                right = d1 * f if d1 is not None and f is not None else None
                 if left is None and right is None:
                     continue
-                if left is None:
-                    ok = right.is_zero_map()
-                elif right is None:
-                    ok = left.is_zero_map()
-                else:
-                    ok = left.equals(right)
-                if not ok:
+                rest = right if left is None else left if right is None else left - right
+                if not Y[n - 1].columns_vanish(rest):
                     raise ValidationError(f"chain map does not commute with d at degree {n}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -251,17 +266,15 @@ class ChainMap:
         return self.source.ring
 
     def component_at(self, n: int) -> ModuleMap:
+        """f_n as a ModuleMap, built on demand."""
+        return ModuleMap(self.source.module_at(n), self.target.module_at(n),
+                         self.matrix_at(n), check=False)
+
+    def matrix_at(self, n: int) -> Matrix:
+        """The matrix of f_n, a zero matrix where there is no component."""
         f = self.components.get(n)
         if f is not None:
             return f
-        return ModuleMap.zero_map(self.source.module_at(n), self.target.module_at(n))
-
-    def matrix_at(self, n: int) -> Matrix:
-        """The matrix of f_n, a zero matrix where there is no component;
-        unlike ``component_at`` it builds no ModuleMap."""
-        f = self.components.get(n)
-        if f is not None:
-            return f.matrix
         return Matrix.zero(self.ring, self.target.module_at(n).gens,
                            self.source.module_at(n).gens)
 
@@ -269,7 +282,7 @@ class ChainMap:
 
     @staticmethod
     def identity(X: ChainComplex) -> "ChainMap":
-        return ChainMap(X, X, {n: ModuleMap.identity(X.module_at(n)) for n in X.support},
+        return ChainMap(X, X, {n: Matrix.identity(X.ring, M.gens) for n, M in X.objects.items()},
                         check=False)
 
     @staticmethod
@@ -283,32 +296,31 @@ class ChainMap:
             isinstance(other, ChainMap)
             and self.source == other.source
             and self.target == other.target
-            and {n: f.matrix for n, f in self.components.items()}
-            == {n: f.matrix for n, f in other.components.items()}
+            and self.components == other.components
         )
 
     def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted((n, f.matrix) for n, f in self.components.items()))))
+        return hash((self.source, self.target, tuple(sorted(self.components.items()))))
 
     def equals(self, other: "ChainMap") -> bool:
         """Equality as chain maps; a component only one side has must be zero."""
         if self.source != other.source or self.target != other.target:
             return False
-        mine, theirs = self.components, other.components
-        if not all(f.equals(theirs[n]) if n in theirs else f.is_zero_map()
+        Y, mine, theirs = self.target.objects, self.components, other.components
+        if not all(Y[n].columns_vanish(f - theirs[n] if n in theirs else f)
                    for n, f in mine.items()):
             return False
-        return all(f.is_zero_map() for n, f in theirs.items() if n not in mine)
+        return all(Y[n].columns_vanish(f) for n, f in theirs.items() if n not in mine)
 
     def is_zero_map(self) -> bool:
-        return all(f.is_zero_map() for f in self.components.values())
+        Y = self.target.objects
+        return all(Y[n].columns_vanish(f) for n, f in self.components.items())
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self o first; a degree where either map has no component is zero."""
         if first.target != self.source:
             raise DimensionMismatchError("chain map composition mismatch")
-        comps = {n: self.components[n].compose(f) for n, f in first.components.items()
+        comps = {n: self.components[n] * f for n, f in first.components.items()
                  if n in self.components}
         return ChainMap(first.source, self.target, comps, check=False)
 
@@ -331,12 +343,14 @@ class ChainMap:
 
     def is_mono(self) -> bool:
         # a missing component out of a nonzero module is zero, so not mono
-        return all(n in self.components and self.components[n].is_mono()
-                   for n in self.source.objects)
+        comps, Y = self.components, self.target.objects
+        return all(n in comps and M.columns_vanish(kernel_columns(comps[n], Y[n]))
+                   for n, M in self.source.objects.items())
 
     def is_epi(self) -> bool:
-        return all(n in self.components and self.components[n].is_epi()
-                   for n in self.target.objects)
+        comps = self.components
+        return all(n in comps and quotient(M, comps[n]).is_zero_module()
+                   for n, M in self.target.objects.items())
 
     def is_iso(self) -> bool:
         return self.is_mono() and self.is_epi()
@@ -352,17 +366,10 @@ class ChainMap:
     def cokernel_complex(self) -> ChainComplex:
         """The degreewise cokernel, presented on the target's generators
         in each degree, so the projection from the target is the identity
-        matrix degree by degree."""
-        ring = self.ring
+        matrix degree by degree and the differentials are the target's."""
         objs = {n: quotient(self.target.module_at(n), self.matrix_at(n))
                 for n in self.target.support}
-        diffs = {}
-        for n in self.target.support:
-            if n in objs and (n - 1) in objs and not objs[n].is_zero_module() \
-                    and not objs[n - 1].is_zero_module():
-                diffs[n] = ModuleMap(objs[n], objs[n - 1], self.target.diff_matrix(n),
-                                     check=False)
-        return ChainComplex(ring, objs, diffs, check=False)
+        return ChainComplex(self.ring, objs, self.target.differentials, check=False)
 
 
 # -- homology -----------------------------------------------------------------
@@ -394,9 +401,10 @@ def is_exact(X: ChainComplex) -> bool:
     it: unlike ``homology``, nothing here raises on a non-complex."""
     for n, Xn in X.objects.items():
         d, up = X.differentials.get(n), X.differentials.get(n + 1)
-        zgens = d.kernel_gens() if d is not None else Matrix.identity(X.ring, Xn.gens)
+        zgens = (kernel_columns(d, X.objects[n - 1]) if d is not None
+                 else Matrix.identity(X.ring, Xn.gens))
         if not (Xn.columns_vanish(zgens) if up is None
-                else subquotient_vanishes(Xn, zgens, up.matrix)):
+                else subquotient_vanishes(Xn, zgens, up)):
             return False
     return True
 
@@ -468,12 +476,9 @@ def _sum_complex(ring: Ring, pieces, links=()) -> ChainComplex:
         for a, b, maps, sign in edges:
             m = maps.get(n - pieces[a][1])
             if m is not None:
-                yield (offsets[n - 1][b], offsets[n][a],
-                       m.matrix if sign == 1 else m.matrix.scale(sign))
+                yield offsets[n - 1][b], offsets[n][a], m if sign == 1 else m.scale(sign)
 
-    diffs = {n: ModuleMap(objs[n], objs[n - 1],
-                          _place_blocks(ring, objs[n - 1].gens, objs[n].gens, blocks(n)),
-                          check=False)
+    diffs = {n: _place_blocks(ring, objs[n - 1].gens, objs[n].gens, blocks(n))
              for n in objs if (n - 1) in objs}
     return ChainComplex(ring, objs, diffs, check=False)
 
@@ -485,8 +490,7 @@ def _blockwise_chain_map(src: ChainComplex, tgt: ChainComplex, blocks_at) -> Cha
     for k in src.support:
         S, T = src.module_at(k), tgt.module_at(k)
         if S.gens and T.gens:
-            comps[k] = ModuleMap(S, T, _place_blocks(src.ring, T.gens, S.gens, blocks_at(k)),
-                                 check=False)
+            comps[k] = _place_blocks(src.ring, T.gens, S.gens, blocks_at(k))
     return ChainMap(src, tgt, comps)
 
 
@@ -516,9 +520,7 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
                     ring, X.module_at(i).gens).kronecker(Y.diff_matrix(j)).scale(
                     -1 if i % 2 else 1)
 
-    diffs = {k: ModuleMap(objs[k], objs[k - 1],
-                          _place_blocks(ring, objs[k - 1].gens, objs[k].gens, blocks(k)),
-                          check=False)
+    diffs = {k: _place_blocks(ring, objs[k - 1].gens, objs[k].gens, blocks(k))
              for k in objs if (k - 1) in objs}
     return ChainComplex(ring, objs, diffs)
 
@@ -655,22 +657,22 @@ def subcomplex_from_gens(X: ChainComplex, gens: Dict[int, Matrix]):
     objs = {}
     incls = {}
     for n, g in gens.items():
-        sub, incl = submodule(X.module_at(n), g)
+        sub, _ = submodule(X.module_at(n), g)
         if not sub.is_zero_module():
             objs[n] = sub
-            incls[n] = incl
+            incls[n] = g
     diffs = {}
     for n in sorted(objs):
-        moved = X.diff_matrix(n) * incls[n].matrix
+        moved = X.diff_matrix(n) * incls[n]
         if (n - 1) not in objs:
             # closure: image of d on the sub must be zero in X_{n-1}
             if not X.module_at(n - 1).columns_vanish(moved):
                 raise ValidationError("generators are not closed under d")
             continue
-        coords = submodule_coordinates(X.module_at(n - 1), incls[n - 1].matrix, moved)
+        coords = submodule_coordinates(X.module_at(n - 1), incls[n - 1], moved)
         if coords is None:
             raise ValidationError("generators are not closed under d")
-        diffs[n] = ModuleMap(objs[n], objs[n - 1], coords, check=False)
+        diffs[n] = coords
     S = ChainComplex(ring, objs, diffs)
     incl = ChainMap(S, X, incls, check=False)
     return S, incl
@@ -685,16 +687,13 @@ def _stacked_map(source: ChainComplex, target: ChainComplex, parts, *, into_sum:
     degree-n matrices of the chain maps ``parts``: one above another for
     a map into a direct sum, side by side for a map out of one.  The sum
     end may be a quotient presented on the sum's generators, as a pushout
-    is; ``check`` checks the components and the result."""
+    is; ``check`` checks the result as ``ChainMap`` does."""
     comps = {}
     for n in source.support:
         S, T = source.module_at(n), target.module_at(n)
         if S.gens and T.gens:
-            blocks = [p.components[n].matrix if n in p.components else
-                      Matrix.zero(source.ring, p.target.module_at(n).gens,
-                                  p.source.module_at(n).gens) for p in parts]
-            m = functools.reduce(Matrix.vstack if into_sum else Matrix.hstack, blocks)
-            comps[n] = ModuleMap(S, T, m, check=check)
+            comps[n] = functools.reduce(Matrix.vstack if into_sum else Matrix.hstack,
+                                        [p.matrix_at(n) for p in parts])
     return ChainMap(source, target, comps, check=check)
 
 
@@ -751,10 +750,9 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
         comps = {}
         for n, uv in uv_map.components.items():
             if n in P.objects:
-                mat = submodule_coordinates(S.module_at(n), incl.components[n].matrix,
-                                            uv.matrix)
+                mat = submodule_coordinates(S.module_at(n), incl.components[n], uv)
                 _certify(mat is not None, "pullback_chainmaps: the cone lands in the pullback")
-                comps[n] = ModuleMap(uv.source, P.objects[n], mat)
+                comps[n] = mat
         return ChainMap(u.source, P, comps)
 
     return P, proj_b, proj_c, universal
@@ -765,17 +763,16 @@ def pullback_chainmaps(f: ChainMap, g: ChainMap):
 
 @dataclass(frozen=True)
 class Homotopy:
-    """s with f = d s + s d, checked on construction."""
+    """s with f = d s + s d, checked on construction; every s_n must be a
+    map X_n -> Y_{n+1} (``_check_maps``)."""
 
     underlying: ChainMap
-    maps: Dict[int, ModuleMap]  # s_n: X_n -> Y_{n+1}
+    maps: Dict[int, Matrix]  # s_n: X_n -> Y_{n+1}
 
     def __post_init__(self):
         f = self.underlying
         X, Y = f.source, f.target
-        for n, s in self.maps.items():
-            if s.source != X.module_at(n) or s.target != Y.module_at(n + 1):
-                raise DimensionMismatchError(f"homotopy map at degree {n} has wrong endpoints")
+        _check_maps("homotopy map", f.ring, self.maps, X.module_at, lambda n: Y.module_at(n + 1))
         for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1):
             Yn = Y.module_at(n)
             if not (X.module_at(n).gens and Yn.gens):
@@ -784,9 +781,9 @@ class Homotopy:
             rest = f.matrix_at(n)
             sn, sn1 = self.maps.get(n), self.maps.get(n - 1)
             if sn is not None:
-                rest = rest - Y.diff_matrix(n + 1) * sn.matrix
+                rest = rest - Y.diff_matrix(n + 1) * sn
             if sn1 is not None:
-                rest = rest - sn1.matrix * X.diff_matrix(n)
+                rest = rest - sn1 * X.diff_matrix(n)
             if not Yn.columns_vanish(rest):
                 raise ValidationError(f"homotopy identity fails at degree {n}")
 
@@ -823,7 +820,7 @@ def graded_map_solver(X: ChainComplex, Y: ChainComplex, degree: int,
             if terms:
                 solver.add_equation(terms, Matrix.zero(ring, tgt.gens, src.gens),
                                     mod_relations=tgt.relations)
-        elif terms or not rhs.component_at(n).is_zero_map():
+        elif terms or not tgt.columns_vanish(rhs.matrix_at(n)):
             # with no unknowns, a nonzero rhs leaves the system unsolvable
             solver.add_equation(terms, rhs.matrix_at(n),
                                 mod_relations=tgt.relations)
@@ -851,13 +848,13 @@ def _chain_map_vectors(X: ChainComplex, Y: ChainComplex):
     plain, related = [], []
     for n, h in handles.items():
         if Y.module_at(n).relations.cols:
-            related.append(h)
+            related.append((Y.module_at(n), h))
         else:
             plain.append(slice(h.offset, h.offset + h.rows * h.cols))
 
     def nonzero(vec):
         return (any(any(vec[s]) for s in plain)
-                or not all(solver.value(vec, h).is_zero_map() for h in related))
+                or not all(Yn.columns_vanish(solver.value(vec, h)) for Yn, h in related))
 
     return solver, handles, [v for v in solver.solution_basis() if nonzero(v)]
 
@@ -926,7 +923,7 @@ def disk_cover(X: ChainComplex):
     def blocks(n):
         yield 0, 0, Matrix.identity(ring, X.module_at(n).gens)
         if (n + 1) in X.differentials:
-            yield 0, X.module_at(n).gens, X.differentials[n + 1].matrix
+            yield 0, X.module_at(n).gens, X.differentials[n + 1]
 
     c = _blockwise_chain_map(P, X, blocks)
     _certify(c.is_epi(), "disk_cover: the cover is degreewise epi")
@@ -946,7 +943,7 @@ def ext1_complexes(X: ChainComplex, Y: ChainComplex) -> FpModule:
     P2, c2 = disk_cover(K1)
     d2 = k1.compose(c2)
 
-    h0, g0 = chain_hom_module(P0, Y)
+    _, g0 = chain_hom_module(P0, Y)
     h1, g1 = chain_hom_module(P1, Y)
     h2, g2 = chain_hom_module(P2, Y)
 
@@ -963,9 +960,7 @@ def ext1_complexes(X: ChainComplex, Y: ChainComplex) -> FpModule:
             return Matrix.zero(X.ring, hom_tgt.gens, 0)
         return Matrix(X.ring, hom_tgt.gens, len(cols), [list(r) for r in zip(*cols)])
 
-    delta1_matrix = induced(g0, h1, g1, d1, P1)   # Hom(P0,Y) -> Hom(P1,Y)
-    delta1 = ModuleMap(h0, h1, delta1_matrix, check=False)
-    delta2_matrix = induced(g1, h2, g2, d2, P2)   # Hom(P1,Y) -> Hom(P2,Y)
-    delta2 = ModuleMap(h1, h2, delta2_matrix, check=False)
-    _certify(delta2.compose(delta1).is_zero_map(), "ext1_complexes: delta2 o delta1 = 0")
-    return subquotient(h1, delta2.kernel_gens(), delta1.matrix)
+    delta1 = induced(g0, h1, g1, d1, P1)   # Hom(P0,Y) -> Hom(P1,Y)
+    delta2 = induced(g1, h2, g2, d2, P2)   # Hom(P1,Y) -> Hom(P2,Y)
+    _certify(h2.columns_vanish(delta2 * delta1), "ext1_complexes: delta2 o delta1 = 0")
+    return subquotient(h1, kernel_columns(delta2, h2), delta1)

@@ -306,8 +306,7 @@ def induced_generating_monos(pair: CotorsionPairData, window) -> List[ChainMap]:
         for n in window:
             src = sphere(n, k.source)
             tgt = sphere(n, k.target)
-            comps = {n: k} if not k.source.is_zero_module() else {}
-            out.append(ChainMap(src, tgt, comps, check=False))
+            out.append(ChainMap(src, tgt, {n: k.matrix}, check=False))
     return out
 
 
@@ -433,6 +432,5 @@ def _sample_exact_left_complex(pair, rng):
     F2 = FpModule.free(ring, r2)
     hi = 3 if ring.modulus is None else ring.modulus
     m = Matrix(ring, r1, r2, [[rng.randrange(hi) for _ in range(r2)] for _ in range(r1)])
-    X = ChainComplex(ring, {lo + 1: F2, lo: F1},
-                     {lo + 1: ModuleMap(F2, F1, m, check=False)})
+    X = ChainComplex(ring, {lo + 1: F2, lo: F1}, {lo + 1: m})
     return cone(ChainMap.identity(X))

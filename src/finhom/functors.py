@@ -168,13 +168,6 @@ def tensor_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     return ModuleMap(src, tgt, f.matrix.kronecker(g.matrix), check=False)
 
 
-def tensor_unit_iso(M: FpModule) -> ModuleMap:
-    """The canonical isomorphism M tensor R -> M."""
-    R1 = FpModule.free(M.ring, 1)
-    src = tensor_modules(M, R1)
-    return ModuleMap(src, M, Matrix.identity(M.ring, M.gens), check=False)
-
-
 @lru_cache(maxsize=1 << 14)
 def is_projective(M: FpModule) -> bool:
     """Whether M is projective, read from its invariant factors.
@@ -278,7 +271,7 @@ def lift_through(f: ModuleMap, g: ModuleMap,
     solver.require_composite_equals(tproj, h_tilde, section.compose(p))
     sol = solver.solve()
     _certify(sol is not None, "lift_through: the pullback property gives the induced map")
-    n_tilde = solver.value(sol, h_tilde)
+    n_tilde = ModuleMap(B, Z, solver.value(sol, h_tilde), check=False)
 
     h = g_tilde.compose(n_tilde)
     _certify(h.compose(i).equals(f), "lift_through: the lift restricts to f")

@@ -563,8 +563,8 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
              "grow_cell_chain: the cells add free generators")
 
     mods: Dict[int, FpModule] = {}
-    diffs: Dict[int, ModuleMap] = {}
-    idents: Dict[int, ModuleMap] = {}
+    diffs: Dict[int, Matrix] = {}
+    idents: Dict[int, Matrix] = {}
     stages = [f.source]
     chain_cells: List[Cell] = []
     for j, (label, gen_mono, gen_cols) in enumerate(cells, 1):
@@ -580,7 +580,7 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
             diffs[n] = _stage_diff(F.differentials[n], mods[n], mods[n - 1])
         for n in {m for n in moved for m in (n - 1, n)}:
             if n in diffs and n + 1 in diffs:
-                _certify(mods[n - 1].columns_vanish(diffs[n].matrix * diffs[n + 1].matrix),
+                _certify(mods[n - 1].columns_vanish(diffs[n] * diffs[n + 1]),
                          "grow_cell_chain: d o d = 0 on every stage")
         stage = F if j == len(cells) else ChainComplex(ring, dict(mods), dict(diffs),
                                                        check=False)
@@ -588,11 +588,10 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
         comps = {}
         for n, M in prev.objects.items():
             if n in touched:
-                comps[n] = ModuleMap(M, mods[n], Matrix.identity(
-                    ring, old[n], below=new[n] - old[n]), check=False)
+                comps[n] = Matrix.identity(ring, old[n], below=new[n] - old[n])
             else:
                 if n not in idents:
-                    idents[n] = ModuleMap.identity(M)
+                    idents[n] = Matrix.identity(ring, M.gens)
                 comps[n] = idents[n]
         step = ChainMap(prev, stage, comps, check=False)
         S, D = gen_mono.source, gen_mono.target
@@ -603,10 +602,10 @@ def grow_cell_chain(f: ChainMap, cells) -> CellChain:
             elif (j - 1, k) in coords and k in prev.objects:
                 # the cell adds nothing in degree k, where the step is the identity
                 m = coords[j - 1, k]
-                attach_comps[k] = ModuleMap(S.module_at(k), prev.objects[k], m, check=False)
+                attach_comps[k] = m
             else:
                 continue
-            image_comps[k] = ModuleMap(D.module_at(k), mods[k], m, check=False)
+            image_comps[k] = m
         attaching = ChainMap(S, prev, attach_comps, check=False)
         image = ChainMap(D, stage, image_comps, check=False)
         chain_cells.append(Cell(gen_mono, attaching, step, image, label))
@@ -620,18 +619,16 @@ def _rows_vanish(A: Matrix, start: int, cols: Optional[int] = None) -> bool:
     return not any(any(row[:cols]) for row in A.entries[start:])
 
 
-def _stage_diff(d: ModuleMap, source: FpModule, target: FpModule) -> ModuleMap:
+def _stage_diff(d: Matrix, source: FpModule, target: FpModule) -> Matrix:
     """The block of the final stage's differential d on a stage's
     generator prefixes ``source`` and ``target``, with its closure
     certified: the rows of d past the target's generators vanish on the
     source's."""
-    m = d.matrix
-    if (m.rows, m.cols) == (target.gens, source.gens):
+    if (d.rows, d.cols) == (target.gens, source.gens):
         return d
-    _certify(_rows_vanish(m, target.gens, source.gens),
+    _certify(_rows_vanish(d, target.gens, source.gens),
              "grow_cell_chain: every stage is closed under d")
-    return ModuleMap(source, target, m.submatrix(range(target.gens), range(source.gens)),
-                     check=False)
+    return d.submatrix(range(target.gens), range(source.gens))
 
 
 def _literal_disk_sum(f: ChainMap, coker: ChainComplex) -> Optional[List[Tuple[int, list]]]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import Matrix
-from .modules import ModuleMap
 from .rings import Ring
 from .smith import eliminate
 
@@ -45,7 +44,6 @@ class Handle:
     """An unknown: its rows x cols entries sit column by column from
     ``offset`` on in every solution vector."""
 
-    index: int
     rows: int
     cols: int
     offset: int
@@ -55,26 +53,21 @@ class MatrixEquationSolver:
     def __init__(self, ring: Ring):
         self.ring = ring
         self._unknowns: list[Handle] = []
-        self._unknown_meta: list = []  # (source, target) for map unknowns, else None
         self._equations: list = []  # (terms, rhs Matrix) with exact equality
         self._total = 0  # entries of all unknowns, the length of a solution
 
     # -- unknowns ----------------------------------------------------------
 
-    def _add_unknown(self, rows: int, cols: int, meta) -> Handle:
-        h = Handle(len(self._unknowns), rows, cols, self._total)
+    def add_unknown_matrix(self, rows: int, cols: int) -> Handle:
+        h = Handle(rows, cols, self._total)
         self._unknowns.append(h)
-        self._unknown_meta.append(meta)
         self._total += rows * cols
         return h
 
-    def add_unknown_matrix(self, rows: int, cols: int) -> Handle:
-        return self._add_unknown(rows, cols, None)
-
     def add_unknown_map(self, source, target) -> Handle:
-        """Unknown ModuleMap source -> target; well-definedness on the
-        source relations is added automatically."""
-        h = self._add_unknown(target.gens, source.gens, (source, target))
+        """Unknown matrix of a map source -> target; well-definedness on
+        the source relations is added automatically."""
+        h = self.add_unknown_matrix(target.gens, source.gens)
         if source.relations.cols > 0:
             self.add_equation(
                 [(1, None, h, source.relations)],
@@ -164,13 +157,11 @@ class MatrixEquationSolver:
         A, _, _, _ = self._build()
         return eliminate(A, Matrix.zero(self.ring, A.rows, 0)).kernel_columns()
 
-    def value(self, vec, h: Handle):
-        """The value a solution vector gives the unknown h: a ModuleMap for
-        a map unknown, else a Matrix.  vec holds reduced entries, column
-        by column, so row i of h is every h.rows-th entry of its slice
-        from i on; nothing is read outside the slice."""
+    def value(self, vec, h: Handle) -> Matrix:
+        """The matrix a solution vector gives the unknown h.  vec holds
+        reduced entries, column by column, so row i of h is every
+        h.rows-th entry of its slice from i on; nothing is read outside
+        the slice."""
         part = vec[h.offset: h.offset + h.rows * h.cols]
-        m = Matrix._reduced(self.ring, h.rows, h.cols,
-                            tuple(part[i::h.rows] for i in range(h.rows)))
-        meta = self._unknown_meta[h.index]
-        return m if meta is None else ModuleMap(meta[0], meta[1], m, check=False)
+        return Matrix._reduced(self.ring, h.rows, h.cols,
+                               tuple(part[i::h.rows] for i in range(h.rows)))

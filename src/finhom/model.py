@@ -73,7 +73,7 @@ from .errors import (
 from .functors import free_resolution
 from .kaplansky import CellChain, disk_cell, grow_cell_chain, icell_decompose
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap, _certify, submodule, submodule_coordinates
+from .modules import FpModule, _certify, submodule, submodule_coordinates
 from .rings import Ring
 from .smith import kernel_basis
 
@@ -262,9 +262,7 @@ def _factor_cof_trivfib(f: ChainMap, spec: ModelStructureSpec) -> Factorization:
     else:
         # Cyl ->> C is the identity matrix in every degree
         quot = ChainMap(data.complex, C, {
-            n: ModuleMap(data.complex.module_at(n), C.module_at(n),
-                         Matrix.identity(C.ring, C.module_at(n).gens), check=False)
-            for n in C.support}, check=False)
+            n: Matrix.identity(C.ring, M.gens) for n, M in C.objects.items()}, check=False)
         T, t = ce_trivial_fibration(C, spec)
         P, proj_cyl, proj_t, universal = pullback_chainmaps(quot, t)
         # X lands in the pullback via (front, 0): quot kills the front copy
@@ -342,12 +340,10 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
     # corestrictions Y_n ->> B_{n-1}
     for n in Y.support:
         if (n - 1) in datums:
-            d = Y.diff(n)
-            Bprev = datums[n - 1]["B"]
             prev_gens = datums[n - 1]["zincl"].matrix * datums[n - 1]["binclz"].matrix
-            cor = submodule_coordinates(Y.module_at(n - 1), prev_gens, d.matrix)
+            cor = submodule_coordinates(Y.module_at(n - 1), prev_gens, Y.diff_matrix(n))
             _certify(cor is not None, "ce_trivial_fibration: differentials land in boundaries")
-            datums[n]["cor"] = ModuleMap(Y.module_at(n), Bprev, cor, check=False)
+            datums[n]["cor"] = cor
 
     # free resolutions and horseshoe splices per degree
     for n in Y.support:
@@ -380,8 +376,7 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         deltaY = dat["deltaZ"]
         if prev is not None:
             # lift PB0(n-1) generators through the corestriction
-            cor = dat["cor"]
-            liftB = submodule_coordinates(cor.target, cor.matrix, prev["epsB"].matrix)
+            liftB = submodule_coordinates(prev["B"], dat["cor"], prev["epsB"].matrix)
             _certify(liftB is not None,
                      "ce_trivial_fibration: the corestriction reaches every generator")
             epsY = epsY.hstack(liftB)
@@ -400,9 +395,7 @@ def ce_trivial_fibration(Y: ChainComplex, spec: ModelStructureSpec):
         C for n in reversed(Y.support)
         for C in (disk(n + 1, datums[n][f"PB{j}"]), sphere(n, datums[n][f"PH{j}"]))])
         for j in (0, 1))
-    delta = ChainMap(PY1, PY0, {n: ModuleMap(PY1.module_at(n), PY0.module_at(n),
-                                             datums[n]["deltaY"], check=False)
-                                for n in Y.support}, check=False)
+    delta = ChainMap(PY1, PY0, {n: datums[n]["deltaY"] for n in Y.support}, check=False)
     T = _sum_complex(ring, [(PY0, 0, 1), (PY1, 1, -1)], [(1, 0, delta, 1)])
     _check_complex(ring, T.objects, T.differentials, T.support)
     t = _blockwise_chain_map(T, Y, lambda m: [(0, 0, datums[m]["epsY"])])
@@ -455,8 +448,9 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
     """A diagonal h with h i = top and p h = bottom, found by one global
     linear solve; preconditions per the lifting axiom are enforced.
 
-    ``flags`` are the flags of i and p as ``classify_map`` gives them, for a caller that already holds them; by default they
-    are computed here."""
+    ``flags`` are the flags of i and p as ``classify_map`` gives them,
+    for a caller that already holds them; by default they are computed
+    here."""
     if flags is None:
         flags = (classify_map(prob.i, spec), classify_map(prob.p, spec))
     flags_i, flags_p = flags
@@ -477,7 +471,7 @@ def solve_lifting(prob: LiftProblem, spec: ModelStructureSpec,
             solver.add_equation(terms, prob.top.matrix_at(n),
                                 mod_relations=Xc.module_at(n).relations)
         elif src.gens:
-            _certify(prob.top.component_at(n).is_zero_map(),
+            _certify(Xc.module_at(n).columns_vanish(prob.top.matrix_at(n)),
                      "solve_lifting: a constraint without unknowns is zero")
         # p h = bottom
         if B.module_at(n).gens and prob.p.target.module_at(n).gens:

@@ -72,11 +72,6 @@ class FpModule:
         return FpModule(ring, 1, Matrix.from_rows(ring, [[d]]))
 
     @staticmethod
-    def cokernel_presentation(A: Matrix) -> "FpModule":
-        """The module presented by relation matrix A (one relation per column)."""
-        return FpModule(A.ring, A.rows, A)
-
-    @staticmethod
     def direct_sum(*summands: "FpModule") -> "FpModule":
         if not summands:
             raise ValueError("need at least one summand")
@@ -467,7 +462,7 @@ def find_map_with(source: FpModule, target: FpModule,
     sol = solver.solve()
     if sol is None:
         return None
-    out = solver.value(sol, h)
+    out = ModuleMap(source, target, solver.value(sol, h), check=False)
     if post_compose is not None:
         _certify(post_compose[0].compose(out).equals(post_compose[1]),
                  "find_map_with: g o h = c")
@@ -506,15 +501,15 @@ def hom_module(M: FpModule, N: FpModule):
 
     solver = MatrixEquationSolver(ring)
     s = solver.add_unknown_map(M, N)
-    gens_maps = [solver.value(b, s) for b in solver.solution_basis()]
-    if not gens_maps:
+    gens = [solver.value(b, s) for b in solver.solution_basis()]
+    if not gens:
         return FpModule.zero(ring), []
     # relations: coefficient vectors making the combination the zero map
-    K = kernel_basis(combination_system(ring, [g.matrix.vec() for g in gens_maps],
+    K = kernel_basis(combination_system(ring, [g.vec() for g in gens],
                                         [N.relations] * M.gens))
-    rel = K.submatrix(range(len(gens_maps)), range(K.cols))
-    H = FpModule(ring, len(gens_maps), rel)
-    return H, gens_maps
+    rel = K.submatrix(range(len(gens)), range(K.cols))
+    H = FpModule(ring, len(gens), rel)
+    return H, [ModuleMap(M, N, g, check=False) for g in gens]
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,21 @@ class QuiverWitness:
     cardinality: Optional[int]
 
     def revalidate(self, ambient: QuiverRepModule) -> bool:
+        """Whether ``sub`` and ``quotient`` are the span of ``gens`` in
+        ``ambient`` and the ambient modulo it, and both are flat and
+        quasi-coherent.  False, not an error, where ``gens`` does not fit
+        the ambient: other vertices, rings or lengths, or spans that its
+        edges carry outside them."""
+        if set(self.gens) != set(ambient.rep.vertices) or any(
+                g.ring != ambient.rep.ring_at(v) or g.rows != ambient.module_at(v).gens
+                for v, g in self.gens.items()):
+            return False
+        try:
+            sub = sub_rep_module(ambient, self.gens)
+        except ValidationError:
+            return False
+        if sub != self.sub or quotient_rep_module(ambient, self.gens) != self.quotient:
+            return False
         ok_sub = is_flat_rep_module(self.sub) and is_quasi_coherent(self.sub)[0]
         ok_quot = is_flat_rep_module(self.quotient) and \
             is_quasi_coherent(self.quotient)[0]

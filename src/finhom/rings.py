@@ -89,12 +89,6 @@ class Ring:
         return self.modulus is not None
 
     @property
-    def is_field(self) -> bool:
-        return self.kind == Ring.PRIME_FIELD or (
-            self.kind == Ring.MOD_N and _is_prime(self.modulus)
-        )
-
-    @property
     def is_quasi_frobenius(self) -> bool:
         """Self-injective rings where projective = injective: Z/n and F_p."""
         return self.modulus is not None

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, _chain_map_vectors
 from .matrix import Matrix
-from .modules import FpModule, ModuleMap
+from .modules import FpModule
 from .rings import Ring
 from .smith import kernel_basis
 
@@ -77,7 +77,7 @@ class DeterministicSampler:
                                      for idx, a in enumerate(combo)]
                     rows.append(combo)
                 m = Matrix(ring, tgt.gens, src.gens, rows)
-            diffs[n] = ModuleMap(src, tgt, m, check=False)
+            diffs[n] = m
             prev_d = m
         return ChainComplex(ring, objs, diffs)
 

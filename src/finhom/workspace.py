@@ -243,6 +243,15 @@ def _parse_map(ws: Workspace, t: _Tokens):
     ws.order.append(("map", name))
 
 
+def _check_endpoints(what: str, maps: Dict[int, ModuleMap], source_at, target_at):
+    """Raise ValidationError unless each declared map runs from
+    source_at(n) to target_at(n): a complex or chain map is built from
+    the maps' matrices alone."""
+    for n, f in maps.items():
+        if (f.source, f.target) != (source_at(n), target_at(n)):
+            raise ValidationError(f"{what} at degree {n} has wrong endpoints")
+
+
 def _parse_complex(ws: Workspace, t: _Tokens):
     name = t.word()
     _fresh(ws, ws.complexes, name, t)
@@ -267,8 +276,12 @@ def _parse_complex(ws: Workspace, t: _Tokens):
     for n in objects:
         if not lo <= n <= hi:
             raise t.error(f"object degree {n} outside the declared range")
+    # a differential into or out of a zero module is dropped unread
+    nonzero = {n for n, M in objects.items() if not M.is_zero_module()}
+    diffs = {n: d for n, d in diffs.items() if n in nonzero and n - 1 in nonzero}
     try:
-        ws.complexes[name] = ChainComplex(ring, objects, diffs)
+        _check_endpoints("differential", diffs, objects.get, lambda n: objects[n - 1])
+        ws.complexes[name] = ChainComplex(ring, objects, {n: d.matrix for n, d in diffs.items()})
     except ValidationError as exc:
         raise ValidationError(f"complex {name!r}: {exc}")
     ws.order.append(("complex", name))
@@ -286,8 +299,12 @@ def _parse_chainmap(ws: Workspace, t: _Tokens):
         t.keyword("comp")
         n = t.integer()
         comps[n] = _lookup(ws.maps, t.word(), "map", t)
+    # a component into or out of a zero module is dropped unread
+    comps = {n: f for n, f in comps.items()
+             if not (f.source.is_zero_module() or f.target.is_zero_module())}
     try:
-        ws.chainmaps[name] = ChainMap(src, tgt, comps)
+        _check_endpoints("component", comps, src.module_at, tgt.module_at)
+        ws.chainmaps[name] = ChainMap(src, tgt, {n: f.matrix for n, f in comps.items()})
     except ValidationError as exc:
         raise ValidationError(f"chainmap {name!r}: {exc}")
     ws.order.append(("chainmap", name))
@@ -401,7 +418,6 @@ def _ring_text(r: Ring) -> str:
 def serialize_workspace(ws: Workspace) -> str:
     ring_names = {v: k for k, v in ws.rings.items()}
     module_names = {id(v): k for k, v in ws.modules.items()}
-    map_names = {id(v): k for k, v in ws.maps.items()}
     lines = []
 
     def module_name(M, context):
@@ -414,8 +430,6 @@ def serialize_workspace(ws: Workspace) -> str:
         raise ValidationError(f"{context}: module is not declared in the workspace")
 
     def map_name(f, context):
-        if id(f) in map_names:
-            return map_names[id(f)]
         for name, mp in ws.maps.items():
             if mp == f:
                 return name
@@ -440,7 +454,7 @@ def serialize_workspace(ws: Workspace) -> str:
                 if X.module_at(n).gens:
                     bits.append(f"object {n} {module_name(X.module_at(n), name)}")
             for n in sorted(X.differentials):
-                bits.append(f"diff {n} {map_name(X.differentials[n], name)}")
+                bits.append(f"diff {n} {map_name(X.diff(n), name)}")
             lines.append(" ".join(bits))
         elif kind == "chainmap":
             f = ws.chainmaps[name]
@@ -448,7 +462,7 @@ def serialize_workspace(ws: Workspace) -> str:
             tgt = _complex_name(ws, f.target, name)
             bits = [f"chainmap {name} : {src} -> {tgt}"]
             for n in sorted(f.components):
-                bits.append(f"comp {n} {map_name(f.components[n], name)}")
+                bits.append(f"comp {n} {map_name(f.component_at(n), name)}")
             lines.append(" ".join(bits))
         elif kind == "quiver":
             q = ws.quivers[name]

@@ -17,12 +17,16 @@ itself never needs.
   ``map_factorization`` the kernel, image and cokernel of a module map
   with exactness certified, and ``find_retraction`` a retraction of a
   module map when one exists.
+* ``cokernel_presentation`` is the module a relation matrix presents,
+  ``is_field`` whether a ring is a field, and ``tensor_unit_iso`` the
+  canonical isomorphism M (x) R -> M.
 """
 
 from typing import Optional, Sequence
 
 from finhom.complexes import ChainComplex
 from finhom.errors import ParseError, UnsupportedRingError
+from finhom.functors import tensor_modules
 from finhom.matrix import Matrix
 from finhom.modules import (
     FpModule,
@@ -34,7 +38,7 @@ from finhom.modules import (
     submodule_coordinates,
 )
 from finhom.report import FORMAT_HEADER, Report
-from finhom.rings import Ring
+from finhom.rings import Ring, _is_prime
 from finhom.sampling import DeterministicSampler
 
 
@@ -51,7 +55,7 @@ class ModuleSampler(DeterministicSampler):
         for _ in range(64):
             g = self.rng.randint(1, max_gens)
             r = self.rng.randint(0, max_gens)
-            M = FpModule.cokernel_presentation(
+            M = cokernel_presentation(
                 Matrix(ring, g, r, [[self.entry(ring) for _ in range(r)]
                                     for _ in range(g)]))
             if max_size is None or (M.size() or 0) <= max_size:
@@ -168,3 +172,19 @@ def find_retraction(i: ModuleMap) -> Optional[ModuleMap]:
     """r with r o i = id on the source, or None."""
     return find_map_with(i.target, i.source,
                          pre_compose=(i, ModuleMap.identity(i.source)))
+
+
+def cokernel_presentation(A: Matrix) -> FpModule:
+    """The module presented by relation matrix A (one relation per column)."""
+    return FpModule(A.ring, A.rows, A)
+
+
+def is_field(ring: Ring) -> bool:
+    return ring.kind == Ring.PRIME_FIELD or (
+        ring.kind == Ring.MOD_N and _is_prime(ring.modulus))
+
+
+def tensor_unit_iso(M: FpModule) -> ModuleMap:
+    """The canonical isomorphism M tensor R -> M."""
+    src = tensor_modules(M, FpModule.free(M.ring, 1))
+    return ModuleMap(src, M, Matrix.identity(M.ring, M.gens), check=False)

@@ -185,22 +185,19 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
         top = FpModule.direct_sum(Q.module_at(n + 1), free_k)
         objs[n + 1] = top
         diffs = dict(Q.differentials)
-        diffs[n + 1] = ModuleMap(top, Q.module_at(n),
-                                 Q.diff(n + 1).matrix.hstack(z), check=False)
+        diffs[n + 1] = Q.diff(n + 1).matrix.hstack(z)
         if (n + 2) in Q.differentials:
             up = Q.diff(n + 2)
-            diffs[n + 2] = ModuleMap(up.source, top, up.matrix.vstack(
-                Matrix.zero(ring, z.cols, up.source.gens)), check=False)
+            diffs[n + 2] = up.matrix.vstack(Matrix.zero(ring, z.cols, up.source.gens))
         Q2 = ChainComplex(ring, objs, diffs)
         icomps = {}
         for m in Q.support:
             qm = Q.module_at(m)
             if m == n + 1:
-                icomps[m] = ModuleMap(qm, top, Matrix.identity(ring, qm.gens).vstack(
-                    Matrix.zero(ring, z.cols, qm.gens)), check=False)
+                icomps[m] = Matrix.identity(ring, qm.gens).vstack(
+                    Matrix.zero(ring, z.cols, qm.gens))
             elif qm.gens:
-                icomps[m] = ModuleMap(qm, Q2.module_at(m),
-                                      Matrix.identity(ring, qm.gens), check=False)
+                icomps[m] = Matrix.identity(ring, qm.gens)
         step = ChainMap(Q, Q2, icomps, check=False)
         pcomps = {}
         for m in Q2.support:
@@ -208,8 +205,7 @@ def soa_factor_map(f: ChainMap, mode: str, spec: ModelStructureSpec,
             if m == n + 1 and Y.module_at(m).gens:
                 pm = pm.hstack(Matrix.zero(ring, Y.module_at(m).gens, z.cols))
             if Y.module_at(m).gens:
-                pcomps[m] = ModuleMap(Q2.module_at(m), Y.module_at(m), pm,
-                                      check=False)
+                pcomps[m] = pm
         i = step.compose(i)
         p = ChainMap(Q2, Y, pcomps)
         Q = Q2

@@ -51,7 +51,7 @@ from finhom.quiver import (
 )
 from finhom.report import Report
 from finhom.sampling import DeterministicSampler
-from helpers import ModuleSampler, element_in_submodule, element_is_zero
+from helpers import ModuleSampler, cokernel_presentation, element_in_submodule, element_is_zero
 from oracles import all_module_maps
 
 ZZ = Integers()
@@ -126,8 +126,9 @@ def _random_lift_instance(sampler):
             for sol in basis:
                 c = sampler.randint(0, 5)
                 if c:
-                    f = f + solver.value(sol, hf).scale(c)
-                    g = g + solver.value(sol, hg).scale(c)
+                    f = f + ModuleMap(top.sub, L, solver.value(sol, hf), check=False).scale(c)
+                    g = g + ModuleMap(B, bottom.quotient_module, solver.value(sol, hg),
+                                      check=False).scale(c)
         return f, g, top, bottom
 
 
@@ -421,7 +422,7 @@ def _enumerate_torsion_z_modules(max_size=36):
         for d in tup:
             total *= d
         if total <= max_size:
-            out.append(FpModule.cokernel_presentation(
+            out.append(cokernel_presentation(
                 Matrix.diagonal(ZZ, len(tup), len(tup), list(tup))))
     return out
 

@@ -11,7 +11,7 @@ from finhom.cli import build_parser, main, run_command
 from finhom.errors import ParseError, ValidationError
 from finhom.report import FORMAT_HEADER, Report
 from finhom.workspace import parse_workspace, ring_from_name, serialize_workspace
-from helpers import report_from_machine
+from helpers import is_field, report_from_machine
 
 WORKSPACE = """\
 # a small workspace
@@ -79,7 +79,7 @@ def test_workspace_rejects_a_map_declared_on_other_modules(use):
 def test_ring_from_name():
     assert ring_from_name("Z").modulus is None
     assert ring_from_name("Zmod6").modulus == 6
-    assert ring_from_name("Fp3").is_field
+    assert is_field(ring_from_name("Fp3"))
     with pytest.raises(ParseError):
         ring_from_name("Q")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,11 +29,18 @@ from finhom.complexes import (
     tensor_chain_maps,
     tensor_complexes,
 )
-from finhom.errors import ValidationError
+from finhom.errors import DimensionMismatchError, ValidationError
 from finhom.functors import ext_n, tensor_modules
+from finhom.model import (
+    COF_THEN_TRIVFIB,
+    PROJECTIVE_STRUCTURE,
+    ce_trivial_fibration,
+    factor_map,
+    model_structure,
+)
 from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
-from helpers import boundaries
+from helpers import boundaries, cokernel_presentation
 from oracles import chain_hom_gens_oracle
 
 ZZ = Integers()
@@ -46,7 +54,7 @@ def zmod(d):
 def two_step():
     # Z --2--> Z in degrees 1, 0
     Z1 = FpModule.free(ZZ, 1)
-    d = ModuleMap(Z1, Z1, Matrix.from_rows(ZZ, [[2]]))
+    d = Matrix.from_rows(ZZ, [[2]])
     return ChainComplex(ZZ, {1: Z1, 0: Z1}, {1: d})
 
 
@@ -76,7 +84,7 @@ def test_is_exact():
 
 def test_dd_zero_validation():
     Z1 = FpModule.free(ZZ, 1)
-    one = ModuleMap(Z1, Z1, Matrix.from_rows(ZZ, [[1]]))
+    one = Matrix.from_rows(ZZ, [[1]])
     with pytest.raises(Exception):
         ChainComplex(ZZ, {2: Z1, 1: Z1, 0: Z1}, {2: one, 1: one})
 
@@ -160,7 +168,7 @@ def _random_free_complex(rng, ring, hi, max_len=3, max_rank=2):
                              for i, a in enumerate(combo)]
                 rows.append(combo)
             m = Matrix(ring, tgt.gens, src.gens, rows)
-        diffs[n] = ModuleMap(src, tgt, m, check=False)
+        diffs[n] = m
         prev_d = m
     # fix: differentials were chosen downward; rebuild honoring d o d = 0
     return ChainComplex(ring, objs, diffs)
@@ -192,8 +200,7 @@ def test_cone_and_quasi_iso():
     X = two_step()
     S = sphere(0, zmod(2))
     # the quotient map X -> S^0(Z/2) is a quasi-isomorphism
-    q = ChainMap(X, S, {0: ModuleMap(FpModule.free(ZZ, 1), zmod(2),
-                                     Matrix.from_rows(ZZ, [[1]]))})
+    q = ChainMap(X, S, {0: Matrix.from_rows(ZZ, [[1]])})
     assert is_quasi_iso(q)
     assert not is_quasi_iso(ChainMap.zero_map(X, S))
 
@@ -201,8 +208,7 @@ def test_cone_and_quasi_iso():
 def test_cylinder_factorization_shape():
     X = two_step()
     Y = sphere(0, zmod(2))
-    f = ChainMap(X, Y, {0: ModuleMap(FpModule.free(ZZ, 1), zmod(2),
-                                     Matrix.from_rows(ZZ, [[1]]))})
+    f = ChainMap(X, Y, {0: Matrix.from_rows(ZZ, [[1]])})
     data = cylinder(f)
     assert data.projection.compose(data.front).equals(f)
     assert data.front.is_mono()
@@ -226,7 +232,7 @@ def test_pushout_pullback():
     # pushout of the identity along g is the target of g
     X = two_step()
     g = ChainMap(X, sphere(0, zmod(2)),
-                 {0: ModuleMap(FpModule.free(ZZ, 1), zmod(2), Matrix.from_rows(ZZ, [[1]]))})
+                 {0: Matrix.from_rows(ZZ, [[1]])})
     P2, ib2, ic2, _ = pushout_chainmaps(ChainMap.identity(X), g)
     for n in P2.support:
         assert P2.module_at(n).is_isomorphic_to(g.target.module_at(n))
@@ -234,7 +240,7 @@ def test_pushout_pullback():
     # pushout of a mono is a mono, and cokernels are preserved
     i, p = disk_sphere_sequence(1, FpModule.free(ZZ, 1))
     along = ChainMap(i.source, sphere(0, zmod(3)),
-                     {0: ModuleMap(FpModule.free(ZZ, 1), zmod(3), Matrix.from_rows(ZZ, [[1]]))})
+                     {0: Matrix.from_rows(ZZ, [[1]])})
     P3, inj_b, inj_c, univ3 = pushout_chainmaps(i, along)
     assert inj_c.is_mono()
     Ccok = inj_c.cokernel_complex()
@@ -244,9 +250,9 @@ def test_pushout_pullback():
 
     # pullback of epis stays epi on the relevant side
     q1 = ChainMap(B, sphere(0, zmod(2)),
-                  {0: ModuleMap(zmod(4), zmod(2), Matrix.from_rows(ZZ, [[1]]))})
+                  {0: Matrix.from_rows(ZZ, [[1]])})
     q2 = ChainMap(sphere(0, FpModule.free(ZZ, 1)), sphere(0, zmod(2)),
-                  {0: ModuleMap(FpModule.free(ZZ, 1), zmod(2), Matrix.from_rows(ZZ, [[1]]))})
+                  {0: Matrix.from_rows(ZZ, [[1]])})
     PB, pb1, pb2, _ = pullback_chainmaps(q1, q2)
     assert pb2.is_epi()  # pullback of the epi q1
 
@@ -267,7 +273,7 @@ def test_subcomplex_from_gens_checks_dd():
     # d o d != 0: the subcomplex on degrees 1, 0 is a complex, the one
     # on all three degrees is refused
     Z1 = FpModule.free(ZZ, 1)
-    one = ModuleMap(Z1, Z1, Matrix.from_rows(ZZ, [[1]]))
+    one = Matrix.from_rows(ZZ, [[1]])
     X = ChainComplex(ZZ, {2: Z1, 1: Z1, 0: Z1}, {2: one, 1: one}, check=False)
     gens = {1: Matrix.from_rows(ZZ, [[1]]), 0: Matrix.from_rows(ZZ, [[1]])}
     S1, _ = subcomplex_from_gens(X, gens)
@@ -319,8 +325,7 @@ def test_chain_hom_gens_match_the_oracle(ring, seed, related):
         # maps into a module with relations are zero-tested by columns_vanish
         Y = ChainComplex.direct_sum(Y, sphere(Y.lo, _with_relations(ring)))
     got, want = chain_hom_gens(X, Y), chain_hom_gens_oracle(X, Y)
-    assert ([{n: f.matrix for n, f in g.components.items()} for g in got]
-            == [{n: f.matrix for n, f in g.components.items()} for g in want])
+    assert [g.components for g in got] == [g.components for g in want]
 
 
 def test_sampled_chain_map_builds_one_chain_map(monkeypatch):
@@ -354,9 +359,97 @@ def _commutes_reference(X, Y, comps):
                for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1))
 
 
+# a matrix where a map M -> Z is due, M = Z or Z/2, and the error it must raise
+_BAD_MATRICES = {
+    "shape": (FpModule.free(ZZ, 1), Matrix.from_rows(ZZ, [[1], [1]]), DimensionMismatchError),
+    "ring": (FpModule.free(ZZ, 1), Matrix.from_rows(Z4, [[1]]), DimensionMismatchError),
+    "relations": (zmod(2), Matrix.from_rows(ZZ, [[1]]), ValidationError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MATRICES))
+def test_checked_constructors_reject_a_bad_matrix(kind):
+    M, bad, error = _BAD_MATRICES[kind]
+    R1 = FpModule.free(ZZ, 1)
+    with pytest.raises(error):
+        ChainComplex(ZZ, {1: M, 0: R1}, {1: bad})
+    with pytest.raises(error):
+        ChainMap(sphere(0, M), sphere(0, R1), {0: bad})
+    with pytest.raises(error):
+        Homotopy(ChainMap.zero_map(sphere(0, M), disk(1, R1)), {0: bad})
+
+
+def _matrices_of(*values):
+    """Every differential, component and homotopy map the values hold,
+    looking inside complexes, chain maps, dataclasses (cell chains and
+    their cells, cylinders, homotopies), lists and tuples."""
+    for v in values:
+        if isinstance(v, ChainComplex):
+            yield from v.differentials.values()
+        elif isinstance(v, ChainMap):
+            yield from v.components.values()
+            yield from _matrices_of(v.source, v.target)
+        elif isinstance(v, Homotopy):
+            yield from v.maps.values()
+        elif isinstance(v, (list, tuple)):
+            yield from _matrices_of(*v)
+        elif dataclasses.is_dataclass(v):
+            yield from _matrices_of(*(getattr(v, f.name) for f in dataclasses.fields(v)))
+
+
+def _quotient_by_two():
+    return ChainMap(two_step(), sphere(0, zmod(2)), {0: Matrix.from_rows(ZZ, [[1]])})
+
+
+def _pushout():
+    f = _quotient_by_two()
+    P, ib, ic, universal = pushout_chainmaps(ChainMap.identity(f.source), f)
+    return P, ib, ic, universal(f, ChainMap.identity(f.target))
+
+
+def _pullback():
+    f = _quotient_by_two()
+    P, pb, pc, universal = pullback_chainmaps(f, ChainMap.identity(f.target))
+    return P, pb, pc, universal(ChainMap.identity(f.source), f)
+
+
+def _sampled():
+    sampler = DeterministicSampler(3)
+    X, Y = sampler.free_complex(Z4), sampler.free_complex(Z4)
+    return X, Y, sampler.chain_map(X, Y)
+
+
+_BUILDERS = {
+    "direct-sum": lambda: ChainComplex.direct_sum(two_step(), disk(1, zmod(4))),
+    "cone": lambda: cone(_quotient_by_two()),
+    "cylinder": lambda: cylinder(_quotient_by_two()),
+    "tensor": lambda: tensor_complexes(two_step(), disk(1, zmod(4))),
+    "subcomplex": lambda: subcomplex_from_gens(
+        two_step(), {1: Matrix.from_rows(ZZ, [[1]]), 0: Matrix.from_rows(ZZ, [[1]])}),
+    "kernel": lambda: _quotient_by_two().kernel_subcomplex(),
+    "cokernel": lambda: cylinder(_quotient_by_two()).front.cokernel_complex(),
+    "pushout": _pushout,
+    "pullback": _pullback,
+    "disk-cover": lambda: disk_cover(two_step()),
+    "ce": lambda: ce_trivial_fibration(sphere(0, zmod(2)),
+                                       model_structure(PROJECTIVE_STRUCTURE, ZZ)),
+    "cell-chain": lambda: factor_map(_quotient_by_two(), COF_THEN_TRIVFIB,
+                                     model_structure(PROJECTIVE_STRUCTURE, ZZ)).cell_chain,
+    "sampler": _sampled,
+    "homotopy": lambda: is_null_homotopic(ChainMap.identity(disk(1, zmod(4)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_hold_matrices_by_degree(name):
+    found = list(_matrices_of(_BUILDERS[name]()))
+    assert found
+    assert all(type(m) is Matrix for m in found), name
+
+
 def test_chain_map_check_reads_one_sided_squares():
     R1 = FpModule.free(ZZ, 1)
-    ident = ModuleMap.identity(R1)
+    ident = Matrix.identity(ZZ, 1)
     # S^1(Z) -> D^1(Z), identity in degree 1: f_0 d_1 runs through the
     # missing differential of S^1, while d_1 f_1 = id is not zero
     with pytest.raises(ValidationError):
@@ -367,7 +460,7 @@ def test_chain_map_check_reads_one_sided_squares():
         ChainMap(disk(1, R1), sphere(0, R1), {0: ident})
     # the one composite is zero modulo the target's relations: Z -> Z/2 by 2
     Z2 = zmod(2)
-    ChainMap(sphere(1, R1), disk(1, Z2), {1: ModuleMap(R1, Z2, Matrix.from_rows(ZZ, [[2]]))})
+    ChainMap(sphere(1, R1), disk(1, Z2), {1: Matrix.from_rows(ZZ, [[2]])})
     # both composites run through missing maps: S^0 -> D^1 and D^1 -> S^1
     i, p = disk_sphere_sequence(1, R1)
     assert i.components and p.components
@@ -412,16 +505,16 @@ def test_homotopy_check_matches_the_reference(ring):
                 part = part + Y.diff(n + 1).compose(maps[n])
             if n - 1 in maps:
                 part = part + maps[n - 1].compose(X.diff(n))
-            comps[n] = part
+            comps[n] = part.matrix
         f = ChainMap(X, Y, comps)
-        Homotopy(f, maps)
+        Homotopy(f, {n: s.matrix for n, s in maps.items()})
         if maps:
             n = rng.choice(sorted(maps))
             maps[n] = _random_map(rng, X.module_at(n), Y.module_at(n + 1))
         want = _homotopy_reference(f, maps)
         verdicts.add(want)
         try:
-            Homotopy(f, maps)
+            Homotopy(f, {n: s.matrix for n, s in maps.items()})
             got = True
         except ValidationError:
             got = False
@@ -457,8 +550,8 @@ def test_chain_map_check_matches_the_squares(ring):
             if rng.random() < 0.5:
                 comps.pop(n, None)
             else:
-                comps[n] = ModuleMap(S, T, Matrix(ring, T.gens, S.gens, [
-                    [rng.randint(-1, 1) for _ in range(S.gens)] for _ in range(T.gens)]))
+                comps[n] = Matrix(ring, T.gens, S.gens, [
+                    [rng.randint(-1, 1) for _ in range(S.gens)] for _ in range(T.gens)])
         want = _commutes_reference(X, Y, comps)
         verdicts.add(want)
         try:
@@ -497,8 +590,7 @@ def test_sampled_chain_map_matches_reference(ring):
             Y = ChainComplex.direct_sum(Y, sphere(Y.lo, torsion))
         got, want = ours.chain_map(X, Y), reference_chain_map(ref, X, Y)
         assert sorted(got.components) == sorted(want.components)
-        assert all(got.components[n].matrix == want.components[n].matrix
-                   for n in got.components)
+        assert all(got.components[n] == want.components[n] for n in got.components)
         assert ours.rng.random() == ref.rng.random()
 
 
@@ -522,7 +614,7 @@ def test_ext1_sphere_to_shifted_sphere_two_ways():
     # presentation of Z/2; both must agree with that analysis.
     S1 = sphere(1, FpModule.free(ZZ, 1))
     assert ext1_complexes(sphere(0, zmod(2)), S1).is_zero_module()
-    M2 = FpModule.cokernel_presentation(Matrix.from_rows(ZZ, [[2, 4]]))
+    M2 = cokernel_presentation(Matrix.from_rows(ZZ, [[2, 4]]))
     assert ext1_complexes(sphere(0, M2), S1).is_zero_module()
 
 

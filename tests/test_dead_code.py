@@ -14,9 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # called from tests only, on purpose
 TEST_ONLY = {
-    "FpModule.cokernel_presentation",
-    "Ring.is_field",
-    "tensor_unit_iso",
     # coherence isomorphisms the invariant tests check
     "tensor_unit_iso_complex",
     "tensor_symmetry_iso",

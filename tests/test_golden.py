@@ -139,7 +139,7 @@ def _hom_and_tensor_lines(ring, torsion):
             for phi in (f, sampler.chain_map(A, C)):
                 s = is_null_homotopic(phi)
                 lines.append("null " + ("None" if s is None else
-                                        ";".join(f"{n}:{_mat(m.matrix)}"
+                                        ";".join(f"{n}:{_mat(m)}"
                                                  for n, m in sorted(s.maps.items()))))
             g = sampler.chain_map(B, A)
             lines.append("tensor " + _cx(tensor_complexes(A, B)))
@@ -249,7 +249,7 @@ def _cell_chain_lines(ring):
     R1, R2 = FpModule.free(ring, 1), FpModule.free(ring, 2)
     # zero-source maps onto literal disk sums, then onto twisted complexes
     twisted = ChainComplex(ring, {1: R1, 0: R1},
-                           {1: ModuleMap(R1, R1, Matrix.from_rows(ring, [[2]]))})
+                           {1: Matrix.from_rows(ring, [[2]])})
     sampler = DeterministicSampler(23)
     targets = [ChainComplex.direct_sum(disk(1, R2), disk(0, R1)),
                ChainComplex.direct_sum(disk(2, R1), disk(-1, R2)),

@@ -125,7 +125,7 @@ def test_solve_builds_no_slack_unknown(monkeypatch):
     found = solver.value(vec, h)
     assert built == [(2, 2)]
     monkeypatch.undo()
-    assert found.compose(ModuleMap.identity(N)).equals(ModuleMap.identity(N))
+    assert ModuleMap(N, N, found).compose(ModuleMap.identity(N)).equals(ModuleMap.identity(N))
 
 
 @pytest.mark.parametrize("ring", [Integers(), IntegersModN(4)], ids=str)

@@ -20,6 +20,7 @@ from finhom.quiver import (
     rep_cardinality,
     ring_map_exists,
 )
+from helpers import cokernel_presentation
 from oracles import greedy_quiver_witness
 
 ZZ = Integers()
@@ -153,7 +154,7 @@ def test_quiver_witness_preconditions():
 
 
 def test_base_change():
-    M = FpModule.cokernel_presentation(Matrix.from_rows(ZZ, [[6, 2]]))
+    M = cokernel_presentation(Matrix.from_rows(ZZ, [[6, 2]]))
     B = base_change(M, Z6)
     assert B.ring == Z6
     assert B.gens == M.gens
@@ -174,6 +175,22 @@ def _check_witness(M, seeds, w):
     assert w.revalidate(M)
     for v, s in seeds.items():
         assert submodule_coordinates(M.module_at(v), w.gens[v], s) is not None
+
+
+def test_witness_revalidates_only_against_its_ambient():
+    M = _free_line(ZZ, Z6, 2)
+    w = quiver_kaplansky_witness(M, {"v": Matrix.from_rows(ZZ, [[1], [0]])})
+    assert w.revalidate(M)
+    # the same shape, but 3 kills the first generator at w: there the
+    # witness's generators span Z/3, not Z/6
+    torsion = QuiverRepModule(M.rep, {"v": M.module_at("v"),
+                                      "w": FpModule(Z6, 2, Matrix.from_rows(Z6, [[3], [0]]))},
+                              M.edge_maps)
+    assert not w.revalidate(torsion)
+    # an edge that carries the generators outside their span, and
+    # generators of the wrong length: False, not an error
+    assert not w.revalidate(_free_line(ZZ, Z6, 2, edge=Matrix.from_rows(ZZ, [[0, 1], [1, 0]])))
+    assert not w.revalidate(_free_line(ZZ, Z6, 3))
 
 
 def test_witness_of_a_large_line_is_bounded_by_its_seed():
