@@ -27,7 +27,11 @@ a bug, and propagates.
 members, closure of the class under tensor, the unit, degreewise purity
 of sampled cofibrations, tensor-closure of the two left-hand complex
 classes, the unit complex being cofibrant, and the pushout-product of
-sampled cofibrations being a cofibration (trivial when a factor is).
+sampled cofibrations being a cofibration.  Only this cofibration half of
+the pushout-product axiom is checked: no trivial cofibration enters the
+pushout products, so that f□g is trivial when f or g is stays unchecked.
+The unit axiom follows from the unit complex being cofibrant
+(``condiv-unit-cofibrant``).
 """
 
 from __future__ import annotations

@@ -295,7 +295,7 @@ def _execute(args: argparse.Namespace, argv) -> tuple[int, Report]:
         ws = _load_workspace(args.workspace)
         incl = ws.maps[args.inclusion]
         chain = kaplansky_filtration(incl, ObjectClass(CLASSES[args.class_id]))
-        report.add("filtration", chain.complete and chain.revalidate(args.gamma),
+        report.add("filtration", chain.revalidate(args.gamma),
                    f"{len(chain.steps)} steps")
     elif args.command == "envelope":
         ws = _load_workspace(args.workspace)

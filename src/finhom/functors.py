@@ -1,14 +1,20 @@
 """Homological functors on finitely presented modules.
 
-Free resolutions by syzygy iteration, Ext and Tor as (co)homology of the
-induced complexes of Hom/tensor modules, the tensor product with its
-functorial action on maps, decidable projectivity/flatness/injectivity,
-and the explicit lift of a commutative square through a pair of short
-exact sequences when the obstruction Ext group vanishes.
+Ext and Tor by one cyclic rule: both depend only on the isomorphism
+classes of their arguments, so M is read as the sum of R/(d) over its
+invariant factors d, and N as N', the diagonal module on its own.  Each
+R/(d) has the free resolution R --c_k--> R with c_0 = 0, c_1 = d and
+c_{k+1} = ann(c_k) (n/c over Z/n; over Z, 1 for c = 0 and 0 otherwise),
+so Ext^n(M, N) is the sum of ker(c_{n+1} on N') / c_n N' and Tor_n(M, N)
+the sum of ker(c_n on N') / c_{n+1} N'.  Alongside: free resolutions of a
+presentation by syzygy iteration, the tensor product with its functorial
+action on maps, decidable projectivity/flatness/injectivity, and the
+explicit lift of a commutative square through a pair of short exact
+sequences when the obstruction Ext group vanishes.
 
-Over the integers resolutions stop after one step (submodules of free
-modules are free); over Z/n they may be periodic and are truncated at the
-requested length, which is all Ext^n/Tor_n up to that degree need.
+Over the integers syzygy resolutions stop after one step (submodules of
+free modules are free); over Z/n they may be periodic and are truncated
+at the requested length.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .modules import (
     ShortExactSeq,
     _certify,
     find_section,
+    kernel_columns,
     submodule,
     submodule_coordinates,
     subquotient,
@@ -70,48 +77,45 @@ def column_span_basis(A: Matrix) -> Matrix:
     return av.submatrix(range(A.rows), range(form.rank))
 
 
-def _hom_into(N: FpModule, rank: int) -> FpModule:
-    """Hom(R^rank, N) = N^rank."""
-    if rank == 0:
-        return FpModule.zero(N.ring)
-    return FpModule.direct_sum(*[N] * rank)
+def _annihilator(ring: Ring, c: int) -> int:
+    """The generator of ann(c): n/gcd(c, n) over Z/n; over Z, 1 for c = 0
+    and 0 otherwise (the rule of ``SmithForm.kernel_columns``)."""
+    n = ring.modulus
+    if n is None:
+        return 1 if c == 0 else 0
+    return n // math.gcd(c, n)
 
 
-def _hom_induced(d: ModuleMap, N: FpModule) -> ModuleMap:
-    """Precomposition Hom(target(d), N) -> Hom(source(d), N)."""
-    r_tgt = d.target.gens
-    r_src = d.source.gens
-    m = d.matrix.transpose().kronecker(Matrix.identity(N.ring, N.gens))
-    return ModuleMap(_hom_into(N, r_tgt), _hom_into(N, r_src), m, check=False)
-
-
-def _tensor_induced(d: ModuleMap, N: FpModule) -> ModuleMap:
-    """d tensor id_N on free modules."""
-    m = d.matrix.kronecker(Matrix.identity(N.ring, N.gens))
-    return ModuleMap(_hom_into(N, d.source.gens), _hom_into(N, d.target.gens), m, check=False)
-
-
-def _ext_data(M: FpModule, N: FpModule, n: int):
-    """(Hom(F_n, N), cycle generators, boundary generators) of the
-    cochain complex Hom(F, N) at degree n, F a free resolution of M."""
+def _cyclic_data(M: FpModule, N: FpModule, n: int, ext: bool):
+    """(N', cycle generators, boundary generators), one triple per
+    invariant factor d of M, by the cyclic rule of the module docstring:
+    their subquotients sum to Ext^n(M, N) or to Tor_n(M, N)."""
     if n < 0:
-        raise PreconditionFailedError("ext degree must be >= 0")
+        raise PreconditionFailedError(f"{'ext' if ext else 'tor'} degree must be >= 0")
     if M.ring != N.ring:
         raise PreconditionFailedError("modules must share a ring")
-    res = free_resolution(M, n + 1)
-    delta_next = _hom_induced(res[n + 1], N)  # Hom(F_n,N) -> Hom(F_{n+1},N)
-    ambient = delta_next.source
-    zgens = delta_next.kernel_gens()
-    if n == 0:
-        bgens = Matrix.zero(M.ring, ambient.gens, 0)
-    else:
-        bgens = _hom_induced(res[n], N).matrix
-    return ambient, zgens, bgens
+    ring = M.ring
+    facs = N.invariant_factors()
+    Nd = FpModule(ring, len(facs), Matrix.diagonal(ring, len(facs), len(facs), facs))
+    one = Matrix.identity(ring, Nd.gens)
+    out = []
+    for d in M.invariant_factors():
+        c = [0, d]
+        while len(c) < n + 2:
+            c.append(_annihilator(ring, c[-1]))
+        kill, bound = (c[n + 1], c[n]) if ext else (c[n], c[n + 1])
+        out.append((Nd, kernel_columns(one.scale(kill), Nd), one.scale(bound)))
+    return out
+
+
+def _cyclic_sum(M: FpModule, N: FpModule, n: int, ext: bool) -> FpModule:
+    parts = [subquotient(*t) for t in _cyclic_data(M, N, n, ext)]
+    return FpModule.direct_sum(FpModule.zero(M.ring), *parts)
 
 
 def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
-    """Ext^n(M, N) from a free resolution of M."""
-    return subquotient(*_ext_data(M, N, n))
+    """Ext^n(M, N) by the cyclic rule on invariant factors."""
+    return _cyclic_sum(M, N, n, ext=True)
 
 
 def ext_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
@@ -119,35 +123,21 @@ def ext_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
     n >= 1 it is 0 when M has no relations, since free modules are projective."""
     if n >= 1 and M.relations.cols == 0 and M.ring == N.ring:
         return True
-    return subquotient_vanishes(*_ext_data(M, N, n))
-
-
-def _tor_data(M: FpModule, N: FpModule, n: int):
-    """(F_n ox N, cycle generators, boundary generators) of the complex
-    F ox N at degree n, F a free resolution of M."""
-    if n < 0:
-        raise PreconditionFailedError("tor degree must be >= 0")
-    if M.ring != N.ring:
-        raise PreconditionFailedError("modules must share a ring")
-    res = free_resolution(M, n + 1)
-    incoming = _tensor_induced(res[n + 1], N)  # F_{n+1} ox N -> F_n ox N
-    ambient = incoming.target
-    if n == 0:
-        zgens = Matrix.identity(M.ring, ambient.gens)
-    else:
-        outgoing = _tensor_induced(res[n], N)
-        zgens = outgoing.kernel_gens()
-    return ambient, zgens, incoming.matrix
+    return all(subquotient_vanishes(*t) for t in _cyclic_data(M, N, n, ext=True))
 
 
 def tor_n(M: FpModule, N: FpModule, n: int) -> FpModule:
-    """Tor_n(M, N) from a free resolution of M."""
-    return subquotient(*_tor_data(M, N, n))
+    """Tor_n(M, N) by the cyclic rule on invariant factors."""
+    return _cyclic_sum(M, N, n, ext=False)
 
 
-def tor_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
-    """Whether Tor_n(M, N) = 0, decided without building the group."""
-    return subquotient_vanishes(*_tor_data(M, N, n))
+def _tor1_cyclic_vanishes(M: FpModule, d: int) -> bool:
+    """Whether Tor_1(R/(d), M) = 0, read on M's own presentation: R/(d)
+    is resolved by R --ann(d)--> R --d--> R, so Tor_1 is
+    ker(d on M) / ann(d) M."""
+    one = Matrix.identity(M.ring, M.gens)
+    return subquotient_vanishes(M, kernel_columns(one.scale(d), M),
+                                one.scale(_annihilator(M.ring, d)))
 
 
 def tensor_modules(M: FpModule, N: FpModule) -> FpModule:
@@ -188,12 +178,12 @@ def is_flat(M: FpModule) -> bool:
 
     Finitely presented flat modules over a commutative ring are
     projective, so this decides projectivity; on finite rings the answer
-    is cross-checked against Tor_1(M, R/(d)) = 0 for every ideal (d).
+    is cross-checked against Tor_1(R/(d), M) = 0 for every ideal (d),
+    read on M's own presentation and not on its invariant factors.
     """
     result = is_projective(M)
     if M.ring.is_finite:
-        tor_check = all(tor_vanishes(M, FpModule.cyclic(M.ring, d), 1)
-                        for d in M.ring.divisors())
+        tor_check = all(_tor1_cyclic_vanishes(M, d) for d in M.ring.divisors())
         _certify(tor_check == result, "is_flat: the flat and projective tests agree")
     return result
 

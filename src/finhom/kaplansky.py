@@ -53,12 +53,11 @@ from .modules import (
     ModuleMap,
     _certify,
     intersection_gens,
-    preimage_gens,
     quotient,
     submodule,
     submodule_coordinates,
 )
-from .smith import inverse, snf
+from .smith import inverse, kernel_basis, snf
 
 
 # -- small surjecting subobjects ----------------------------------------------------
@@ -206,7 +205,6 @@ class FiltrationChain:
     cls: ObjectClass
     base_gens: Matrix
     steps: List[FiltrationStep]
-    complete: bool
 
     def revalidate(self, gamma: int) -> bool:
         gens = self.base_gens
@@ -219,7 +217,7 @@ class FiltrationChain:
             if not self.cls.contains(step.quotient_witness):
                 return False
             gens = step.stage_gens
-        return not self.complete or quotient(self.ambient, gens).is_zero_module()
+        return quotient(self.ambient, gens).is_zero_module()
 
 
 def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass) -> FiltrationChain:
@@ -247,7 +245,7 @@ def kaplansky_filtration(incl: ModuleMap, cls: ObjectClass) -> FiltrationChain:
         steps.append(FiltrationStep(gens, w.sub,
                                     w.class_ok and w.quotient_ok, w.generator_count))
         Q = quotient(B, gens)
-    return FiltrationChain(B, cls, incl.matrix, steps, complete=True)
+    return FiltrationChain(B, cls, incl.matrix, steps)
 
 
 # -- flat subcomplex envelopes ----------------------------------------------------------
@@ -301,12 +299,11 @@ def flat_subcomplex_envelope(F: ChainComplex, seed_gens: Dict[int, Matrix],
         V = seed[n]
         if prev_sprime is not None and prev_sprime.cols > 0:
             # a small subobject of d^{-1}(S'_{n-1}) surjecting onto it
-            d = F.diff(n)
-            pre = preimage_gens(d, prev_sprime)
-            P, pincl = submodule(Fn, pre)
-            Sp_mod, _ = submodule(F.module_at(n - 1), prev_sprime)
-            rmat = submodule_coordinates(F.module_at(n - 1), prev_sprime,
-                                         d.matrix * pincl.matrix)
+            d, below = F.diff_matrix(n), F.module_at(n - 1)
+            K = kernel_basis(d.hstack(prev_sprime).hstack(below.relations))
+            P, pincl = submodule(Fn, K.submatrix(range(Fn.gens), range(K.cols)))
+            Sp_mod, _ = submodule(below, prev_sprime)
+            rmat = submodule_coordinates(below, prev_sprime, d * pincl.matrix)
             _certify(rmat is not None,
                      "flat_subcomplex_envelope: d maps the preimage into S'")
             restricted = ModuleMap(P, Sp_mod, rmat, check=False)

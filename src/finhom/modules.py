@@ -253,10 +253,6 @@ class ModuleMap:
     def identity(M: FpModule) -> "ModuleMap":
         return ModuleMap(M, M, Matrix.identity(M.ring, M.gens), check=False)
 
-    @staticmethod
-    def zero_map(source: FpModule, target: FpModule) -> "ModuleMap":
-        return ModuleMap(source, target, Matrix.zero(source.ring, target.gens, source.gens), check=False)
-
     # -- value semantics ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -414,13 +410,6 @@ def intersection_gens(M: FpModule, A: Matrix, B: Matrix) -> Matrix:
     K = kernel_basis(sys)
     alphas = K.submatrix(range(A.cols), range(K.cols))
     return A * alphas
-
-
-def preimage_gens(f: ModuleMap, wgens: Matrix) -> Matrix:
-    """Generators of f^{-1}(span(wgens)) in the source of f."""
-    sys = f.matrix.hstack(wgens).hstack(f.target.relations)
-    K = kernel_basis(sys)
-    return K.submatrix(range(f.source.gens), range(K.cols))
 
 
 def submodule_coordinates(M: FpModule, gens: Matrix, cols: Matrix) -> Optional[Matrix]:

@@ -18,8 +18,9 @@ itself never needs.
   with exactness certified, and ``find_retraction`` a retraction of a
   module map when one exists.
 * ``cokernel_presentation`` is the module a relation matrix presents,
-  ``is_field`` whether a ring is a field, and ``tensor_unit_iso`` the
-  canonical isomorphism M (x) R -> M.
+  ``is_field`` whether a ring is a field, ``tensor_unit_iso`` the
+  canonical isomorphism M (x) R -> M, and ``zero_map`` the zero module
+  map between two modules.
 """
 
 from typing import Optional, Sequence
@@ -188,3 +189,9 @@ def tensor_unit_iso(M: FpModule) -> ModuleMap:
     """The canonical isomorphism M tensor R -> M."""
     src = tensor_modules(M, FpModule.free(M.ring, 1))
     return ModuleMap(src, M, Matrix.identity(M.ring, M.gens), check=False)
+
+
+def zero_map(source: FpModule, target: FpModule) -> ModuleMap:
+    """The zero map source -> target."""
+    return ModuleMap(source, target, Matrix.zero(source.ring, target.gens, source.gens),
+                     check=False)

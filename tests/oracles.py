@@ -37,6 +37,11 @@ cannot drift with the code they check.
   read, slack included, and zero maps dropped by ``is_zero_map``;
   ``chain_hom_gens`` tests the vectors for zero and builds maps only for
   the ones it keeps.
+* ``ext_oracle`` and ``tor_oracle``: Ext^n(M, N) and Tor_n(M, N) as the
+  (co)homology of Hom(F, N) and F (x) N, F a syzygy resolution of M's own
+  presentation and each induced map a Kronecker product;
+  ``ext_n``/``tor_n`` read both modules as sums of cyclic modules on
+  their invariant factors instead.
 """
 
 from dataclasses import dataclass
@@ -61,10 +66,11 @@ from finhom.errors import (
     DimensionMismatchError,
     FactorizationObstructedError,
     NotInClassError,
+    PreconditionFailedError,
     UnsupportedRingError,
     ValidationError,
 )
-from finhom.functors import is_flat
+from finhom.functors import free_resolution, is_flat
 from finhom.kaplansky import Cell, Witness
 from finhom.matrix import Matrix
 from finhom.model import TRIVCOF_THEN_FIB, ModelStructureSpec
@@ -75,6 +81,7 @@ from finhom.modules import (
     hom_module,
     quotient,
     submodule,
+    subquotient,
 )
 from finhom.quiver import (
     QuiverRepModule,
@@ -85,7 +92,7 @@ from finhom.quiver import (
     rep_cardinality,
     sub_rep_module,
 )
-from helpers import element_in_submodule
+from helpers import element_in_submodule, zero_map
 
 
 def pushout_oracle(cell: Cell) -> bool:
@@ -232,7 +239,7 @@ def all_module_maps(M: FpModule, N: FpModule):
         raise UnsupportedRingError("cannot enumerate maps over Z")
     H, gens = hom_module(M, N)
     if not gens:
-        yield ModuleMap.zero_map(M, N)
+        yield zero_map(M, N)
         return
     n = ring.modulus
     seen = set()
@@ -460,3 +467,70 @@ def chain_hom_gens_oracle(X: ChainComplex, Y: ChainComplex) -> list:
         values = {h: solver.value(vec, h) for h in solver._unknowns}
         gens.append(ChainMap(X, Y, {n: values[h] for n, h in handles.items()}, check=False))
     return [g for g in gens if not g.is_zero_map()]
+
+
+def _hom_into(N: FpModule, rank: int) -> FpModule:
+    """Hom(R^rank, N) = N^rank."""
+    if rank == 0:
+        return FpModule.zero(N.ring)
+    return FpModule.direct_sum(*[N] * rank)
+
+
+def _hom_induced(d: ModuleMap, N: FpModule) -> ModuleMap:
+    """Precomposition Hom(target(d), N) -> Hom(source(d), N)."""
+    r_tgt = d.target.gens
+    r_src = d.source.gens
+    m = d.matrix.transpose().kronecker(Matrix.identity(N.ring, N.gens))
+    return ModuleMap(_hom_into(N, r_tgt), _hom_into(N, r_src), m, check=False)
+
+
+def _tensor_induced(d: ModuleMap, N: FpModule) -> ModuleMap:
+    """d tensor id_N on free modules."""
+    m = d.matrix.kronecker(Matrix.identity(N.ring, N.gens))
+    return ModuleMap(_hom_into(N, d.source.gens), _hom_into(N, d.target.gens), m, check=False)
+
+
+def _ext_data(M: FpModule, N: FpModule, n: int):
+    """(Hom(F_n, N), cycle generators, boundary generators) of the
+    cochain complex Hom(F, N) at degree n, F a free resolution of M."""
+    if n < 0:
+        raise PreconditionFailedError("ext degree must be >= 0")
+    if M.ring != N.ring:
+        raise PreconditionFailedError("modules must share a ring")
+    res = free_resolution(M, n + 1)
+    delta_next = _hom_induced(res[n + 1], N)  # Hom(F_n,N) -> Hom(F_{n+1},N)
+    ambient = delta_next.source
+    zgens = delta_next.kernel_gens()
+    if n == 0:
+        bgens = Matrix.zero(M.ring, ambient.gens, 0)
+    else:
+        bgens = _hom_induced(res[n], N).matrix
+    return ambient, zgens, bgens
+
+
+def ext_oracle(M: FpModule, N: FpModule, n: int) -> FpModule:
+    """Ext^n(M, N) from a free resolution of M."""
+    return subquotient(*_ext_data(M, N, n))
+
+
+def _tor_data(M: FpModule, N: FpModule, n: int):
+    """(F_n ox N, cycle generators, boundary generators) of the complex
+    F ox N at degree n, F a free resolution of M."""
+    if n < 0:
+        raise PreconditionFailedError("tor degree must be >= 0")
+    if M.ring != N.ring:
+        raise PreconditionFailedError("modules must share a ring")
+    res = free_resolution(M, n + 1)
+    incoming = _tensor_induced(res[n + 1], N)  # F_{n+1} ox N -> F_n ox N
+    ambient = incoming.target
+    if n == 0:
+        zgens = Matrix.identity(M.ring, ambient.gens)
+    else:
+        outgoing = _tensor_induced(res[n], N)
+        zgens = outgoing.kernel_gens()
+    return ambient, zgens, incoming.matrix
+
+
+def tor_oracle(M: FpModule, N: FpModule, n: int) -> FpModule:
+    """Tor_n(M, N) from a free resolution of M."""
+    return subquotient(*_tor_data(M, N, n))

@@ -51,7 +51,13 @@ from finhom.quiver import (
 )
 from finhom.report import Report
 from finhom.sampling import DeterministicSampler
-from helpers import ModuleSampler, cokernel_presentation, element_in_submodule, element_is_zero
+from helpers import (
+    ModuleSampler,
+    cokernel_presentation,
+    element_in_submodule,
+    element_is_zero,
+    zero_map,
+)
 from oracles import all_module_maps
 
 ZZ = Integers()
@@ -118,11 +124,11 @@ def _random_lift_instance(sampler):
             mod_relations=bottom.quotient_module.relations)
         basis = solver.solution_basis()
         if not basis:
-            f = ModuleMap.zero_map(top.sub, L)
-            g = ModuleMap.zero_map(B, bottom.quotient_module)
+            f = zero_map(top.sub, L)
+            g = zero_map(B, bottom.quotient_module)
         else:
-            f = ModuleMap.zero_map(top.sub, L)
-            g = ModuleMap.zero_map(B, bottom.quotient_module)
+            f = zero_map(top.sub, L)
+            g = zero_map(B, bottom.quotient_module)
             for sol in basis:
                 c = sampler.randint(0, 5)
                 if c:
@@ -264,9 +270,9 @@ def fresh_flatness_caches():
 
 def test_criterion_5_failed_flatness_certificate_is_a_violation(monkeypatch,
                                                                 fresh_flatness_caches):
-    # Tor_1 against every cyclic module is forced nonzero, so the flat and
-    # projective tests disagree and is_flat's certificate fails
-    monkeypatch.setattr(functors, "tor_vanishes", lambda M, N, n: False)
+    # Tor_1 of every cyclic module against M is forced nonzero, so the flat
+    # and projective tests disagree and is_flat's certificate fails
+    monkeypatch.setattr(functors, "_tor1_cyclic_vanishes", lambda M, d: False)
     report = check_monoidal(model_structure(PROJECTIVE_STRUCTURE, Z4), seed=1, samples=1)
     cond1 = [c for c in report.sorted_checks() if c.name.startswith("cond1-flat")]
     assert cond1 and not any(c.passed for c in cond1)

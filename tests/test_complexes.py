@@ -40,7 +40,7 @@ from finhom.model import (
 )
 from finhom.modules import FpModule, ModuleMap
 from finhom.sampling import DeterministicSampler
-from helpers import boundaries, cokernel_presentation
+from helpers import boundaries, cokernel_presentation, zero_map
 from oracles import chain_hom_gens_oracle
 
 ZZ = Integers()
@@ -471,7 +471,7 @@ def _homotopy_reference(f, maps):
     for the missing ones."""
     X, Y = f.source, f.target
     for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2):
-        total = ModuleMap.zero_map(X.module_at(n), Y.module_at(n))
+        total = zero_map(X.module_at(n), Y.module_at(n))
         if n in maps:
             total = total + Y.diff(n + 1).compose(maps[n])
         if n - 1 in maps:
@@ -500,7 +500,7 @@ def test_homotopy_check_matches_the_reference(ring):
                 for n in X.support if Y.module_at(n + 1).gens}
         comps = {}
         for n in X.support:
-            part = ModuleMap.zero_map(X.module_at(n), Y.module_at(n))
+            part = zero_map(X.module_at(n), Y.module_at(n))
             if n in maps:
                 part = part + Y.diff(n + 1).compose(maps[n])
             if n - 1 in maps:

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import signal
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,7 +22,7 @@ from finhom.functors import (
 )
 from finhom.modules import FpModule, ModuleMap, ShortExactSeq
 from helpers import cokernel_presentation, element_in_submodule, tensor_unit_iso
-from oracles import all_module_maps, split_epi_projective
+from oracles import all_module_maps, ext_oracle, split_epi_projective, tor_oracle
 
 ZZ = Integers()
 Z4 = IntegersModN(4)
@@ -244,3 +247,110 @@ def test_lift_through_matches_exhaustive_search():
         assert brute
         found_any = True
     assert found_any
+
+
+def _module(ring, max_gens, max_rels):
+    """A module on 0..max_gens generators with 0..max_rels relations,
+    entries in [-3, 3] over Z and residues over Z/n."""
+    entries = st.integers(-3, 3) if ring.modulus is None else st.integers(0, ring.modulus - 1)
+
+    @st.composite
+    def draw_module(draw):
+        gens, rels = draw(st.integers(0, max_gens)), draw(st.integers(0, max_rels))
+        rows = draw(st.lists(st.lists(entries, min_size=rels, max_size=rels),
+                             min_size=gens, max_size=gens))
+        return FpModule(ring, gens, Matrix(ring, gens, rels, rows))
+
+    return draw_module()
+
+
+@st.composite
+def _pairs(draw, rings, max_gens, max_rels):
+    """Two modules over one ring drawn from ``rings``."""
+    ring = draw(st.sampled_from(rings))
+    return draw(_module(ring, max_gens, max_rels)), draw(_module(ring, max_gens, max_rels))
+
+
+DIFFERENTIAL_RINGS = [ZZ, IntegersModN(12), IntegersModN(8), IntegersModN(9), F3, PrimeField(5)]
+
+
+@given(_pairs(DIFFERENTIAL_RINGS, 3, 3))
+def test_ext_tor_match_the_resolution_oracle(pair):
+    # ext_n/tor_n read invariant factors; the oracle resolves M's own
+    # presentation and builds Hom(F, N) and F (x) N as Kronecker systems
+    M, N = pair
+    for n in range(4):
+        assert ext_n(M, N, n).invariant_factors() == ext_oracle(M, N, n).invariant_factors()
+        assert tor_n(M, N, n).invariant_factors() == tor_oracle(M, N, n).invariant_factors()
+
+
+def _load_bench_oracle():
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLE = _load_bench_oracle()
+
+
+@given(_pairs([ZZ], 4, 5))
+def test_ext_tor_over_z_match_the_sympy_closed_forms(pair):
+    M, N = pair
+    A, B = (BENCH_ORACLE.decompose(X.gens, [list(r) for r in X.relations.entries])
+            for X in pair)
+    for kind, fn in (("ext", ext_n), ("tor", tor_n)):
+        for n in (0, 1):
+            facs = fn(M, N, n).invariant_factors()
+            text = " + ".join("Z" if d == 0 else f"Z/{d}" for d in facs) or "0"
+            assert BENCH_ORACLE.parse_group(text) == BENCH_ORACLE.expected(kind, n, A, B)
+
+
+@given(_pairs([ZZ, IntegersModN(12), IntegersModN(36), IntegersModN(8), F3], 6, 7))
+def test_tor_is_symmetric(pair):
+    M, N = pair
+    for n in range(4):
+        assert tor_n(M, N, n).invariant_factors() == tor_n(N, M, n).invariant_factors()
+
+
+@given(st.sampled_from([IntegersModN(12), IntegersModN(36)]).flatmap(
+    lambda ring: _module(ring, 4, 4)))
+def test_is_flat_matches_is_projective_and_the_tor_oracle(M):
+    # is_flat certifies itself against Tor_1(R/(d), M) on M's presentation;
+    # the oracle resolves each R/(d) by syzygies instead
+    ring = M.ring
+    by_tor = all(tor_oracle(FpModule.cyclic(ring, d), M, 1).is_zero_module()
+                 for d in ring.divisors())
+    assert is_flat(M) == is_projective(M) == by_tor
+
+
+def _past_deadline(signum, frame):
+    raise TimeoutError("the pair ran past its 0.5 s deadline")
+
+
+def test_ext_tor_on_dense_integer_pairs_answer_at_once():
+    # Tor_1 and Ext^1 of random integer pairs on g generators with g-1 to
+    # g+1 relations, entries in [-3, 3]: the resolution oracle runs past
+    # 2 s on most of these pairs at g = 5 and 6.  A timer interrupts a
+    # pair at its deadline, so a slow pair fails at once
+    rng = random.Random(7)
+
+    def draw(g):
+        r = rng.randint(g - 1, g + 1)
+        return FpModule(ZZ, g, Matrix(ZZ, g, r, [[rng.randint(-3, 3) for _ in range(r)]
+                                                  for _ in range(g)]))
+
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    try:
+        for g in (4, 5, 6):
+            for _ in range(40):
+                M, N = draw(g), draw(g)
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+                try:
+                    tor_n(M, N, 1)
+                    ext_n(M, N, 1)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

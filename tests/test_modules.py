@@ -27,6 +27,7 @@ from helpers import (
     element_is_zero,
     find_retraction,
     map_factorization,
+    zero_map,
 )
 
 ZZ = Integers()
@@ -110,7 +111,7 @@ def test_map_factorization_mult2():
 def test_map_factorization_zero_and_projection():
     M = zmod(4)
     N = zmod(6)
-    z = ModuleMap.zero_map(M, N)
+    z = zero_map(M, N)
     kincl, image, cproj = map_factorization(z)
     assert kincl.source.is_isomorphic_to(M)
     assert image.is_zero_module()

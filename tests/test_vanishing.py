@@ -1,9 +1,9 @@
 """Exactness and Ext/Tor vanishing decided by one membership test.
 
-``is_exact``, ``ext_vanishes`` and ``tor_vanishes`` ask whether the
-cycles lie in the boundaries plus the relations (``subquotient_vanishes``)
-instead of building the subquotient; each is checked here against the
-subquotient it skips, over Z, Z/4, Z/12 and F_3.
+``is_exact``, ``ext_vanishes`` and the Tor_1 test behind ``is_flat``
+ask whether the cycles lie in the boundaries plus the relations
+(``subquotient_vanishes``) instead of building the subquotient; each is
+checked here against the subquotient it skips, over Z, Z/4, Z/12 and F_3.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from finhom.complexes import (
     sphere,
 )
 from finhom.errors import PreconditionFailedError, ValidationError
-from finhom.functors import ext_n, ext_vanishes, tor_n, tor_vanishes
+from finhom.functors import _tor1_cyclic_vanishes, ext_n, ext_vanishes, tor_n
 from finhom.modules import FpModule, subquotient, subquotient_vanishes
 from finhom.sampling import DeterministicSampler
 from oracles import exact_oracle
@@ -106,18 +106,24 @@ def test_ext_out_of_a_free_module_vanishes(name):
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
-def test_tor_vanishes_agrees_with_tor_n(name):
+def test_cyclic_tor1_vanishing_agrees_with_tor_n(name):
+    # is_flat's cross-check reads Tor_1(R/(d), M) on M's own presentation,
+    # tor_n on the invariant factors of both modules
     ring = RINGS[name]
-    verdicts = {n: set() for n in (0, 1, 2)}
-    for M in _modules(ring):
-        for N in _modules(ring):
-            for n in verdicts:
-                verdict = tor_vanishes(M, N, n)
-                assert verdict == tor_n(M, N, n).is_zero_module(), (M, N, n)
-                verdicts[n].add(verdict)
-    assert False in verdicts[0]
+    sampler = DeterministicSampler(47)
+    modules = _modules(ring)
+    for _ in range(6):
+        g, r = sampler.randint(1, 3), sampler.randint(0, 3)
+        modules.append(FpModule(ring, g, Matrix(ring, g, r, [
+            [sampler.entry(ring) for _ in range(r)] for _ in range(g)])))
+    verdicts = set()
+    for M in modules:
+        for d in ring.divisors() if ring.is_finite else [0, 1, 2, 3, 4, 6]:
+            verdict = _tor1_cyclic_vanishes(M, d)
+            assert verdict == tor_n(FpModule.cyclic(ring, d), M, 1).is_zero_module(), (M, d)
+            verdicts.add(verdict)
     # over a field every module is flat, so no Tor_1 survives
-    assert verdicts[1] == ({True} if name == "F_3" else {True, False})
+    assert verdicts == ({True} if name == "F_3" else {True, False})
 
 
 def test_subquotient_vanishes_on_a_small_example():
