@@ -19,7 +19,7 @@ finite data, each bounded by the data it walks:
 * ``icell_decompose``: exhibits a mono of complexes with suitable
   cokernel as a finite chain of pushouts of generating monomorphisms
   (cells), each square checked to be a pushout degree by degree from two
-  Smith forms (``Cell.verify_pushout``).
+  Smith forms in each degree the cell touches (``Cell.verify_pushout``).
   A cell is plain data, (label, generating mono, where the generators
   land), and ``grow_cell_chain`` builds every square by one rule, each
   stage read by generator prefixes from one final subcomplex.
@@ -365,16 +365,22 @@ class Cell:
         exactly when it is onto E_n and P_n has the invariant factors of
         E_n: composed with any isomorphism E_n -> P_n it is then a
         surjective endomorphism of P_n.  No pushout is built; each degree
-        costs two Smith forms.
+        costs two Smith forms, except a degree the cell does not touch:
+        where D_n and S_n have no generators, E_n == B_n and step_n is
+        the identity matrix, P_n = B_n = E_n and theta_n is the identity,
+        so that degree is accepted as it stands.
         """
         if not self.step_inclusion.compose(self.attaching).equals(
                 self.image.compose(self.generating_mono)):
             return False
         D, E = self.image.source, self.image.target
-        B = self.step_inclusion.source
+        B, S = self.step_inclusion.source, self.generating_mono.source
         ring = E.ring
         for n in sorted(set(D.objects) | set(B.objects) | set(E.objects)):
             Dn, Bn, En = D.module_at(n), B.module_at(n), E.module_at(n)
+            if (not Dn.gens and not S.module_at(n).gens and En == Bn
+                    and self.step_inclusion.matrix_at(n) == Matrix.identity(ring, Bn.gens)):
+                continue
             onto = FpModule(ring, En.gens, Matrix.hstack_all(
                 ring, En.gens, [En.relations, self.image.matrix_at(n),
                                 self.step_inclusion.matrix_at(n)]))
@@ -458,18 +464,26 @@ def icell_decompose(f: ChainMap) -> CellChain:
 def _sphere_cells(Q: ChainComplex, coker: ChainComplex):
     """One S^{n-1}(R) -> D^n(R) cell per canonical basis vector of each
     cokernel slice, lowest degree first; the mono is built once per
-    degree."""
+    degree.
+
+    The basis vectors are the Smith coordinates of the slice whose pivot
+    is not 1, lifted by the columns of U^{-1}: the vectors of the
+    ``fro`` map of ``canonical_form``, in its order, without its
+    to o fro = id certificate.  ``grow_cell_chain`` certifies the lifts
+    where they are used: the stages must exhaust the target, the cells
+    must add free generators and the attaching columns must lie in the
+    previous stage."""
     R1 = FpModule.free(Q.ring, 1)
     for n in coker.support:
         C = coker.module_at(n)
-        canon, _, fro = C.canonical_form()
-        if not canon.gens:
+        survive = [i for i, d in enumerate(C._smith_data()[1]) if d != 1]
+        if not survive:
             continue
+        lift = C._smith_inverse()
         gen_mono = sphere_into_disk(n, R1)
-        for j in range(canon.gens):
-            # lift the j-th canonical basis vector; the cokernel shares
-            # its generators with Q_n
-            v = fro.matrix.submatrix(range(C.gens), [j])
+        for i in survive:
+            # the cokernel shares its generators with Q_n
+            v = lift.submatrix(range(C.gens), [i])
             yield (f"S^{n-1}(R) -> D^{n}(R) cell", gen_mono,
                    {n: v, n - 1: Q.diff_matrix(n) * v})
 

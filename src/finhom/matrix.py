@@ -13,6 +13,10 @@ through the ring's arithmetic, stacking and block assembly of matrices
 over the same ring) build their results through the trusted ``_reduced``
 constructor, which copies and reduces nothing and checks only the shape:
 as many rows as declared, each as long as the declared column count.
+Since values are immutable, a stack with an empty block (no columns for
+``hstack``, no rows for ``vstack``) returns the other operand, and a
+slice on every row and column returns the matrix itself, so no entries
+are copied and a cached hash is kept.
 
 Products are row-sparse: row i of A * B is the sum of a_ik times row k
 of B over the nonzero a_ik of row i of A; B is never transposed.  A zero
@@ -141,6 +145,8 @@ class Matrix:
         return Matrix._reduced(self.ring, self.cols, self.rows, data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
+        if row_idx == range(self.rows) and col_idx == range(self.cols):
+            return self
         e, k = self.entries, len(col_idx)
         pick = itemgetter(*col_idx) if k > 1 else lambda row: tuple([row[j] for j in col_idx])
         return Matrix._reduced(self.ring, len(row_idx), k, tuple([pick(e[i]) for i in row_idx]))
@@ -206,6 +212,10 @@ class Matrix:
         self._check_ring(other)
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack row mismatch")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         return Matrix._reduced(self.ring, self.rows, self.cols + other.cols,
                                tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
@@ -213,6 +223,10 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack column mismatch")
+        if not other.rows:
+            return self
+        if not self.rows:
+            return other
         return Matrix._reduced(self.ring, self.rows + other.rows, self.cols,
                                self.entries + other.entries)
 

@@ -111,9 +111,17 @@ class FpModule:
         F_p the relation n = 0 is adjoined first, so the result describes
         the module as a finite abelian group (equivalently as an R-module:
         additive maps between Z/n-modules are automatically Z/n-linear).
+        A presentation with no relations is read directly, without a
+        Smith form: R^g gives n repeated g times over Z/n (none over Z/1),
+        and 0 repeated g times over Z.
         """
         if "invfac" not in self._cache:
-            self._cache["invfac"] = invariant_factors_of(self.relations)
+            if self.relations.cols:
+                facs = invariant_factors_of(self.relations)
+            else:
+                n = self.ring.modulus
+                facs = () if n == 1 else (n or 0,) * self.gens
+            self._cache["invfac"] = facs
         return self._cache["invfac"]
 
     def is_zero_module(self) -> bool:
@@ -140,7 +148,7 @@ class FpModule:
         over Z, divisors of n (n itself for unconstrained generators) over
         residue rings.  Membership reads only these; U^{-1}, a second
         Smith form, is taken by ``_smith_inverse`` when a representative
-        is asked for."""
+        or a lift of the Smith basis is asked for."""
         if "smith" not in self._cache:
             form = snf(self.relations)
             self._cache["smith"] = (form.U, form.pivots(self.gens))
@@ -160,11 +168,15 @@ class FpModule:
         pivots, v lies in the span exactly when (U v)_i = 0 mod d_i for
         every i: mod n where the pivot is zero over Z/n, exactly where it
         is zero over Z, and always where d_i = 1.  Each row of U meets
-        every column of A once; the first failure returns False.
+        every column of A once; the first failure returns False.  With
+        no relations no Smith form is taken: entries are in normal form,
+        so a column is zero in the module exactly when it is zero.
         """
         if A.ring != self.ring or A.rows != self.gens:
             raise DimensionMismatchError(
                 f"columns must have {self.gens} entries over {self.ring}")
+        if not self.relations.cols:
+            return not any(map(any, A.entries))
         U, diag = self._smith_data()
         cols = list(zip(*A.entries))
         for urow, d in zip(U.entries, diag):

@@ -302,6 +302,29 @@ def test_icell_generic_slices():
 
 
 
+@pytest.mark.parametrize("ring", [ZZ, IntegersModN(4), PrimeField(3)], ids=str)
+def test_sphere_cells_lift_the_canonical_basis(ring):
+    # each cokernel slice's cells lift the columns of canonical_form's
+    # fro map, in its order, and take d of them one degree down
+    spec = model_structure(PROJECTIVE_STRUCTURE, ring)
+    sampler = DeterministicSampler(31)
+    seen = 0
+    for _ in range(10):
+        X = sampler.free_complex(ring, max_support=4, max_rank=3)
+        f = sampler.chain_map(X, sampler.free_complex(ring, max_support=4, max_rank=3))
+        i = factor_map(f, COF_THEN_TRIVFIB, spec).i
+        Q, coker = i.target, i.cokernel_complex()
+        expected = []
+        for n in coker.support:
+            fro = coker.module_at(n).canonical_form()[2].matrix
+            expected += [(n, fro.submatrix(range(fro.rows), [j])) for j in range(fro.cols)]
+        tops = [(max(cols), cols) for _, _, cols in kaplansky._sphere_cells(Q, coker)]
+        assert [(n, cols[n]) for n, cols in tops] == expected
+        assert all(cols[n - 1] == Q.diff_matrix(n) * cols[n] for n, cols in tops)
+        seen += len(tops)
+    assert seen
+
+
 # -- squares that commute but are not pushouts -----------------------------------
 
 
@@ -367,6 +390,34 @@ def test_verify_pushout_rejects_a_cell_image_that_misses_a_generator(c):
     verdicts = _one_cell_verdicts(ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, X),
                                   step, image)
     assert verdicts == (c == 1,) * 3
+
+
+@pytest.mark.parametrize("c, relation, modules_built", [(1, None, 4), (2, None, 5), (1, 2, 6)],
+                         ids=["identity", "times-2", "relation-2"])
+def test_verify_pushout_on_a_degree_the_cell_does_not_touch(monkeypatch, c, relation,
+                                                            modules_built):
+    # 0 -> D^1(Z) glued onto B = S^3(Z) along zero gives S^3(Z) (+) D^1(Z).
+    # Degree 3 is untouched: D_3 and S_3 are zero, and with E_3 == B_3 and
+    # step_3 the identity it is accepted without a Smith form; a step of 2,
+    # or E_3 = Z/2, takes the general test there and is rejected
+    R1 = FpModule.free(ZZ, 1)
+    B, D = sphere(3, R1), disk(1, R1)
+    zero = ChainComplex.zero(ZZ)
+    top = sphere(3, R1 if relation is None else FpModule.cyclic(ZZ, relation))
+    E = ChainComplex.direct_sum(top, D)
+    step = _map(B, E, {3: [[c]]})
+    image = _map(D, E, {1: [[1]], 0: [[1]]})
+    mono, attaching = ChainMap.zero_map(zero, D), ChainMap.zero_map(zero, B)
+    built = []
+    monkeypatch.setattr(kaplansky, "FpModule",
+                        lambda *args: built.append(args) or FpModule(*args))
+    verdict = Cell(mono, attaching, step, image, "hand-built").verify_pushout()
+    monkeypatch.undo()
+    # degrees 0 and 1 take the general test, two modules each; degree 3
+    # takes none, one when the step is not onto, or two
+    assert len(built) == modules_built
+    assert _one_cell_verdicts(mono, attaching, step, image) == (
+        c == 1 and relation is None,) * 3
 
 
 def _into_quotient_by_two(cell):

@@ -83,6 +83,15 @@ def test_operations_match_public_constructor(ring):
         V = rebuilt(A.vstack(F))
         assert V == naive(ring, r + k, c, lambda i, j: A[i, j] if i < r else F[i - r, j])
 
+        # an empty operand or a whole-range slice gives back the operand
+        # itself; with both operands empty, the left one
+        no_cols, no_rows = Matrix.zero(ring, r, 0), Matrix.zero(ring, 0, c)
+        assert rebuilt(A.hstack(no_cols)) is A
+        assert rebuilt(no_cols.hstack(A)) is (A if c else no_cols)
+        assert rebuilt(A.vstack(no_rows)) is A
+        assert rebuilt(no_rows.vstack(A)) is (A if r else no_rows)
+        assert rebuilt(A.submatrix(range(r), range(c))) is A
+
         blocks = [rand_matrix(rng, ring, r, rng.randint(0, 2)) for _ in range(rng.randint(0, 4))]
         S = rebuilt(Matrix.hstack_all(ring, r, blocks))
         assert S == reduce(Matrix.hstack, blocks, Matrix.zero(ring, r, 0))
@@ -129,6 +138,18 @@ def test_ragged_entries_raise(ring):
         Matrix.hstack_all(ring, 2, [A, Matrix.zero(IntegersModN(5), 2, 1)])
     with pytest.raises(DimensionMismatchError):
         Matrix.block_diagonal(ring, [A, Matrix.zero(IntegersModN(5), 1, 1)])
+    # an empty operand is checked before it is skipped
+    other = IntegersModN(5)
+    for empty in (Matrix.zero(ring, 3, 0), Matrix.zero(other, 2, 0)):
+        with pytest.raises(DimensionMismatchError):
+            A.hstack(empty)
+        with pytest.raises(DimensionMismatchError):
+            empty.hstack(A)
+    for empty in (Matrix.zero(ring, 0, 2), Matrix.zero(other, 0, 1)):
+        with pytest.raises(DimensionMismatchError):
+            A.vstack(empty)
+        with pytest.raises(DimensionMismatchError):
+            empty.vstack(A)
 
 
 def test_hash_is_cached_and_matches_value():

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finhom import (Integers, IntegersModN, Matrix, PrimeField, complexes, functors, kaplansky,
                     model, modules, sampling)
@@ -85,6 +87,32 @@ def test_columns_vanish_matches_canonical_elements(ring):
         assert M.columns_vanish(A) == per_column
         for col in columns(A):
             assert element_is_zero(M, col) == (not any(M.canonical_element(col)))
+
+
+@st.composite
+def _free_module_columns(draw):
+    """A ring, a rank g from 0 to 5 and a g x k matrix, k from 0 to 4:
+    zero, or with entries in [-3, 3] (over Z some of 60 bits) that are
+    zero half the time."""
+    ring = draw(st.sampled_from([ZZ, IntegersModN(1), Z4, IntegersModN(12), PrimeField(3)]))
+    g, k = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return ring, g, Matrix.zero(ring, g, k)
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    if ring.modulus is None:
+        entry = st.one_of(entry, st.integers(-(1 << 60), 1 << 60))
+    return ring, g, Matrix(ring, g, k, [[draw(entry) for _ in range(k)] for _ in range(g)])
+
+
+@given(_free_module_columns())
+def test_free_module_short_paths_match_the_smith_rule(case):
+    # R^g with no relations is read without a Smith form; the same module
+    # presented by one zero relation takes the general Smith rule
+    ring, g, A = case
+    free = FpModule.free(ring, g)
+    general = FpModule(ring, g, Matrix.zero(ring, g, 1))
+    assert free.columns_vanish(A) == general.columns_vanish(A)
+    assert free.invariant_factors() == general.invariant_factors()
 
 
 def test_module_map_validation():
@@ -288,6 +316,13 @@ expect_certificate("cell-chain", lambda: grow_cell_chain(f, one_cell))
 off_stage = [("S^0(R) -> D^1(R) cell", sphere_into_disk(1, R1),
               {1: Matrix.identity(ZZ, 1), 0: Q.diff(1).matrix})]
 expect_certificate("sphere-cell", lambda: grow_cell_chain(f, off_stage))
+# a sphere cell lifted as 2e, not e, glued onto 0 -> S^0(Z): its stages
+# miss half the target (this certificate carries the lifts of icell_decompose)
+S0, twice = sphere(0, R1), Matrix.from_rows(ZZ, [[2]])
+half_lift = [("S^-1(R) -> D^0(R) cell", sphere_into_disk(0, R1),
+              {0: twice, -1: S0.diff_matrix(0) * twice})]
+expect_certificate("sphere-lift", lambda: grow_cell_chain(
+    ChainMap.zero_map(ChainComplex.zero(ZZ), S0), half_lift))
 # an inverse whose certificate is forced to fail
 ModuleMap.is_identity = lambda self: False
 expect_certificate("inverse", lambda: ModuleMap.identity(R1).inverse())
@@ -318,10 +353,12 @@ def test_certificates_survive_python_O():
         "cell-chain certificate failed: grow_cell_chain: the stages exhaust the target")
     assert lines[2] == ("sphere-cell certificate failed: grow_cell_chain: the attaching "
                         "columns lie in the previous stage")
-    assert lines[3].startswith("inverse certificate failed: ModuleMap.inverse")
-    assert lines[4].startswith("disk-cover certificate failed: disk_cover")
-    assert lines[5] == "ce certificate failed: ce_trivial_fibration: t is epi"
-    assert lines[6] == ("ce-kernel certificate failed: "
+    assert lines[3] == ("sphere-lift certificate failed: grow_cell_chain: the stages "
+                        "exhaust the target")
+    assert lines[4].startswith("inverse certificate failed: ModuleMap.inverse")
+    assert lines[5].startswith("disk-cover certificate failed: disk_cover")
+    assert lines[6] == "ce certificate failed: ce_trivial_fibration: t is epi"
+    assert lines[7] == ("ce-kernel certificate failed: "
                         "ce_trivial_fibration: the kernel of t is exact")
 
 
