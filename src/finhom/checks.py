@@ -52,7 +52,7 @@ from .errors import (
     PreconditionFailedError,
     ValidationError,
 )
-from .functors import is_flat, tensor_maps, tensor_modules
+from .functors import is_flat, tensor_modules
 from .matrix import Matrix
 from .model import (
     COF_THEN_TRIVFIB,
@@ -66,7 +66,7 @@ from .model import (
     pushout_product,
     solve_lifting,
 )
-from .modules import FpModule, ModuleMap
+from .modules import FpModule, kernel_columns
 from .report import Report
 from .sampling import DeterministicSampler
 
@@ -257,14 +257,18 @@ def check_monoidal(spec: ModelStructureSpec, seed: int, samples: int) -> Report:
     # (i) degreewise purity: tensoring with cyclic modules keeps monos
     divisors = [d for d in ([2, 3, 4, 5] if ring.modulus is None
                             else [d for d in ring.divisors() if d > 1])]
+    # f_n tensor R/(d) is f_n's matrix kronecker the 1 x 1 identity between
+    # the tensor presentations; it is mono when its kernel vanishes
+    cyclics = [(d, FpModule.cyclic(ring, d)) for d in divisors]
     for k, c in enumerate(cofibs):
         bad = ""
         for n in c.source.support:
-            comp = c.component_at(n)
-            for d in divisors:
-                cyc = FpModule.cyclic(ring, d)
-                t = tensor_maps(comp, ModuleMap.identity(cyc))
-                if not t.is_mono():
+            A = c.matrix_at(n)
+            for d, cyc in cyclics:
+                t = A.kronecker(Matrix.identity(ring, cyc.gens))
+                source = tensor_modules(c.source.module_at(n), cyc)
+                if not source.columns_vanish(
+                        kernel_columns(t, tensor_modules(c.target.module_at(n), cyc))):
                     bad = f"degree {n} not pure against R/({d})"
                     break
             if bad:

@@ -151,13 +151,6 @@ def tensor_modules(M: FpModule, N: FpModule) -> FpModule:
     return FpModule(ring, M.gens * N.gens, rel_m.hstack(rel_n))
 
 
-def tensor_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """The functorial map f tensor g between tensor products."""
-    src = tensor_modules(f.source, g.source)
-    tgt = tensor_modules(f.target, g.target)
-    return ModuleMap(src, tgt, f.matrix.kronecker(g.matrix), check=False)
-
-
 @lru_cache(maxsize=1 << 14)
 def is_projective(M: FpModule) -> bool:
     """Whether M is projective, read from its invariant factors.

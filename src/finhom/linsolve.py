@@ -8,15 +8,20 @@ constrained by equations of the shape
 which vectorize to one exact linear system over the base ring via
 vec(A U B) = (B^T kron A) vec(U).  The system is written directly from
 the nonzero entries of A and B, with no identity, transpose or
-Kronecker matrix formed, and only its nonzero entries are reduced.
-Working modulo a relation span adds a slack unknown per equation.  The
-combined system is eliminated once, by ``eliminate``, which applies its
-row operations to the right-hand side b instead of building U: one
-deterministic solution is read from U b (``SmithForm.read``, the rule of
-``solve_linear``), and the full solution module of the homogeneous
-problem from the columns of V (``SmithForm.kernel_columns``, the rule of
-``kernel_basis``), with nothing carried.  Each call builds a fresh
-system that is read once, so its Smith form is not memoized.
+Kronecker matrix formed, and only its nonzero entries are reduced and
+kept, row by row (``SparseRows``).  Working modulo a relation span adds
+a slack unknown per equation.  Each call builds a fresh system that is
+eliminated once, and its Smith form is not memoized.
+
+Over Z/n and F_p the rows go to the sparse elimination as they are
+(``smith.eliminate_modular``), which applies its row operations to the
+right-hand side b instead of building U and never forms V: one
+deterministic solution is read from U b by back-substitution through
+the kept pivot rows (``Echelon.read``, the rule of ``solve_linear``),
+and the full solution module of the homogeneous problem, with nothing
+carried, from the same rows (``Echelon.kernel_columns``, the rule of
+``kernel_basis``).  Over Z the rows are made dense for ``eliminate``
+and read by ``SmithForm.read`` and ``SmithForm.kernel_columns``.
 
 Solutions are flat vectors over all unknowns, slack included, each
 unknown stacked column by column at its handle's offset.  A caller reads
@@ -31,12 +36,34 @@ from dataclasses import dataclass
 
 from .matrix import Matrix
 from .rings import Ring
-from .smith import eliminate
+from .smith import eliminate, eliminate_modular
 
 
 def _nonzero(M: Matrix) -> list:
     """(row, column, entry) for every nonzero entry of M."""
     return [(i, k, a) for i, row in enumerate(M.entries) for k, a in enumerate(row) if a]
+
+
+@dataclass(frozen=True, slots=True)
+class SparseRows:
+    """A system's matrix kept by rows: ``entries[i]`` maps the column of
+    each nonzero entry of row i to that entry, in normal form.  The
+    elimination over Z/n works in the dicts, so a system is read once."""
+
+    ring: Ring
+    rows: int
+    cols: int
+    entries: list
+
+    def matrix(self) -> Matrix:
+        """The same matrix, dense."""
+        data = []
+        for r in self.entries:
+            row = [0] * self.cols
+            for k, x in r.items():
+                row[k] = x
+            data.append(tuple(row))
+        return Matrix._reduced(self.ring, self.rows, self.cols, tuple(data))
 
 
 @dataclass(frozen=True)
@@ -98,19 +125,19 @@ class MatrixEquationSolver:
     # -- assembly -----------------------------------------------------------------
 
     def _build(self):
-        """The system A x = b of all equations, written entry by entry.
+        """The system A x = b of all equations, written entry by entry:
+        (A by rows, b, the offsets of the unknowns, their total size).
 
         Row i + m*j of an equation (m = rhs.rows) is entry (i, j) of its
         vectorized left side; column h.offset + k + h.rows*l is entry (k, l)
         of unknown h.  By vec(L U R) = (R^T kron L) vec(U), a term adds
         coef * L[i][k] * R[l][j] there; a missing L or R is the identity,
         so only k = i or l = j occurs.  Each row collects its sums by
-        column, and only those are reduced.
+        column, and only those are reduced; A keeps them as sparse rows
+        (``SparseRows``), and b is a column Matrix.
         """
         ring = self.ring
         n = ring.modulus
-        total = self._total
-        zero = (0,) * total
         rows = []
         rhs_entries = []
         for terms, rhs in self._equations:
@@ -129,33 +156,34 @@ class MatrixEquationSolver:
                     for i, k, a in lpairs:
                         sums = block[i + m * j]
                         sums[col0 + k] = sums.get(col0 + k, 0) + c * a
-            for sums in block:
-                if not sums:
-                    rows.append(zero)
-                    continue
-                row = [0] * total
-                for k, x in sums.items():
-                    row[k] = x % n if n else x
-                rows.append(tuple(row))
+            if n:
+                rows.extend({k: y for k, x in sums.items() if (y := x % n)} for sums in block)
+            else:
+                rows.extend({k: x for k, x in sums.items() if x} for sums in block)
             rhs_entries.extend(rhs.vec())
-        A = Matrix._reduced(ring, len(rows), total, tuple(rows))
+        A = SparseRows(ring, len(rows), self._total, rows)
         b = Matrix._reduced(ring, len(rhs_entries), 1, tuple((x,) for x in rhs_entries))
-        return A, b, [h.offset for h in self._unknowns], total
+        return A, b, [h.offset for h in self._unknowns], self._total
 
     # -- solving ---------------------------------------------------------------------
 
     def solve(self):
         """One deterministic solution vector, or None."""
         A, b, _, _ = self._build()
-        form = eliminate(A, b)
-        x = form.read(form.U)
-        return None if x is None else x.col(0)
+        if self.ring.kind == Ring.INTEGERS:
+            form = eliminate(A.matrix(), b)
+            x = form.read(form.U)
+            return None if x is None else x.col(0)
+        return eliminate_modular(self.ring, A.entries, A.cols, b).read()
 
     def solution_basis(self):
         """Vectors generating the homogeneous solution module (rhs forced
         to 0), as column tuples."""
         A, _, _, _ = self._build()
-        return eliminate(A, Matrix.zero(self.ring, A.rows, 0)).kernel_columns()
+        nothing = Matrix.zero(self.ring, A.rows, 0)
+        if self.ring.kind == Ring.INTEGERS:
+            return eliminate(A.matrix(), nothing).kernel_columns()
+        return eliminate_modular(self.ring, A.entries, A.cols, nothing).kernel_columns()
 
     def value(self, vec, h: Handle) -> Matrix:
         """The matrix a solution vector gives the unknown h.  vec holds

@@ -19,8 +19,9 @@ itself never needs.
   module map when one exists.
 * ``cokernel_presentation`` is the module a relation matrix presents,
   ``is_field`` whether a ring is a field, ``tensor_unit_iso`` the
-  canonical isomorphism M (x) R -> M, and ``zero_map`` the zero module
-  map between two modules.
+  canonical isomorphism M (x) R -> M, ``tensor_maps`` the map f (x) g
+  between tensor products, and ``zero_map`` the zero module map between
+  two modules.
 """
 
 from typing import Optional, Sequence
@@ -189,6 +190,13 @@ def tensor_unit_iso(M: FpModule) -> ModuleMap:
     """The canonical isomorphism M tensor R -> M."""
     src = tensor_modules(M, FpModule.free(M.ring, 1))
     return ModuleMap(src, M, Matrix.identity(M.ring, M.gens), check=False)
+
+
+def tensor_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """The functorial map f tensor g between tensor products."""
+    src = tensor_modules(f.source, g.source)
+    tgt = tensor_modules(f.target, g.target)
+    return ModuleMap(src, tgt, f.matrix.kronecker(g.matrix), check=False)
 
 
 def zero_map(source: FpModule, target: FpModule) -> ModuleMap:

@@ -16,12 +16,11 @@ from finhom.functors import (
     is_injective,
     is_projective,
     lift_through,
-    tensor_maps,
     tensor_modules,
     tor_n,
 )
 from finhom.modules import FpModule, ModuleMap, ShortExactSeq
-from helpers import cokernel_presentation, element_in_submodule, tensor_unit_iso
+from helpers import cokernel_presentation, element_in_submodule, tensor_maps, tensor_unit_iso
 from oracles import all_module_maps, ext_oracle, split_epi_projective, tor_oracle
 
 ZZ = Integers()

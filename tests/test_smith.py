@@ -10,7 +10,8 @@ from sympy.matrices.normalforms import invariant_factors
 from finhom import (
     Integers, IntegersModN, Matrix, PrimeField, SmithForm, kernel_basis, snf, solve_linear)
 from finhom.errors import PreconditionFailedError
-from finhom.smith import _snf_integer, _snf_modular, eliminate, invariant_factors_of, inverse
+from finhom.smith import (
+    _snf_integer, _snf_modular, eliminate, eliminate_modular, invariant_factors_of, inverse)
 
 ZZ = Integers()
 
@@ -621,3 +622,103 @@ def test_carried_elimination_matches_the_full_form(system):
     assert x == form.solve(b)
     assert x is None or A * x == b
     assert eliminate(A, Matrix.zero(A.ring, A.rows, 0)).kernel() == kernel_basis(A)
+
+
+SPARSE_RINGS = [IntegersModN(n) for n in (4, 8, 9, 12, 36, 1)] + [PrimeField(3)]
+
+
+@st.composite
+def _sparse_modular_systems(draw, ring):
+    """(A, carry) over ``ring``: A up to 60 x 60 with 2-8% of its entries
+    nonzero, or a tall A up to 120 x 30 with zero rows and rows that
+    repeat a multiple of an earlier row; the carry is the identity, a
+    right-hand side b (half the time b = A x, so solvable), or a matrix
+    with no columns."""
+    n = ring.modulus
+    tall = draw(st.booleans())
+    rows = draw(st.integers(0, 120 if tall else 60))
+    cols = draw(st.integers(0, 30 if tall else 60))
+    density = draw(st.sampled_from((0.02, 0.04, 0.06, 0.08)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = []
+    for _ in range(rows):
+        kind = rng.random()
+        if tall and kind < 0.3:
+            entries.append([0] * cols)
+        elif tall and kind < 0.5 and entries:
+            f = rng.randrange(max(n, 2))
+            entries.append([f * x for x in rng.choice(entries)])
+        else:
+            entries.append([rng.randrange(1, max(n, 2)) if rng.random() < density else 0
+                            for _ in range(cols)])
+    A = Matrix(ring, rows, cols, entries)
+    carry = draw(st.sampled_from(("identity", "b", "none")))
+    if carry == "identity":
+        C = Matrix.identity(ring, rows)
+    elif carry == "none":
+        C = Matrix.zero(ring, rows, 0)
+    elif draw(st.booleans()):
+        C = A * Matrix(ring, cols, 1, [[rng.randrange(max(n, 2))] for _ in range(cols)])
+    else:
+        C = Matrix(ring, rows, 1, [[rng.randrange(max(n, 2))] for _ in range(rows)])
+    return A, C
+
+
+def sparse_rows(A):
+    """The nonzero entries of A's rows, as the solver hands them over."""
+    return [{j: x for j, x in enumerate(r) if x} for r in A.entries]
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=str)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_sparse_elimination_matches_dense_reference(ring, data):
+    # U C, the pivots and V of the sparse elimination are those of the
+    # dense elimination, on solver-shaped systems and every carry
+    A, C = data.draw(_sparse_modular_systems(ring))
+    n = A.ring.modulus
+    U, D, V = dense_snf_modular(A)
+    e = eliminate_modular(A.ring, sparse_rows(A), A.cols, C)
+    assert e.UC == (U * C).entries
+    assert e.pivot_row == tuple(D.entries[t][t] or n for t in range(min(A.rows, A.cols)))
+    assert e.vcols() == tuple(zip(*V.entries)) if A.cols else e.vcols() == ()
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=str)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_back_substitution_matches_the_reading_rule(ring, data):
+    # the solution read by back-substitution is SmithForm.read of the
+    # carried form, None where b has no solution, and the kernel vectors
+    # are kernel_columns() of the full form, in the same order
+    A, C = data.draw(_sparse_modular_systems(ring))
+    nothing = Matrix.zero(ring, A.rows, 0)
+    kernel = eliminate_modular(ring, sparse_rows(A), A.cols, nothing).kernel_columns()
+    assert kernel == eliminate(A, nothing).kernel_columns() == snf(A).kernel_columns()
+    for b in [C.submatrix(range(C.rows), [j]) for j in range(C.cols)][:3]:
+        form = eliminate(A, b)
+        want = form.read(form.U)
+        got = eliminate_modular(ring, sparse_rows(A), A.cols, b).read()
+        assert got == (None if want is None else want.col(0))
+        assert got is None or A * Matrix(ring, A.cols, 1, [[x] for x in got]) == b
+
+
+@pytest.mark.parametrize("ring", [IntegersModN(4), IntegersModN(8), IntegersModN(12),
+                                  IntegersModN(36), PrimeField(3)], ids=str)
+def test_back_substitution_reads_non_unit_pivots_and_unsolvable_systems(ring):
+    # pivots 2, 4, 3, 6, ... and right-hand sides they do not divide,
+    # every column combination of a few small diagonal-ish systems
+    n = ring.modulus
+    rng = random.Random(f"back-substitution-{ring}")
+    for _ in range(150):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        A = Matrix(ring, r, c, [[rng.choice((0, 0, 2, 3, 4, 6, 1)) % n for _ in range(c)]
+                                for _ in range(r)])
+        b = Matrix(ring, r, 1, [[rng.randrange(n)] for _ in range(r)])
+        form = eliminate(A, b)
+        want = form.read(form.U)
+        got = eliminate_modular(ring, sparse_rows(A), c, b).read()
+        assert got == (None if want is None else want.col(0))
+        nothing = Matrix.zero(ring, r, 0)
+        assert (eliminate_modular(ring, sparse_rows(A), c, nothing).kernel_columns()
+                == snf(A).kernel_columns())
