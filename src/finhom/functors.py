@@ -5,12 +5,16 @@ classes of their arguments, so M is read as the sum of R/(d) over its
 invariant factors d, and N as N', the diagonal module on its own.  Each
 R/(d) has the free resolution R --c_k--> R with c_0 = 0, c_1 = d and
 c_{k+1} = ann(c_k) (n/c over Z/n; over Z, 1 for c = 0 and 0 otherwise),
-so Ext^n(M, N) is the sum of ker(c_{n+1} on N') / c_n N' and Tor_n(M, N)
-the sum of ker(c_n on N') / c_{n+1} N'.  Alongside: free resolutions of a
-presentation by syzygy iteration, the tensor product with its functorial
-action on maps, decidable projectivity/flatness/injectivity, and the
-explicit lift of a commutative square through a pair of short exact
-sequences when the obstruction Ext group vanishes.
+so Ext^n(M, N) is the sum of ker(k) / b N' with (k, b) = (c_{n+1}, c_n),
+and Tor_n(M, N) the same with (k, b) = (c_n, c_{n+1}).  On a summand R/(e)
+of N', ker(k) / b R/(e) is R/(m) with m = gcd(k, e) gcd(b, e) / e: the
+kernel and image of multiplication by c have orders gcd(c, e) and
+e / gcd(c, e).  Over Z a summand R gives R/(b) if k = 0, and 0 otherwise.
+So no Smith form is taken past the invariant factors.  Alongside: free
+resolutions of a presentation by syzygy iteration, the tensor product
+with its functorial action on maps, decidable projectivity/flatness/
+injectivity, and the explicit lift of a commutative square through a
+pair of short exact sequences when the obstruction Ext group vanishes.
 
 Over the integers syzygy resolutions stop after one step (submodules of
 free modules are free); over Z/n they may be periodic and are truncated
@@ -34,7 +38,6 @@ from .modules import (
     kernel_columns,
     submodule,
     submodule_coordinates,
-    subquotient,
     subquotient_vanishes,
 )
 from .rings import Ring
@@ -86,31 +89,31 @@ def _annihilator(ring: Ring, c: int) -> int:
     return n // math.gcd(c, n)
 
 
-def _cyclic_data(M: FpModule, N: FpModule, n: int, ext: bool):
-    """(N', cycle generators, boundary generators), one triple per
-    invariant factor d of M, by the cyclic rule of the module docstring:
-    their subquotients sum to Ext^n(M, N) or to Tor_n(M, N)."""
+def _cyclic_orders(M: FpModule, N: FpModule, n: int, ext: bool) -> list:
+    """The orders m != 1 (0 for R) of the cyclic summands of Ext^n(M, N)
+    or Tor_n(M, N), one per pair (d, e), by the module docstring's rule."""
     if n < 0:
         raise PreconditionFailedError(f"{'ext' if ext else 'tor'} degree must be >= 0")
     if M.ring != N.ring:
         raise PreconditionFailedError("modules must share a ring")
     ring = M.ring
     facs = N.invariant_factors()
-    Nd = FpModule(ring, len(facs), Matrix.diagonal(ring, len(facs), len(facs), facs))
-    one = Matrix.identity(ring, Nd.gens)
     out = []
     for d in M.invariant_factors():
         c = [0, d]
         while len(c) < n + 2:
             c.append(_annihilator(ring, c[-1]))
-        kill, bound = (c[n + 1], c[n]) if ext else (c[n], c[n + 1])
-        out.append((Nd, kernel_columns(one.scale(kill), Nd), one.scale(bound)))
+        k, b = (c[n + 1], c[n]) if ext else (c[n], c[n + 1])
+        for e in facs:
+            m = math.gcd(k, e) * math.gcd(b, e) // e if e else 1 if k else b
+            if m != 1:
+                out.append(m)
     return out
 
 
 def _cyclic_sum(M: FpModule, N: FpModule, n: int, ext: bool) -> FpModule:
-    parts = [subquotient(*t) for t in _cyclic_data(M, N, n, ext)]
-    return FpModule.direct_sum(FpModule.zero(M.ring), *parts)
+    m = _cyclic_orders(M, N, n, ext)
+    return FpModule(M.ring, len(m), Matrix.diagonal(M.ring, len(m), len(m), m))
 
 
 def ext_n(M: FpModule, N: FpModule, n: int) -> FpModule:
@@ -123,7 +126,7 @@ def ext_vanishes(M: FpModule, N: FpModule, n: int) -> bool:
     n >= 1 it is 0 when M has no relations, since free modules are projective."""
     if n >= 1 and M.relations.cols == 0 and M.ring == N.ring:
         return True
-    return all(subquotient_vanishes(*t) for t in _cyclic_data(M, N, n, ext=True))
+    return not _cyclic_orders(M, N, n, ext=True)
 
 
 def tor_n(M: FpModule, N: FpModule, n: int) -> FpModule:

@@ -383,8 +383,8 @@ def kernel_columns(A: Matrix, M: FpModule) -> Matrix:
     """Generator columns of {x : A x = 0 in M}, the kernel of the map
     into M with matrix A, in source coordinates; a zero matrix stands
     for a missing map."""
-    K = kernel_basis(A.hstack(M.relations))
-    return K.submatrix(range(A.cols), range(K.cols))
+    cols = [c[:A.cols] for c in snf(A.hstack(M.relations)).kernel_columns()]
+    return Matrix._reduced(A.ring, A.cols, len(cols), tuple(zip(*cols)) or ((),) * A.cols)
 
 
 def quotient(M: FpModule, gens: Matrix) -> FpModule:

@@ -18,19 +18,22 @@ from __future__ import annotations
 from .errors import UnsupportedRingError
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+def _factor(n: int) -> tuple:
+    """(p, k) for each prime power p^k exactly dividing n, smallest p
+    first, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 class Ring:
@@ -40,25 +43,29 @@ class Ring:
     they have the same kind and modulus.
     """
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("kind", "modulus", "_factors")
 
     INTEGERS = "Integers"
     MOD_N = "IntegersModN"
     PRIME_FIELD = "PrimeField"
 
     def __init__(self, kind: str, modulus: int | None = None):
+        factors = ()
         if kind == Ring.INTEGERS:
             modulus = None
         elif kind == Ring.MOD_N:
             if modulus is None or modulus < 1:
                 raise ValueError("IntegersModN needs a positive modulus")
+            factors = _factor(modulus)
         elif kind == Ring.PRIME_FIELD:
-            if modulus is None or not _is_prime(modulus):
+            factors = _factor(modulus or 0)
+            if factors != ((modulus, 1),):
                 raise ValueError(f"PrimeField needs a prime modulus, got {modulus}")
         else:
             raise ValueError(f"unknown ring kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_factors", factors)
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
@@ -96,21 +103,8 @@ class Ring:
     def _prime_power_parts(self) -> tuple:
         """The parts q = p^k of the modulus, one per prime p, smallest p
         first: Z/n splits by CRT into the rings Z/q.  Empty over Z and
-        over Z/1."""
-        n = self.modulus or 1
-        out = []
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                q = 1
-                while n % p == 0:
-                    n //= p
-                    q *= p
-                out.append(q)
-            p += 1
-        if n > 1:
-            out.append(n)
-        return tuple(out)
+        over Z/1.  The modulus is factored once, when the ring is made."""
+        return tuple(p ** k for p, k in self._factors)
 
     # -- element arithmetic ----------------------------------------------
 
@@ -138,8 +132,10 @@ class Ring:
         generate all ideals of Z/n."""
         if self.modulus is None:
             raise UnsupportedRingError("Z has infinitely many ideals")
-        n = self.modulus
-        return [d for d in range(1, n + 1) if n % d == 0]
+        out = [1]
+        for p, k in self._factors:
+            out = [d * p ** i for d in out for i in range(k + 1)]
+        return sorted(out)
 
 
 def Integers() -> Ring:

@@ -40,7 +40,7 @@ from finhom.modules import (
     submodule_coordinates,
 )
 from finhom.report import FORMAT_HEADER, Report
-from finhom.rings import Ring, _is_prime
+from finhom.rings import Ring
 from finhom.sampling import DeterministicSampler
 
 
@@ -182,8 +182,7 @@ def cokernel_presentation(A: Matrix) -> FpModule:
 
 
 def is_field(ring: Ring) -> bool:
-    return ring.kind == Ring.PRIME_FIELD or (
-        ring.kind == Ring.MOD_N and _is_prime(ring.modulus))
+    return ring.modulus is not None and ring._prime_power_parts() == (ring.modulus,)
 
 
 def tensor_unit_iso(M: FpModule) -> ModuleMap:

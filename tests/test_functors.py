@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from finhom import Integers, IntegersModN, Matrix, PrimeField
+from finhom import Integers, IntegersModN, Matrix, PrimeField, modules, smith
 from finhom.errors import PreconditionFailedError, UnsupportedRingError
 from finhom.functors import (
     ext_n,
+    ext_vanishes,
     free_resolution,
     is_flat,
     is_injective,
@@ -325,7 +326,7 @@ def test_is_flat_matches_is_projective_and_the_tor_oracle(M):
 
 
 def _past_deadline(signum, frame):
-    raise TimeoutError("the pair ran past its 0.5 s deadline")
+    raise TimeoutError("ran past the 0.5 s deadline")
 
 
 def test_ext_tor_on_dense_integer_pairs_answer_at_once():
@@ -353,3 +354,75 @@ def test_ext_tor_on_dense_integer_pairs_answer_at_once():
                     signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+CYCLIC_RINGS = [ZZ, IntegersModN(1), IntegersModN(12), IntegersModN(36), F3]
+
+
+@st.composite
+def _cyclic_pairs(draw):
+    """R/(d) and R/(e) over Z, Z/1, Z/12, Z/36 or F_3, with d and e drawn
+    from 0, 1, n and the divisors of n (over Z, those of 36)."""
+    ring = draw(st.sampled_from(CYCLIC_RINGS))
+    n = ring.modulus
+    values = sorted({0, 1, n or 0} | set(IntegersModN(n or 36).divisors()))
+    d, e = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+    return FpModule.cyclic(ring, d), FpModule.cyclic(ring, e)
+
+
+@given(_cyclic_pairs())
+def test_cyclic_ext_tor_match_the_resolution_oracle(pair):
+    # the gcd rule against the syzygy resolution of R/(d) and its
+    # Kronecker systems, degree by degree, and ext_vanishes against ext_n
+    M, N = pair
+    for n in range(4):
+        ext = ext_n(M, N, n)
+        assert ext.invariant_factors() == ext_oracle(M, N, n).invariant_factors()
+        assert tor_n(M, N, n).invariant_factors() == tor_oracle(M, N, n).invariant_factors()
+        assert ext_vanishes(M, N, n) == ext.is_zero_module()
+
+
+def test_ext_tor_take_smith_forms_of_the_invariant_factors_only(monkeypatch):
+    # fresh modules, so no memoized form is warm: every Smith form ext_n
+    # and tor_n ask for, at every binding of snf, is that of M's or N's
+    # relations, and the cached invariant factors ask for each once
+    rng = random.Random(29)
+    asked = []
+    counted = smith.snf
+
+    def counting(A):
+        asked.append(A)
+        return counted(A)
+
+    monkeypatch.setattr(smith, "snf", counting)
+    monkeypatch.setattr(modules, "snf", counting)
+    for ring in (ZZ, IntegersModN(36), F3):
+        hi = 97 if ring.modulus is None else ring.modulus
+        M, N = (FpModule(ring, 3, Matrix(ring, 3, 2, [[rng.randrange(hi) for _ in range(2)]
+                                                       for _ in range(3)]))
+                for _ in range(2))
+        asked.clear()
+        for n in range(4):
+            ext_n(M, N, n)
+            tor_n(M, N, n)
+        assert sorted(asked, key=repr) == sorted([M.relations, N.relations], key=repr)
+
+
+def test_prime_field_of_a_large_prime_answers_at_once():
+    # the modulus is factored once, when the ring is made, and the ideals
+    # are read from the factorization rather than by scanning 1..p
+    ring = PrimeField(1000000007)
+    A = Matrix.from_rows(ring, [[3, 5], [7, 11]])
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    try:
+        for thunk in (lambda: is_flat(FpModule.cyclic(ring, 1)),
+                      lambda: smith.snf(A)):
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            try:
+                thunk()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert is_flat(FpModule.cyclic(ring, 1))
+    assert smith.snf(A).pivots(2) == (1, 1)

@@ -267,6 +267,19 @@ def test_invariant_factors_helper():
     assert invariant_factors_of(C) == (6,)
 
 
+def test_prime_power_parts_and_divisors_match_sympy():
+    # the factorization taken once per ring against sympy's
+    for n in range(1, 400):
+        ring = IntegersModN(n)
+        assert ring._prime_power_parts() == tuple(
+            p ** k for p, k in sorted(sympy.factorint(n).items()))
+        assert ring.divisors() == sympy.divisors(n)
+    for p in (2, 3, 101, 10000019):
+        assert PrimeField(p)._prime_power_parts() == (p,)
+        assert PrimeField(p).divisors() == [1, p]
+    assert ZZ._prime_power_parts() == ()
+
+
 def _prime_factors(n):
     """The primes dividing n, smallest first; the library splits n into
     its prime-power parts by ``Ring._prime_power_parts``."""
